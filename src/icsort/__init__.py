@@ -23,7 +23,6 @@ from .features import (
     IcFeatures,
     Recording,
     ScalpTopography,
-    augment,
     autocorrelation,
     common_average_reference,
     extract_component_features,
@@ -50,7 +49,6 @@ __all__ = [
     "ScalpTopography",
     "argmax_category",
     "as_label_vector",
-    "augment",
     "autocorrelation",
     "common_average_reference",
     "extract_component_features",

@@ -100,20 +100,6 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 class _StagedDirectory:
     """Build a directory next to its destination, then rename into place."""
 

@@ -23,7 +23,7 @@ from . import bundles, crowdlabel, metrics, plots
 from .categories import CATEGORIES, N_CATEGORIES
 from .errors import ConfigError, DataError, IcsortError, NumericError
 from .features import FeatureStack, extract_component_features
-from .network import TrainConfig, classify, forward, load_weights, save_weights, train
+from .network import TrainConfig, classify, load_weights, save_weights, train
 
 MERGED_NAMES = {
     "7": CATEGORIES,
@@ -119,15 +119,8 @@ def _load_thresholds(path, n_expected: int) -> np.ndarray:
 def cmd_classify(args) -> int:
     weights = load_weights(args.weights)
     stack, component_ids = bundles.read_feature_bundle(args.features)
-    if args.tta:
-        probs = classify(weights, stack.topo, stack.psd, stack.autocorr,
-                         batch_size=args.batch_size)
-    else:
-        probs = np.concatenate([
-            forward(weights, stack.topo[i:i + args.batch_size],
-                    stack.psd[i:i + args.batch_size], stack.autocorr[i:i + args.batch_size])
-            for i in range(0, len(stack), args.batch_size)
-        ]).astype(np.float64)
+    probs = classify(weights, stack.topo, stack.psd, stack.autocorr,
+                     batch_size=args.batch_size, tta=args.tta)
 
     names = MERGED_NAMES[args.merge]
     if args.merge != "7":
@@ -286,6 +279,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_aggregate(args) -> int:
+    if args.chains < 1:
+        raise ConfigError(f"--chains must be at least 1, got {args.chains}")
     submissions, experts = crowdlabel.read_votes_csv(args.votes)
     votes = crowdlabel.expand_submissions(submissions)
     votes = crowdlabel.filter_labelers(votes, min_votes=args.min_components)

@@ -52,13 +52,6 @@ class ScalpTopography:
         if self.mask.shape != (TOPO_SIZE, TOPO_SIZE):
             raise DataError(f"topography mask must be {TOPO_SIZE}x{TOPO_SIZE}, got {self.mask.shape}")
 
-    def mirrored(self) -> "ScalpTopography":
-        """Left-right reflection (about the sagittal plane)."""
-        return ScalpTopography(self.pixels[:, ::-1].copy(), self.mask[:, ::-1].copy())
-
-    def negated(self) -> "ScalpTopography":
-        return ScalpTopography(-self.pixels, self.mask.copy())
-
 
 @dataclass
 class IcFeatures:
@@ -314,26 +307,18 @@ def normalize_features(features: IcFeatures) -> IcFeatures:
     )
 
 
-def augment(features: IcFeatures, label: np.ndarray):
-    """Expand one example into its 4-element topography symmetry orbit.
+#: The symmetry orbit of a scalp topography, identity first, as (mirror, negate)
+#: pairs: mirroring reflects the image left-right (about the sagittal plane).
+#: ``classify`` averages its output over this orbit and training augments
+#: with it; PSD, autocorrelation and labels are the same for every element.
+TOPOGRAPHY_ORBIT = ((False, False), (True, False), (False, True), (True, True))
 
-    Returns ``[(features, label), ...]`` of length 4: identity, left-right
-    mirror, negation, and mirrored negation of the topography.  PSD,
-    autocorrelation, and label are copied unchanged; the first pair equals
-    the input.
-    """
-    label = np.array(label, dtype=np.float64, copy=True)
-    variants = [
-        features.topo,
-        features.topo.mirrored(),
-        features.topo.negated(),
-        features.topo.mirrored().negated(),
-    ]
-    return [
-        (IcFeatures(topo=t, psd=features.psd.copy(), autocorr=features.autocorr.copy()),
-         label.copy())
-        for t in variants
-    ]
+
+def orbit_element(images: np.ndarray, mirror: bool, negate: bool) -> np.ndarray:
+    """One ``TOPOGRAPHY_ORBIT`` element of (..., 32, 32) images; a view unless negated."""
+    if mirror:
+        images = images[..., ::-1]
+    return -images if negate else images
 
 
 @dataclass
@@ -360,21 +345,20 @@ class FeatureStack:
             autocorr=np.stack([f.autocorr for f in feats]),
         )
 
-    def component(self, i: int) -> IcFeatures:
-        return IcFeatures(
-            topo=ScalpTopography(self.topo[i].copy(), self.mask[i].copy()),
-            psd=self.psd[i].copy(),
-            autocorr=self.autocorr[i].copy(),
-        )
+    def orbit(self) -> "FeatureStack":
+        """The stack repeated once per ``TOPOGRAPHY_ORBIT`` element, in orbit order (4n rows).
 
-    def mirrored(self) -> "FeatureStack":
+        Masks are mirrored with their images; negation keeps them.
+        """
+        k = len(TOPOGRAPHY_ORBIT)
         return FeatureStack(
-            self.topo[:, :, ::-1].copy(), self.mask[:, :, ::-1].copy(),
-            self.psd.copy(), self.autocorr.copy(),
+            topo=np.concatenate([orbit_element(self.topo, mirror, negate)
+                                 for mirror, negate in TOPOGRAPHY_ORBIT]),
+            mask=np.concatenate([orbit_element(self.mask, mirror, False)
+                                 for mirror, _ in TOPOGRAPHY_ORBIT]),
+            psd=np.concatenate([self.psd] * k),
+            autocorr=np.concatenate([self.autocorr] * k),
         )
-
-    def negated(self) -> "FeatureStack":
-        return FeatureStack(-self.topo, self.mask.copy(), self.psd.copy(), self.autocorr.copy())
 
     def subset(self, indices) -> "FeatureStack":
         idx = np.asarray(indices)
@@ -386,9 +370,19 @@ def extract_component_features(recording: Recording, index: int) -> IcFeatures:
 
     The mixing matrix is converted to a common average reference before
     interpolating the scalp topography.
+
+    Raises
+    ------
+    DataError
+        If the component's mixing-matrix column or activity holds a
+        non-finite value, naming the array.
     """
     if not 0 <= index < recording.n_components:
         raise DataError(f"component index {index} out of range")
+    if not np.all(np.isfinite(recording.mixing_matrix[:, index])):
+        raise DataError(f"mixing_matrix column {index} has non-finite values")
+    if not np.all(np.isfinite(recording.component_activity[index])):
+        raise DataError(f"component_activity row {index} has non-finite samples")
     referenced = common_average_reference(recording.mixing_matrix)
     topo = scalp_topography(referenced[:, index], recording.electrode_positions)
     activity = recording.component_activity[index]

@@ -1,17 +1,6 @@
 """From-scratch convolutional classifier for component feature sets."""
 
-from .convops import (
-    conv1d_backward,
-    conv1d_forward,
-    conv2d_backward,
-    conv2d_forward,
-    leaky_relu,
-    leaky_relu_grad,
-    same_padding,
-    softmax,
-    softmax_cross_entropy_grad,
-    weighted_cross_entropy,
-)
+from .convops import weighted_cross_entropy
 from .model import (
     ARCHITECTURE,
     LAYER_ORDER,
@@ -33,21 +22,12 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "classify",
-    "conv1d_backward",
-    "conv1d_forward",
-    "conv2d_backward",
-    "conv2d_forward",
     "forward",
     "forward_backward",
     "initialize_weights",
-    "leaky_relu",
-    "leaky_relu_grad",
     "load_weights",
-    "same_padding",
     "save_weights",
     "shape_trace",
-    "softmax",
-    "softmax_cross_entropy_grad",
     "train",
     "weighted_cross_entropy",
 ]

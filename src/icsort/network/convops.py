@@ -36,6 +36,12 @@ def _resolve_padding(size: int, kernel: int, stride: int, padding: str) -> tuple
     raise ConfigError(f"unknown padding mode {padding!r}")
 
 
+def output_size(size: int, kernel: int, stride: int, padding: str) -> int:
+    """Output steps along one axis of a convolution over ``size`` input steps."""
+    lead, trail = _resolve_padding(size, kernel, stride, padding)
+    return (size + lead + trail - kernel) // stride + 1
+
+
 def _patch_view_2d(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     """Strided (n, ho, wo, kh, kw, c) window view of a padded NHWC array."""
     n, h, w, c = x.shape

@@ -1,5 +1,13 @@
 """Three-branch convolutional classifier over component feature sets.
 
+The graph is data.  ``ARCHITECTURE`` lists every convolution layer as a
+``LayerSpec``: three input branches (``BRANCHES``) followed by the
+``HEAD``.  ``forward`` and ``forward_backward`` walk these specs; each
+layer's convolution comes from its ``kind`` and its nonlinearity from its
+``activation``.  Merging the three branch outputs into the head's input
+map is the one hand-written step, and ``shape_trace`` derives every shape
+from the same specs with the convolutions' own output-size rule.
+
 The scalp topography passes through three strided 4x4 convolutions
 (32x32x1 -> 16x16x128 -> 8x8x256 -> 4x4x512).  The power spectrum and the
 autocorrelation each pass through three strided length-3 convolutions
@@ -8,7 +16,8 @@ reshaped to 4x4x1 maps.  The three maps are concatenated to 4x4x514 and a
 final unpadded 4x4 convolution with 7 filters produces the category
 logits, which a softmax turns into probabilities.
 
-All hidden layers use leaky-ReLU activations with slope 0.2.
+All hidden layers use leaky-ReLU activations with slope 0.2; the head is
+linear.
 """
 
 from __future__ import annotations
@@ -18,11 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..categories import N_CATEGORIES
-from ..errors import DataError, NumericError
+from ..errors import ConfigError, DataError, NumericError
+from ..features import N_AUTOCORR_LAGS, N_PSD_BINS, TOPO_SIZE, TOPOGRAPHY_ORBIT, orbit_element
 from . import convops
 
 LEAKY_SLOPE = 0.2
-PSD_PAD_TO = 16  # trailing zero-pad of the 13-value branch output
 
 
 @dataclass(frozen=True)
@@ -59,17 +68,35 @@ def _branch_1d(prefix: str) -> tuple:
     )
 
 
-ARCHITECTURE: tuple = (
-    LayerSpec("topo1", "conv2d", 4, 2, 1, 128, "same", "lrelu"),
-    LayerSpec("topo2", "conv2d", 4, 2, 128, 256, "same", "lrelu"),
-    LayerSpec("topo3", "conv2d", 4, 2, 256, 512, "same", "lrelu"),
-    *_branch_1d("psd"),
-    *_branch_1d("acf"),
-    LayerSpec("out", "conv2d", 4, 1, 514, N_CATEGORIES, "valid", "linear"),
+#: Input branches in merge order, fed the topography, PSD and autocorrelation.
+BRANCHES: tuple = (
+    (
+        LayerSpec("topo1", "conv2d", 4, 2, 1, 128, "same", "lrelu"),
+        LayerSpec("topo2", "conv2d", 4, 2, 128, 256, "same", "lrelu"),
+        LayerSpec("topo3", "conv2d", 4, 2, 256, 512, "same", "lrelu"),
+    ),
+    _branch_1d("psd"),
+    _branch_1d("acf"),
 )
+HEAD = LayerSpec("out", "conv2d", 4, 1, 514, N_CATEGORIES, "valid", "linear")
+_INPUT_SIZES = (TOPO_SIZE, N_PSD_BINS, N_AUTOCORR_LAGS)  # per branch, per spatial axis
 
+ARCHITECTURE: tuple = (*(spec for branch in BRANCHES for spec in branch), HEAD)
 LAYER_ORDER: tuple = tuple(spec.name for spec in ARCHITECTURE)
-_SPEC_BY_NAME = {spec.name: spec for spec in ARCHITECTURE}
+
+#: kind -> (forward, backward) convolution
+_CONVOLUTIONS = {
+    "conv2d": (convops.conv2d_forward, convops.conv2d_backward),
+    "conv1d": (convops.conv1d_forward, convops.conv1d_backward),
+}
+#: activation -> (function, derivative) of the pre-activation; None is the identity's
+_ACTIVATIONS = {
+    "lrelu": (
+        lambda pre: convops.leaky_relu(pre, LEAKY_SLOPE),
+        lambda pre: convops.leaky_relu_grad(pre, LEAKY_SLOPE),
+    ),
+    "linear": (lambda pre: pre, None),
+}
 
 
 @dataclass
@@ -140,31 +167,76 @@ def _as_network_inputs(topo: np.ndarray, psd: np.ndarray, autocorr: np.ndarray, 
     topo = np.asarray(topo, dtype=dtype)
     psd = np.asarray(psd, dtype=dtype)
     autocorr = np.asarray(autocorr, dtype=dtype)
-    if topo.ndim != 3 or topo.shape[1:] != (32, 32):
-        raise DataError(f"topo batch must be (n, 32, 32), got {topo.shape}")
+    if topo.ndim != 3 or topo.shape[1:] != (TOPO_SIZE, TOPO_SIZE):
+        raise DataError(f"topo batch must be (n, {TOPO_SIZE}, {TOPO_SIZE}), got {topo.shape}")
     n = topo.shape[0]
-    if psd.shape != (n, 100) or autocorr.shape != (n, 100):
-        raise DataError("psd and autocorr batches must be (n, 100) matching the topo batch")
+    if psd.shape != (n, N_PSD_BINS) or autocorr.shape != (n, N_AUTOCORR_LAGS):
+        raise DataError(
+            f"psd and autocorr batches must be (n, {N_PSD_BINS}) matching the topo batch"
+        )
     return topo[..., None], psd[..., None], autocorr[..., None]
 
 
-def _check_finite(name: str, activations: np.ndarray) -> None:
-    if not np.all(np.isfinite(activations)):
-        raise NumericError(f"non-finite activations in layer {name!r}")
-
-
-def _run_branch(weights: NetworkWeights, prefix: str, x: np.ndarray, cache: dict | None):
-    forward_fn = convops.conv2d_forward if prefix == "topo" else convops.conv1d_forward
-    for i in (1, 2, 3):
-        spec = _SPEC_BY_NAME[f"{prefix}{i}"]
-        pre = forward_fn(
-            x, weights.kernels[spec.name], weights.biases[spec.name], spec.stride, spec.padding
-        )
-        _check_finite(spec.name, pre)
+def _walk_forward(weights: NetworkWeights, specs, x: np.ndarray, cache) -> np.ndarray:
+    """Run ``x`` through the layers ``specs`` in order; return the last activation."""
+    for spec in specs:
+        conv = _CONVOLUTIONS[spec.kind][0]
+        pre = conv(x, weights.kernels[spec.name], weights.biases[spec.name],
+                   spec.stride, spec.padding)
+        if not np.all(np.isfinite(pre)):
+            raise NumericError(f"non-finite activations in layer {spec.name!r}")
         if cache is not None:
             cache[spec.name] = (x, pre)
-        x = convops.leaky_relu(pre, LEAKY_SLOPE)
+        x = _ACTIVATIONS[spec.activation][0](pre)
     return x
+
+
+def _walk_backward(weights: NetworkWeights, specs, cache: dict, dy, grads) -> np.ndarray:
+    """Backpropagate ``dy`` through the cached layers ``specs``, last layer first.
+
+    Stores each layer's kernel and bias gradients in ``grads`` and returns
+    the gradient with respect to the input of the first layer walked.
+    """
+    for spec in specs:
+        x, pre = cache[spec.name]
+        dy = dy.reshape(pre.shape)
+        derivative = _ACTIVATIONS[spec.activation][1]
+        if derivative is not None:
+            dy = dy * derivative(pre)
+        conv_backward = _CONVOLUTIONS[spec.kind][1]
+        dy, grads[0][spec.name], grads[1][spec.name] = conv_backward(
+            x, weights.kernels[spec.name], spec.stride, spec.padding, dy
+        )
+    return dy
+
+
+def _merge(outputs: list) -> np.ndarray:
+    """Concatenate branch outputs along channels into the head's input map.
+
+    The first output is a square (n, s, s, c) map; each 1-D output
+    (n, length, c) is zero-padded to s*s steps and folded into an s x s map.
+    """
+    square = outputs[0]
+    n, side = square.shape[0], square.shape[1]
+    folded = [
+        np.pad(out, ((0, 0), (0, side * side - out.shape[1]), (0, 0)))
+        .reshape(n, side, side, out.shape[2])
+        for out in outputs[1:]
+    ]
+    return np.concatenate([square, *folded], axis=3)
+
+
+def _unmerge(dmerged: np.ndarray, shapes: list) -> list:
+    """Gradient of ``_merge``: the part of ``dmerged`` that reaches each branch output."""
+    n = dmerged.shape[0]
+    grads, start = [], 0
+    for shape in shapes:
+        part = dmerged[..., start:start + shape[-1]]
+        if len(shape) == 3:  # unfold and drop the zero padding
+            part = part.reshape(n, -1, shape[-1])[:, :shape[1], :]
+        grads.append(part)
+        start += shape[-1]
+    return grads
 
 
 def forward(
@@ -176,47 +248,18 @@ def forward(
 ) -> np.ndarray:
     """Class probabilities (n, 7) for a batch of feature sets.
 
-    Inputs are cast to the weight dtype.  When ``cache`` is a dict it is
-    filled with per-layer (input, pre-activation) pairs for the backward
-    pass.
+    Inputs are cast to the weight dtype.  The weights are not checked here
+    (see ``NetworkWeights.validate``; ``classify`` and ``train`` check them
+    once per call).  When ``cache`` is a dict it is filled with per-layer
+    (input, pre-activation) pairs for the backward pass.
     """
-    weights.validate()
-    xt, xp, xa = _as_network_inputs(topo, psd, autocorr, weights.dtype)
-    n = xt.shape[0]
-
-    topo_map = _run_branch(weights, "topo", xt, cache)
-    psd_out = _run_branch(weights, "psd", xp, cache)
-    acf_out = _run_branch(weights, "acf", xa, cache)
-
-    pad = PSD_PAD_TO - psd_out.shape[1]
-    psd_map = np.pad(psd_out, ((0, 0), (0, pad), (0, 0))).reshape(n, 4, 4, 1)
-    acf_map = np.pad(acf_out, ((0, 0), (0, pad), (0, 0))).reshape(n, 4, 4, 1)
-    merged = np.concatenate([topo_map, psd_map, acf_map], axis=3)
-
-    spec = _SPEC_BY_NAME["out"]
-    logits = convops.conv2d_forward(
-        merged, weights.kernels["out"], weights.biases["out"], spec.stride, spec.padding
-    ).reshape(n, N_CATEGORIES)
-    _check_finite("out", logits)
-    if cache is not None:
-        cache["out"] = (merged, logits)
-        cache["branch_len"] = psd_out.shape[1]
-    probs = convops.softmax(logits)
+    inputs = _as_network_inputs(topo, psd, autocorr, weights.dtype)
+    outputs = [_walk_forward(weights, branch, x, cache) for branch, x in zip(BRANCHES, inputs)]
+    logits = _walk_forward(weights, (HEAD,), _merge(outputs), cache)
+    probs = convops.softmax(logits.reshape(len(logits), N_CATEGORIES))
     if cache is not None:
         cache["probs"] = probs
     return probs
-
-
-def _branch_backward(weights: NetworkWeights, prefix: str, cache: dict, dy: np.ndarray, grads):
-    backward_fn = convops.conv2d_backward if prefix == "topo" else convops.conv1d_backward
-    for i in (3, 2, 1):
-        spec = _SPEC_BY_NAME[f"{prefix}{i}"]
-        x, pre = cache[spec.name]
-        dy = dy * convops.leaky_relu_grad(pre, LEAKY_SLOPE)
-        dy, dw, db = backward_fn(x, weights.kernels[spec.name], spec.stride, spec.padding, dy)
-        grads[0][spec.name] = dw
-        grads[1][spec.name] = db
-    return dy  # gradient with respect to the branch input
 
 
 def forward_backward(
@@ -226,15 +269,12 @@ def forward_backward(
     autocorr: np.ndarray,
     targets: np.ndarray,
     class_weights: np.ndarray,
-    return_input_grads: bool = False,
 ):
     """Loss, parameter gradients, and probabilities for one batch.
 
     Returns ``(loss, kernel_grads, bias_grads, probs)`` where the gradient
     dicts mirror the weight dicts and the loss is the batch mean of the
-    class-weighted cross entropy.  With ``return_input_grads`` a fifth
-    element maps "topo"/"psd"/"autocorr" to the loss gradient with respect
-    to each input batch.
+    class-weighted cross entropy.
     """
     cache: dict = {}
     probs = forward(weights, topo, psd, autocorr, cache)
@@ -246,47 +286,12 @@ def forward_backward(
     loss = convops.weighted_cross_entropy(probs, targets, class_weights)
     dlogits = convops.softmax_cross_entropy_grad(probs, targets, class_weights)
 
-    kernel_grads: dict = {}
-    bias_grads: dict = {}
-    grads = (kernel_grads, bias_grads)
-    n = probs.shape[0]
-
-    merged, _ = cache["out"]
-    spec = _SPEC_BY_NAME["out"]
-    dmerged, dw, db = convops.conv2d_backward(
-        merged, weights.kernels["out"], spec.stride, spec.padding,
-        dlogits.reshape(n, 1, 1, N_CATEGORIES),
-    )
-    kernel_grads["out"] = dw
-    bias_grads["out"] = db
-
-    dtopo = dmerged[:, :, :, :512]
-    branch_len = cache["branch_len"]
-    dpsd = dmerged[:, :, :, 512].reshape(n, PSD_PAD_TO, 1)[:, :branch_len, :]
-    dacf = dmerged[:, :, :, 513].reshape(n, PSD_PAD_TO, 1)[:, :branch_len, :]
-
-    din_topo = _branch_backward(weights, "topo", cache, dtopo, grads)
-    din_psd = _branch_backward(weights, "psd", cache, dpsd, grads)
-    din_acf = _branch_backward(weights, "acf", cache, dacf, grads)
-    if return_input_grads:
-        input_grads = {
-            "topo": din_topo[..., 0],
-            "psd": din_psd[..., 0],
-            "autocorr": din_acf[..., 0],
-        }
-        return loss, kernel_grads, bias_grads, probs, input_grads
-    return loss, kernel_grads, bias_grads, probs
-
-
-def _forward_batched(weights, topo, psd, autocorr, batch_size):
-    n = topo.shape[0]
-    out = np.empty((n, N_CATEGORIES), dtype=np.float64)
-    for start in range(0, n, batch_size):
-        stop = min(start + batch_size, n)
-        out[start:stop] = forward(
-            weights, topo[start:stop], psd[start:stop], autocorr[start:stop]
-        )
-    return out
+    grads: tuple = ({}, {})
+    dmerged = _walk_backward(weights, (HEAD,), cache, dlogits, grads)
+    branch_shapes = [cache[branch[-1].name][1].shape for branch in BRANCHES]
+    for branch, dy in zip(BRANCHES, _unmerge(dmerged, branch_shapes)):
+        _walk_backward(weights, reversed(branch), cache, dy, grads)
+    return loss, grads[0], grads[1], probs
 
 
 def classify(
@@ -295,25 +300,36 @@ def classify(
     psd: np.ndarray,
     autocorr: np.ndarray,
     batch_size: int = 128,
+    tta: bool = True,
 ) -> np.ndarray:
-    """Orbit-averaged class probabilities (n, 7) for a batch of feature sets.
+    """Class probabilities (n, 7) for a batch of feature sets, orbit-averaged.
 
-    Each feature set is evaluated four times (identity, mirrored topography,
-    negated topography, both) and the probabilities are averaged in double
-    precision, making the output invariant to those transforms of the input
-    up to rounding.
+    With ``tta`` each feature set is evaluated once per element of the
+    topography orbit (identity, mirror, negation, both) and the
+    probabilities are averaged in double precision, making the output
+    invariant to those transforms of the input up to rounding.  Without
+    it only the identity element is evaluated.  Each ``forward`` call sees
+    at most ``batch_size`` rows; the weights are validated once per call.
     """
+    if batch_size < 1:
+        raise ConfigError(f"batch size must be at least 1, got {batch_size}")
+    weights.validate()
     topo = np.asarray(topo)
     psd = np.asarray(psd)
     autocorr = np.asarray(autocorr)
     if topo.ndim != 3:
-        raise DataError(f"topo batch must be (n, 32, 32), got {topo.shape}")
-    mirrored = topo[:, :, ::-1]
-    total = _forward_batched(weights, topo, psd, autocorr, batch_size)
-    total += _forward_batched(weights, mirrored, psd, autocorr, batch_size)
-    total += _forward_batched(weights, -topo, psd, autocorr, batch_size)
-    total += _forward_batched(weights, -mirrored, psd, autocorr, batch_size)
-    return total / 4.0
+        raise DataError(f"topo batch must be (n, {TOPO_SIZE}, {TOPO_SIZE}), got {topo.shape}")
+    orbit = TOPOGRAPHY_ORBIT if tta else TOPOGRAPHY_ORBIT[:1]
+    n = topo.shape[0]
+    total = np.zeros((n, N_CATEGORIES))
+    for mirror, negate in orbit:
+        element = orbit_element(topo, mirror, negate)
+        for start in range(0, n, batch_size):
+            stop = start + batch_size
+            total[start:stop] += forward(
+                weights, element[start:stop], psd[start:stop], autocorr[start:stop]
+            )
+    return total / len(orbit)
 
 
 def shape_trace(n: int = 1) -> dict:
@@ -322,20 +338,19 @@ def shape_trace(n: int = 1) -> dict:
     Useful for auditing the graph: keys are layer names plus "merged" and
     "probs"; values are the output shapes produced by each stage.
     """
+
+    def output_shape(spec: LayerSpec, size: int) -> tuple:
+        size = convops.output_size(size, spec.kernel, spec.stride, spec.padding)
+        spatial = (size, size) if spec.kind == "conv2d" else (size,)
+        return (n, *spatial, spec.out_channels)
+
     shapes = {}
-    size2d, size1d = 32, 100
-    for spec in ARCHITECTURE[:3]:
-        lead, trail = convops.same_padding(size2d, spec.kernel, spec.stride)
-        size2d = (size2d + lead + trail - spec.kernel) // spec.stride + 1
-        shapes[spec.name] = (n, size2d, size2d, spec.out_channels)
-    for prefix in ("psd", "acf"):
-        size = size1d
-        for i in (1, 2, 3):
-            spec = _SPEC_BY_NAME[f"{prefix}{i}"]
-            lead, trail = convops.same_padding(size, spec.kernel, spec.stride)
-            size = (size + lead + trail - spec.kernel) // spec.stride + 1
-            shapes[spec.name] = (n, size, spec.out_channels)
-    shapes["merged"] = (n, 4, 4, 514)
-    shapes["out"] = (n, 1, 1, N_CATEGORIES)
+    for branch, size in zip(BRANCHES, _INPUT_SIZES):
+        for spec in branch:
+            shapes[spec.name] = shape = output_shape(spec, size)
+            size = shape[1]
+    side = shapes[BRANCHES[0][-1].name][1]
+    shapes["merged"] = (n, side, side, sum(branch[-1].out_channels for branch in BRANCHES))
+    shapes[HEAD.name] = output_shape(HEAD, side)
     shapes["probs"] = (n, N_CATEGORIES)
     return shapes

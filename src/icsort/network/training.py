@@ -18,7 +18,7 @@ import numpy as np
 
 from ..categories import N_CATEGORIES
 from ..errors import ConfigError, NumericError
-from ..features import FeatureStack
+from ..features import TOPOGRAPHY_ORBIT, FeatureStack
 from .convops import weighted_cross_entropy
 from .model import LAYER_ORDER, NetworkWeights, forward, forward_backward, initialize_weights
 
@@ -128,16 +128,8 @@ class Adam:
 
 
 def _expand_orbit(stack: FeatureStack, labels: np.ndarray):
-    """Concatenate the 4-element topography symmetry orbit of a feature stack."""
-    mirrored = stack.mirrored()
-    parts = [stack, mirrored, stack.negated(), mirrored.negated()]
-    merged = FeatureStack(
-        topo=np.concatenate([p.topo for p in parts]),
-        mask=np.concatenate([p.mask for p in parts]),
-        psd=np.concatenate([p.psd for p in parts]),
-        autocorr=np.concatenate([p.autocorr for p in parts]),
-    )
-    return merged, np.concatenate([labels] * 4)
+    """The topography symmetry orbit of a feature stack, with its labels repeated to match."""
+    return stack.orbit(), np.concatenate([labels] * len(TOPOGRAPHY_ORBIT))
 
 
 def _category_pools(labels: np.ndarray):
@@ -190,8 +182,10 @@ def train(
 
     Raises
     ------
+    DataError
+        If ``initial_weights`` do not fit the architecture.
     NumericError
-        If the training loss becomes non-finite.
+        If the initial weights or the training loss are non-finite.
     """
     config = config or TrainConfig()
     has_val = val_stack is not None and val_labels is not None
@@ -207,6 +201,7 @@ def train(
 
     rng = np.random.default_rng(seed)
     weights = (initial_weights or initialize_weights(seed=seed)).copy()
+    weights.validate()
     optimizer = Adam(config)
     class_weights = np.asarray(config.class_weights, dtype=np.float64)
 

@@ -18,6 +18,7 @@ from icsort.bundles import (
 from icsort.categories import CATEGORIES
 from icsort.crowdlabel import VOTES_CSV_HEADER
 from icsort.errors import DataError
+from icsort.features import Recording
 from icsort.network import initialize_weights, save_weights
 
 
@@ -93,6 +94,39 @@ def test_extract_reports_failed_components_but_keeps_the_rest(tmp_path, capsys, 
 
     _, ids = read_feature_bundle(out)  # survivors are still written
     assert ids == ["ic000", "ic002", "ic003"]
+
+
+def test_extract_names_the_array_holding_non_finite_component_data(tmp_path, capsys):
+    base = builders.make_recording(seed=3)
+    activity = base.component_activity.copy()
+    activity[1, 100] = np.nan
+    mixing = base.mixing_matrix.copy()
+    mixing[5, 2] = np.inf
+    recording = Recording(
+        channel_data=base.channel_data,
+        sample_rate=base.sample_rate,
+        electrode_positions=base.electrode_positions,
+        mixing_matrix=mixing,
+        component_activity=activity,
+    )
+    rec_dir = tmp_path / "rec"
+    write_recording_bundle(rec_dir, recording, recording_id="rec")
+    out = tmp_path / "features"
+    assert cli.main(["extract", "--recording", str(rec_dir), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "component ic001: component_activity" in err
+    assert "component ic002: mixing_matrix" in err
+
+    # the finite components are still written, byte for byte as from a clean recording
+    stack, ids = read_feature_bundle(out)
+    assert ids == ["ic000", "ic003"]
+    clean_dir = tmp_path / "clean-rec"
+    write_recording_bundle(clean_dir, base, recording_id="rec")
+    clean = tmp_path / "clean"
+    assert cli.main(["extract", "--recording", str(clean_dir), "--out", str(clean)]) == 0
+    clean_stack, _ = read_feature_bundle(clean)
+    for name in ("topo", "mask", "psd", "autocorr"):
+        assert np.array_equal(getattr(stack, name), getattr(clean_stack, name)[[0, 3]])
 
 
 # ---------------------------------------------------------------- classify
@@ -427,4 +461,24 @@ def test_usage_and_missing_file_exit_codes(tmp_path, capsys):
     assert cli.main(["classify", "--weights", str(tmp_path / "nope.iclw"),
                      "--features", str(tmp_path / "f"),
                      "--out", str(tmp_path / "o.json")]) == 2
+
+    # a batch size below 1 is a usage error, with or without TTA
+    weights = _weights_file(tmp_path)
+    features, _ = _feature_bundle(tmp_path, n=3, seed=9)
+    for batch_size in ("-1", "0"):
+        for tta in ("--tta", "--no-tta"):
+            out = tmp_path / f"b{batch_size}{tta}.json"
+            assert cli.main(["classify", "--weights", str(weights),
+                             "--features", str(features), "--out", str(out),
+                             "--batch-size", batch_size, tta]) == 1
+            assert not out.exists()
+
+    # so is a chain count below 1, and nothing is written
+    votes = _votes_csv(tmp_path)
+    for chains in ("0", "-2"):
+        out = tmp_path / f"crowd{chains}.json"
+        assert cli.main(["aggregate", "--votes", str(votes), "--out", str(out),
+                         "--chains", chains]) == 1
+        assert "--chains must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
     capsys.readouterr()  # drain usage noise

@@ -12,13 +12,14 @@ from icsort.features import (
     FeatureStack,
     IcFeatures,
     Recording,
+    TOPOGRAPHY_ORBIT,
     ScalpTopography,
-    augment,
     autocorrelation,
     common_average_reference,
     extract_component_features,
     median_welch_psd,
     normalize_features,
+    orbit_element,
     project_to_plane,
     scalp_topography,
 )
@@ -111,11 +112,10 @@ def test_topography_ignores_nonfinite_electrodes():
 def test_topography_mirror_and_negate_are_involutions():
     cap = builders.electrode_cap(20)
     rng = np.random.default_rng(3)
-    topo = scalp_topography(rng.standard_normal(20), cap)
-    assert np.array_equal(topo.mirrored().mirrored().pixels, topo.pixels)
-    assert np.array_equal(topo.negated().negated().pixels, topo.pixels)
-    assert np.array_equal(topo.mirrored().pixels, topo.pixels[:, ::-1])
-    assert np.array_equal(topo.negated().pixels, -topo.pixels)
+    pixels = scalp_topography(rng.standard_normal(20), cap).pixels
+    for mirror, negate in TOPOGRAPHY_ORBIT:
+        once = orbit_element(pixels, mirror, negate)
+        assert np.array_equal(orbit_element(once, mirror, negate), pixels)
 
 
 # ------------------------------------------------------------ referencing
@@ -244,29 +244,19 @@ def test_normalize_passes_all_zero_features_through():
     assert np.all(normalized.psd == 0.0)
 
 
-# --------------------------------------------------------------- augment
+# ----------------------------------------------------------------- orbit
 
 
-def test_augment_produces_the_four_symmetry_variants():
+def test_topography_orbit_lists_the_four_symmetry_variants():
     cap = builders.electrode_cap(20)
     rng = np.random.default_rng(9)
-    feats = IcFeatures(
-        topo=scalp_topography(rng.standard_normal(20), cap),
-        psd=rng.uniform(-0.99, 0.99, 100),
-        autocorr=rng.uniform(-0.99, 0.99, 100),
-    )
-    label = np.array([0.5, 0.5, 0, 0, 0, 0, 0])
-    pairs = augment(feats, label)
-    assert len(pairs) == 4
-    base = feats.topo.pixels
-    assert np.array_equal(pairs[0][0].topo.pixels, base)
-    assert np.array_equal(pairs[1][0].topo.pixels, base[:, ::-1])
-    assert np.array_equal(pairs[2][0].topo.pixels, -base)
-    assert np.array_equal(pairs[3][0].topo.pixels, -base[:, ::-1])
-    for variant, vlabel in pairs:
-        assert np.array_equal(variant.psd, feats.psd)
-        assert np.array_equal(variant.autocorr, feats.autocorr)
-        assert np.array_equal(vlabel, label)
+    base = scalp_topography(rng.standard_normal(20), cap).pixels
+    variants = [orbit_element(base, mirror, negate) for mirror, negate in TOPOGRAPHY_ORBIT]
+    assert len(variants) == 4
+    assert np.array_equal(variants[0], base)
+    assert np.array_equal(variants[1], base[:, ::-1])  # left-right mirror
+    assert np.array_equal(variants[2], -base)
+    assert np.array_equal(variants[3], -base[:, ::-1])
 
 
 # ------------------------------------------------------------ extraction
@@ -315,17 +305,29 @@ def test_feature_stack_round_trips_components():
     stack = FeatureStack.from_features(feats)
     assert len(stack) == recording.n_components
     for i, original in enumerate(feats):
-        restored = stack.component(i)
-        assert np.allclose(restored.topo.pixels, original.topo.pixels, atol=1e-6)
-        assert np.allclose(restored.psd, original.psd, atol=1e-6)
-        assert np.allclose(restored.autocorr, original.autocorr, atol=1e-6)
+        assert np.array_equal(stack.topo[i], original.topo.pixels)
+        assert np.array_equal(stack.mask[i], original.topo.mask)
+        assert np.array_equal(stack.psd[i], original.psd)
+        assert np.array_equal(stack.autocorr[i], original.autocorr)
 
 
 def test_feature_stack_mirror_negate_and_subset():
     stack = builders.random_stack(5, seed=14)
-    assert np.array_equal(stack.mirrored().topo, stack.topo[:, :, ::-1])
-    assert np.array_equal(stack.negated().topo, -stack.topo)
-    assert np.array_equal(stack.mirrored().psd, stack.psd)
+    stack.mask = stack.mask.copy()
+    stack.mask[:, :, :3] = 0  # lopsided, so a mirrored mask differs
+    orbit = stack.orbit()
+    assert len(orbit) == 20
+    rows = lambda q: slice(5 * q, 5 * q + 5)  # orbit element q
+    for q, (topo, mask) in enumerate([
+        (stack.topo, stack.mask),
+        (stack.topo[:, :, ::-1], stack.mask[:, :, ::-1]),
+        (-stack.topo, stack.mask),
+        (-stack.topo[:, :, ::-1], stack.mask[:, :, ::-1]),
+    ]):
+        assert np.array_equal(orbit.topo[rows(q)], topo)
+        assert np.array_equal(orbit.mask[rows(q)], mask)
+        assert np.array_equal(orbit.psd[rows(q)], stack.psd)
+        assert np.array_equal(orbit.autocorr[rows(q)], stack.autocorr)
     sub = stack.subset([3, 0])
     assert len(sub) == 2
     assert np.array_equal(sub.topo[0], stack.topo[3])

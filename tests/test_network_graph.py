@@ -11,21 +11,23 @@ from icsort.network import (
     LAYER_ORDER,
     NetworkWeights,
     classify,
-    conv1d_forward,
-    conv2d_backward,
-    conv2d_forward,
     forward,
     forward_backward,
     initialize_weights,
-    leaky_relu,
-    leaky_relu_grad,
     load_weights,
-    same_padding,
     save_weights,
     shape_trace,
+    weighted_cross_entropy,
+)
+from icsort.network.convops import (
+    conv1d_forward,
+    conv2d_backward,
+    conv2d_forward,
+    leaky_relu,
+    leaky_relu_grad,
+    same_padding,
     softmax,
     softmax_cross_entropy_grad,
-    weighted_cross_entropy,
 )
 
 
@@ -241,7 +243,7 @@ def test_forward_rejects_wrong_input_shapes():
 # ---------------------------------------------------------------- gradient
 
 
-def test_full_network_gradient_check_with_input_grads():
+def test_full_network_gradient_check():
     weights = initialize_weights(seed=12).astype(np.float64)
     # nonzero biases keep every pre-activation away from the exact kink
     # of the leaky rectifier, where one-sided slopes differ from the
@@ -256,9 +258,7 @@ def test_full_network_gradient_check_with_input_grads():
     topo = stack.topo.astype(np.float64)
     psd = stack.psd.astype(np.float64)
     acf = stack.autocorr.astype(np.float64)
-    loss, kgrads, bgrads, _, input_grads = forward_backward(
-        weights, topo, psd, acf, targets, class_weights, return_input_grads=True
-    )
+    loss, kgrads, bgrads, _ = forward_backward(weights, topo, psd, acf, targets, class_weights)
     assert np.isfinite(loss)
 
     def loss_at(t, p, a):
@@ -288,21 +288,6 @@ def test_full_network_gradient_check_with_input_grads():
         down = loss_at(topo, psd, acf)
         bias[0] = orig
         assert bgrads[name][0] == pytest.approx((up - down) / (2 * h), rel=1e-3, abs=1e-7)
-
-    # gradients with respect to the inputs themselves
-    for arr, key in ((topo, "topo"), (psd, "psd"), (acf, "autocorr")):
-        flat = arr.ravel()
-        for idx in rng.choice(flat.size, size=4, replace=False):
-            orig = flat[idx]
-            flat[idx] = orig + h
-            up = loss_at(topo, psd, acf)
-            flat[idx] = orig - h
-            down = loss_at(topo, psd, acf)
-            flat[idx] = orig
-            numeric = (up - down) / (2 * h)
-            assert input_grads[key].ravel()[idx] == pytest.approx(
-                numeric, rel=1e-3, abs=1e-7
-            )
 
 
 def test_forward_backward_loss_matches_forward():
@@ -344,6 +329,18 @@ def test_classify_batching_does_not_change_results():
     assert np.allclose(whole, pieces, atol=1e-6)
 
 
+def test_classify_without_tta_runs_the_identity_orbit_element():
+    weights = initialize_weights(seed=20)
+    stack = builders.random_stack(5, seed=20)
+    plain = classify(weights, stack.topo, stack.psd, stack.autocorr, batch_size=2, tta=False)
+    direct = np.concatenate([
+        forward(weights, stack.topo[i:i + 2], stack.psd[i:i + 2], stack.autocorr[i:i + 2])
+        for i in range(0, 5, 2)
+    ])
+    assert plain.dtype == np.float64
+    assert np.array_equal(plain, direct)
+
+
 # ---------------------------------------------------------------- weights io
 
 
@@ -382,14 +379,19 @@ def test_weights_file_rejects_corruption(tmp_path):
 
 
 def test_weights_validation_catches_bad_shapes_and_nans(tmp_path):
+    stack = builders.random_stack(2, seed=19)
     weights = initialize_weights(seed=19)
     weights.kernels["out"] = weights.kernels["out"][..., :5]
     with pytest.raises(DataError):
         weights.validate()
+    with pytest.raises(DataError):  # classify validates before its first forward call
+        classify(weights, stack.topo, stack.psd, stack.autocorr)
 
     weights = initialize_weights(seed=19)
     weights.kernels["topo1"][0, 0, 0, 0] = np.inf
     with pytest.raises(NumericError):
         weights.validate()
+    with pytest.raises(NumericError, match="non-finite weights"):
+        classify(weights, stack.topo, stack.psd, stack.autocorr)
     with pytest.raises(NumericError):
         save_weights(tmp_path / "bad.iclw", weights)
