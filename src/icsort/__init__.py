@@ -20,12 +20,11 @@ from .categories import (
 from .errors import ConfigError, DataError, IcsortError, NumericError
 from .features import (
     FeatureStack,
-    IcFeatures,
     Recording,
-    ScalpTopography,
     autocorrelation,
     common_average_reference,
     extract_component_features,
+    extract_recording,
     median_welch_psd,
     normalize_features,
     scalp_topography,
@@ -39,19 +38,18 @@ __all__ = [
     "ConfigError",
     "DataError",
     "FeatureStack",
-    "IcFeatures",
     "IcsortError",
     "N_CATEGORIES",
     "N_RESPONSES",
     "NumericError",
     "RESPONSES",
     "Recording",
-    "ScalpTopography",
     "argmax_category",
     "as_label_vector",
     "autocorrelation",
     "common_average_reference",
     "extract_component_features",
+    "extract_recording",
     "median_welch_psd",
     "normalize_features",
     "scalp_topography",

@@ -7,9 +7,10 @@ endian unsigned 32-bit after the magic) followed by the row-major data.
 Values are little-endian 32-bit floats except masks, which are single
 bytes; the element width is implied by the file length.
 
-Two bundle kinds exist: recording bundles (channel data, electrode
-positions, mixing matrix, component activity, plus the sample rate in the
-manifest) and feature bundles (stacked per-component topography, mask,
+Two bundle kinds exist: recording bundles (electrode positions, mixing
+matrix, component activity, plus the sample rate in the manifest; other
+arrays an older bundle lists, such as its channel data, are not read) and
+feature bundles (stacked per-component topography, mask,
 power spectrum, and autocorrelation arrays).  Writers stage everything in
 a temporary location and rename into place, so a failed write never leaves
 a partial bundle at the destination.
@@ -37,12 +38,7 @@ RECORDING_FORMAT = "icsort-recording"
 FEATURES_FORMAT = "icsort-features"
 MANIFEST_NAME = "manifest.json"
 
-_RECORDING_ARRAYS = (
-    "channel_data",
-    "electrode_positions",
-    "mixing_matrix",
-    "component_activity",
-)
+_RECORDING_ARRAYS = ("electrode_positions", "mixing_matrix", "component_activity")
 _FEATURE_ARRAYS = ("topo", "mask", "psd", "autocorr")
 
 
@@ -137,8 +133,10 @@ def _load_manifest(directory, expected_format: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, non-UTF-8 bytes, deep nesting
         raise DataError(f"{path}: invalid JSON manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DataError(f"{path}: manifest must be a JSON object")
     if manifest.get("format") != expected_format:
         raise DataError(
             f"{path}: manifest format {manifest.get('format')!r}, expected {expected_format!r}"
@@ -146,18 +144,30 @@ def _load_manifest(directory, expected_format: str) -> dict:
     return manifest
 
 
+def _read_arrays(directory, manifest: dict, names) -> dict:
+    """The array records ``names`` that a bundle's manifest lists, by name."""
+    entries = manifest.get("arrays", {})
+    if not isinstance(entries, dict):
+        raise DataError(f"{directory}: manifest arrays must map names to files")
+    missing = [name for name in names if name not in entries]
+    if missing:
+        raise DataError(f"{directory}: manifest is missing arrays {missing}")
+    loaded = {}
+    for name in names:
+        entry = entries[name]
+        path = os.path.join(os.fspath(directory), entry) if isinstance(entry, str) else ""
+        if not os.path.isfile(path):
+            raise DataError(f"{directory}: array {name} entry {entry!r} is not a file")
+        loaded[name] = read_array(path)
+    return loaded
+
+
 def write_recording_bundle(directory, recording: Recording, recording_id: str = "",
                            force: bool = False) -> None:
     """Write a recording as a bundle directory."""
     with _StagedDirectory(directory, force=force) as staging:
-        arrays = {
-            "channel_data": recording.channel_data,
-            "electrode_positions": recording.electrode_positions,
-            "mixing_matrix": recording.mixing_matrix,
-            "component_activity": recording.component_activity,
-        }
         for name in _RECORDING_ARRAYS:
-            write_array(os.path.join(staging, f"{name}.bin"), arrays[name])
+            write_array(os.path.join(staging, f"{name}.bin"), getattr(recording, name))
         manifest = {
             "format": RECORDING_FORMAT,
             "version": 1,
@@ -172,23 +182,14 @@ def write_recording_bundle(directory, recording: Recording, recording_id: str = 
 def read_recording_bundle(directory) -> tuple:
     """Read a recording bundle; returns (Recording, recording_id)."""
     manifest = _load_manifest(directory, RECORDING_FORMAT)
-    entries = manifest.get("arrays", {})
-    missing = [name for name in _RECORDING_ARRAYS if name not in entries]
-    if missing:
-        raise DataError(f"{directory}: manifest is missing arrays {missing}")
-    loaded = {
-        name: read_array(os.path.join(os.fspath(directory), entries[name]))
-        for name in _RECORDING_ARRAYS
-    }
+    loaded = _read_arrays(directory, manifest, _RECORDING_ARRAYS)
     if "sample_rate" not in manifest:
         raise DataError(f"{directory}: manifest is missing sample_rate")
-    recording = Recording(
-        channel_data=loaded["channel_data"],
-        sample_rate=float(manifest["sample_rate"]),
-        electrode_positions=loaded["electrode_positions"],
-        mixing_matrix=loaded["mixing_matrix"],
-        component_activity=loaded["component_activity"],
-    )
+    try:
+        sample_rate = float(manifest["sample_rate"])
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{directory}: manifest sample_rate is not a number: {exc}") from exc
+    recording = Recording(sample_rate=sample_rate, **loaded)
     return recording, str(manifest.get("recording_id", ""))
 
 
@@ -226,22 +227,33 @@ def write_feature_bundle(directory, stack: FeatureStack, component_ids,
 
 
 def read_feature_bundle(directory) -> tuple:
-    """Read a feature bundle; returns (FeatureStack, component_ids list)."""
+    """Read a feature bundle; returns (FeatureStack, component_ids list).
+
+    Duplicate component ids and non-finite feature values are rejected
+    with a ``DataError`` naming the component and the array.
+    """
     manifest = _load_manifest(directory, FEATURES_FORMAT)
-    entries = manifest.get("arrays", {})
-    missing = [name for name in _FEATURE_ARRAYS if name not in entries]
-    if missing:
-        raise DataError(f"{directory}: manifest is missing arrays {missing}")
-    loaded = {
-        name: read_array(os.path.join(os.fspath(directory), entries[name]))
-        for name in _FEATURE_ARRAYS
-    }
-    component_ids = [str(c) for c in manifest.get("component_ids", [])]
+    loaded = _read_arrays(directory, manifest, _FEATURE_ARRAYS)
+    component_ids = manifest.get("component_ids", [])
+    if not isinstance(component_ids, list):
+        raise DataError(f"{directory}: manifest component_ids must be a list")
+    component_ids = [str(c) for c in component_ids]
+    seen = set()
+    for cid in component_ids:
+        if cid in seen:
+            raise DataError(f"{directory}: component {cid}: duplicate id in component_ids")
+        seen.add(cid)
     n = len(component_ids)
     if loaded["topo"].shape != (n, 1024) or loaded["mask"].shape != (n, 1024):
         raise DataError(f"{directory}: topo/mask arrays must be ({n}, 1024)")
     if loaded["psd"].shape != (n, 100) or loaded["autocorr"].shape != (n, 100):
         raise DataError(f"{directory}: psd/autocorr arrays must be ({n}, 100)")
+    for name in ("topo", "psd", "autocorr"):
+        bad = np.flatnonzero(~np.all(np.isfinite(loaded[name]), axis=1))
+        if bad.size:
+            raise DataError(
+                f"{directory}: component {component_ids[bad[0]]}: {name} has non-finite values"
+            )
     stack = FeatureStack(
         topo=loaded["topo"].reshape(n, 32, 32),
         mask=loaded["mask"].reshape(n, 32, 32).astype(bool),
@@ -249,6 +261,20 @@ def read_feature_bundle(directory) -> tuple:
         autocorr=loaded["autocorr"],
     )
     return stack, component_ids
+
+
+def read_csv_rows(path):
+    """Yield the rows of a UTF-8 CSV file as they are read.
+
+    Undecodable bytes or broken quoting raise a ``DataError``.  Rows are
+    streamed rather than collected: holding every row of a large vote log
+    in one list made reading it slower.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield from csv.reader(fh)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: not a readable CSV file: {exc}") from exc
 
 
 def _label_header(category_names) -> list:
@@ -280,30 +306,28 @@ def read_labels_csv(path, n_categories: int = N_CATEGORIES) -> tuple:
     Every row must hold a valid probability vector; the header's category
     count fixes k.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    rows = read_csv_rows(path)
+    header = next(rows, None)
+    if header is None:
+        raise DataError(f"{path}: empty label file")
+    if not header or header[0].strip() != "component_id":
+        raise DataError(f"{path}: first column must be component_id")
+    k = len(header) - 1
+    if k < 2:
+        raise DataError(f"{path}: need at least 2 category columns, found {k}")
+    component_ids = []
+    vectors = []
+    for line_no, row in enumerate(rows, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != k + 1:
+            raise DataError(f"{path}:{line_no}: expected {k + 1} fields, got {len(row)}")
+        component_ids.append(row[0].strip())
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty label file") from None
-        if not header or header[0].strip() != "component_id":
-            raise DataError(f"{path}: first column must be component_id")
-        k = len(header) - 1
-        if k < 2:
-            raise DataError(f"{path}: need at least 2 category columns, found {k}")
-        component_ids = []
-        vectors = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != k + 1:
-                raise DataError(f"{path}:{line_no}: expected {k + 1} fields, got {len(row)}")
-            component_ids.append(row[0].strip())
-            try:
-                values = [float(cell) for cell in row[1:]]
-            except ValueError as exc:
-                raise DataError(f"{path}:{line_no}: non-numeric probability: {exc}") from exc
-            vectors.append(as_label_vector(values, n_categories=k))
+            values = [float(cell) for cell in row[1:]]
+        except ValueError as exc:
+            raise DataError(f"{path}:{line_no}: non-numeric probability: {exc}") from exc
+        vectors.append(as_label_vector(values, n_categories=k))
     if not component_ids:
         raise DataError(f"{path}: no label rows found")
     if len(set(component_ids)) != len(component_ids):

@@ -15,14 +15,13 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import bundles, crowdlabel, metrics, plots
 from .categories import CATEGORIES, N_CATEGORIES
-from .errors import ConfigError, DataError, IcsortError, NumericError
-from .features import FeatureStack, extract_component_features
+from .errors import ConfigError, DataError, NumericError
+from .features import extract_recording
 from .network import TrainConfig, classify, load_weights, save_weights, train
 
 MERGED_NAMES = {
@@ -51,47 +50,27 @@ def _write_json(path, payload: dict) -> None:
 # ---------------------------------------------------------------- extract
 
 
-def _extract_all(recording, component_ids, workers: int):
-    """Extract features for every component; returns (stack rows, failures)."""
-
-    def one(index):
-        return extract_component_features(recording, index)
-
-    results = [None] * recording.n_components
-    failures = []
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        futures = {i: pool.submit(one, i) for i in range(recording.n_components)}
-        for i in range(recording.n_components):  # collect by index, not completion
-            try:
-                results[i] = futures[i].result()
-            except IcsortError as exc:
-                failures.append((component_ids[i], exc))
-    return results, failures
-
-
 def cmd_extract(args) -> int:
     recording, recording_id = bundles.read_recording_bundle(args.recording)
     component_ids = [f"ic{i:03d}" for i in range(recording.n_components)]
-    results, failures = _extract_all(recording, component_ids, args.workers)
-    for cid, exc in failures:
-        print(f"error: component {cid}: {exc}", file=sys.stderr)
+    stack, failures = extract_recording(recording, args.workers)
+    for index, exc in failures.items():
+        print(f"error: component {component_ids[index]}: {exc}", file=sys.stderr)
 
-    kept = [(cid, feat) for cid, feat in zip(component_ids, results) if feat is not None]
-    if kept:
-        stack = FeatureStack.from_features([feat for _, feat in kept])
+    if stack is not None:
         bundles.write_feature_bundle(
             args.out,
             stack,
-            [cid for cid, _ in kept],
+            [cid for i, cid in enumerate(component_ids) if i not in failures],
             source_recording=recording_id,
             sample_rate=recording.sample_rate,
             force=args.force,
         )
-        print(f"extracted {len(kept)} of {recording.n_components} components to {args.out}")
+        print(f"extracted {len(stack)} of {recording.n_components} components to {args.out}")
     if failures:
         raise DataError(
             f"{len(failures)} component(s) failed extraction: "
-            + ", ".join(cid for cid, _ in failures)
+            + ", ".join(component_ids[i] for i in failures)
         )
     return 0
 
@@ -103,15 +82,18 @@ def _load_thresholds(path, n_expected: int) -> np.ndarray:
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, non-UTF-8 bytes, deep nesting
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
     values = payload.get("thresholds") if isinstance(payload, dict) else payload
-    thresholds = np.asarray(values, dtype=np.float64)
+    try:
+        thresholds = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: thresholds must be numbers: {exc}") from exc
     if thresholds.shape != (n_expected,):
         raise DataError(
             f"{path}: need {n_expected} thresholds for this class count, got {thresholds.shape}"
         )
-    if np.any(thresholds < 0) or np.any(thresholds > 1):
+    if not np.all((thresholds >= 0) & (thresholds <= 1)):
         raise DataError(f"{path}: thresholds must lie in [0, 1]")
     return thresholds
 
@@ -446,11 +428,10 @@ def bench_recordings(weights, recordings, repetitions: int = 1) -> dict:
         times = []
         for _ in range(repetitions):
             started = time.perf_counter()
-            feats = [
-                extract_component_features(recording, i)
-                for i in range(recording.n_components)
-            ]
-            stack = FeatureStack.from_features(feats)
+            stack, failures = extract_recording(recording)
+            if failures:
+                index, exc = next(iter(failures.items()))
+                raise DataError(f"{recording_id}: component {index}: {exc}")
             classify(weights, stack.topo, stack.psd, stack.autocorr)
             times.append(time.perf_counter() - started)
         total = float(np.median(times))

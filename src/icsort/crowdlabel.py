@@ -21,11 +21,11 @@ labels and confusion estimates.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bundles import read_csv_rows
 from .categories import (
     N_CATEGORIES,
     N_RESPONSES,
@@ -328,40 +328,38 @@ def read_votes_csv(path):
     -------
     (submissions, experts) : list of Submission and dict labeler_id -> bool.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty votes file") from None
-        if tuple(h.strip() for h in header) != VOTES_CSV_HEADER:
-            raise DataError(
-                f"{path}: bad header; expected {','.join(VOTES_CSV_HEADER)}"
-            )
-        submissions = []
-        experts: dict = {}
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(VOTES_CSV_HEADER):
-                raise DataError(f"{path}:{line_no}: expected {len(VOTES_CSV_HEADER)} fields")
-            labeler, component = row[0].strip(), row[1].strip()
-            if not labeler or not component:
-                raise DataError(f"{path}:{line_no}: empty labeler or component id")
-            picks = []
-            for offset, cell in enumerate(row[2:10]):
-                flag = cell.strip()
-                if flag not in ("0", "1"):
-                    raise DataError(f"{path}:{line_no}: response flags must be 0 or 1")
-                if flag == "1":
-                    picks.append(RESPONSES[offset])
-            if not picks:
-                raise DataError(f"{path}:{line_no}: submission selects no responses")
-            expert_flag = row[10].strip()
-            if expert_flag not in ("0", "1"):
-                raise DataError(f"{path}:{line_no}: is_expert must be 0 or 1")
-            experts[labeler] = experts.get(labeler, False) or expert_flag == "1"
-            submissions.append(Submission(labeler, component, tuple(picks)))
+    rows = read_csv_rows(path)
+    header = next(rows, None)
+    if header is None:
+        raise DataError(f"{path}: empty votes file")
+    if tuple(h.strip() for h in header) != VOTES_CSV_HEADER:
+        raise DataError(
+            f"{path}: bad header; expected {','.join(VOTES_CSV_HEADER)}"
+        )
+    submissions = []
+    experts: dict = {}
+    for line_no, row in enumerate(rows, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(VOTES_CSV_HEADER):
+            raise DataError(f"{path}:{line_no}: expected {len(VOTES_CSV_HEADER)} fields")
+        labeler, component = row[0].strip(), row[1].strip()
+        if not labeler or not component:
+            raise DataError(f"{path}:{line_no}: empty labeler or component id")
+        picks = []
+        for offset, cell in enumerate(row[2:10]):
+            flag = cell.strip()
+            if flag not in ("0", "1"):
+                raise DataError(f"{path}:{line_no}: response flags must be 0 or 1")
+            if flag == "1":
+                picks.append(RESPONSES[offset])
+        if not picks:
+            raise DataError(f"{path}:{line_no}: submission selects no responses")
+        expert_flag = row[10].strip()
+        if expert_flag not in ("0", "1"):
+            raise DataError(f"{path}:{line_no}: is_expert must be 0 or 1")
+        experts[labeler] = experts.get(labeler, False) or expert_flag == "1"
+        submissions.append(Submission(labeler, component, tuple(picks)))
     if not submissions:
         raise DataError(f"{path}: no submissions found")
     return submissions, experts

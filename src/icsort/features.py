@@ -8,19 +8,21 @@ the classifier:
   Welch's method, and
 * a 100-lag autocorrelation function spanning (0, 1 s].
 
-All operations are pure functions of their inputs; distinct components may
-be processed concurrently.
+All operations are pure functions of their inputs; ``extract_recording``
+references the mixing matrix once per recording and runs the components
+concurrently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 import scipy.fft
 from scipy.interpolate import RBFInterpolator
 
-from .errors import DataError
+from .errors import DataError, IcsortError
 
 TOPO_SIZE = 32
 N_PSD_BINS = 100
@@ -38,74 +40,47 @@ GRID_MASK = (_GRID_X[None, :] ** 2 + _GRID_Y[:, None] ** 2) <= 1.0
 
 
 @dataclass
-class ScalpTopography:
-    """Interpolated scalp image plus the in-head disk mask."""
-
-    pixels: np.ndarray  # (32, 32) float64, zero outside the mask
-    mask: np.ndarray  # (32, 32) bool
-
-    def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=np.float64)
-        self.mask = np.asarray(self.mask, dtype=bool)
-        if self.pixels.shape != (TOPO_SIZE, TOPO_SIZE):
-            raise DataError(f"topography must be {TOPO_SIZE}x{TOPO_SIZE}, got {self.pixels.shape}")
-        if self.mask.shape != (TOPO_SIZE, TOPO_SIZE):
-            raise DataError(f"topography mask must be {TOPO_SIZE}x{TOPO_SIZE}, got {self.mask.shape}")
-
-
-@dataclass
-class IcFeatures:
-    """The three feature sets describing one independent component."""
-
-    topo: ScalpTopography
-    psd: np.ndarray  # (100,) float64, log power at 1..100 Hz
-    autocorr: np.ndarray  # (100,) float64, lags in (0, 1 s]
-
-    def __post_init__(self):
-        self.psd = np.asarray(self.psd, dtype=np.float64)
-        self.autocorr = np.asarray(self.autocorr, dtype=np.float64)
-        if self.psd.shape != (N_PSD_BINS,):
-            raise DataError(f"psd must have {N_PSD_BINS} bins, got {self.psd.shape}")
-        if self.autocorr.shape != (N_AUTOCORR_LAGS,):
-            raise DataError(
-                f"autocorrelation must have {N_AUTOCORR_LAGS} lags, got {self.autocorr.shape}"
-            )
-
-
-@dataclass
 class Recording:
     """An ICA-decomposed multichannel EEG recording.
 
     Attributes
     ----------
-    channel_data : (n_channels, n_samples) array, microvolts.
     sample_rate : sampling rate in Hz.
     electrode_positions : (n_channels, 3) head-centered coordinates on the
         unit sphere (+x right, +y anterior, +z up); norms may deviate from 1
         by up to 20% to allow for digitization noise.
     mixing_matrix : (n_channels, n_components) ICA scalp projections.
     component_activity : (n_components, n_samples) component time courses.
+
+    Features come from the mixing matrix and the activity alone, so a
+    ``channel_data`` argument (the raw recording) is accepted and discarded.
     """
 
-    channel_data: np.ndarray
     sample_rate: float
     electrode_positions: np.ndarray
     mixing_matrix: np.ndarray
     component_activity: np.ndarray
+    channel_data: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
-        self.channel_data = np.asarray(self.channel_data, dtype=np.float64)
+    def __post_init__(self, channel_data):
         self.electrode_positions = np.asarray(self.electrode_positions, dtype=np.float64)
         self.mixing_matrix = np.asarray(self.mixing_matrix, dtype=np.float64)
         self.component_activity = np.asarray(self.component_activity, dtype=np.float64)
-        if self.channel_data.ndim != 2:
-            raise DataError("channel_data must be 2-D (channels x samples)")
-        n_ch, n_samp = self.channel_data.shape
+        if self.mixing_matrix.ndim != 2:
+            raise DataError("mixing_matrix must be 2-D (channels x components)")
+        n_ch, n_comp = self.mixing_matrix.shape
         if n_ch < 2:
             raise DataError("recording needs at least 2 channels")
-        if n_samp < 1:
+        if n_comp < 1:
+            raise DataError("recording needs at least 1 component")
+        if self.component_activity.ndim != 2 or self.component_activity.shape[0] != n_comp:
+            raise DataError(
+                f"component_activity must have {n_comp} rows (components x samples), "
+                f"got {self.component_activity.shape}"
+            )
+        if self.component_activity.shape[1] < 1:
             raise DataError("recording needs at least 1 sample")
-        if not self.sample_rate > 0:
+        if not (np.isfinite(self.sample_rate) and self.sample_rate > 0):
             raise DataError(f"sample rate must be positive, got {self.sample_rate}")
         if self.electrode_positions.shape != (n_ch, 3):
             raise DataError(
@@ -114,16 +89,6 @@ class Recording:
         norms = np.linalg.norm(self.electrode_positions, axis=1)
         if np.any(norms < 0.8) or np.any(norms > 1.2):
             raise DataError("electrode positions must lie within 20% of the unit sphere")
-        if self.mixing_matrix.ndim != 2 or self.mixing_matrix.shape[0] != n_ch:
-            raise DataError(f"mixing_matrix must have {n_ch} rows")
-        n_comp = self.mixing_matrix.shape[1]
-        if n_comp < 1:
-            raise DataError("recording needs at least 1 component")
-        if self.component_activity.shape != (n_comp, n_samp):
-            raise DataError(
-                f"component_activity must be ({n_comp}, {n_samp}), "
-                f"got {self.component_activity.shape}"
-            )
 
     @property
     def n_components(self) -> int:
@@ -164,13 +129,13 @@ def project_to_plane(positions: np.ndarray) -> np.ndarray:
     return np.column_stack([radius * np.cos(azimuth), radius * np.sin(azimuth)])
 
 
-def scalp_topography(projection: np.ndarray, positions: np.ndarray) -> ScalpTopography:
+def scalp_topography(projection: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """Interpolate a channel projection vector into a 32x32 scalp image.
 
     Electrode positions are flattened with an azimuthal-equidistant
     projection and the values are interpolated with a thin-plate-spline
-    radial basis function (exact at the electrodes).  Pixels outside the
-    unit disk are set to 0 and masked out.
+    radial basis function (exact at the electrodes).  Pixels outside
+    ``GRID_MASK`` (the unit disk) are 0.
 
     Raises
     ------
@@ -202,7 +167,7 @@ def scalp_topography(projection: np.ndarray, positions: np.ndarray) -> ScalpTopo
     pts = np.column_stack([xx[GRID_MASK], yy[GRID_MASK]])
     pixels = np.zeros((TOPO_SIZE, TOPO_SIZE))
     pixels[GRID_MASK] = interp(pts)
-    return ScalpTopography(pixels, GRID_MASK.copy())
+    return pixels
 
 
 def _segment_periodograms(x: np.ndarray, nperseg: int, sample_rate: float) -> np.ndarray:
@@ -286,25 +251,14 @@ def autocorrelation(activity: np.ndarray, sample_rate: float) -> np.ndarray:
     return resampled[1:]
 
 
-def normalize_features(features: IcFeatures) -> IcFeatures:
-    """Scale topography and PSD so each peaks at 0.99 in absolute value.
+def normalize_features(values: np.ndarray) -> np.ndarray:
+    """Scale a feature set (topography or PSD) so it peaks at 0.99 in absolute value.
 
-    Identically-zero feature sets pass through unchanged; the
+    An identically-zero feature set passes through unchanged; the
     autocorrelation is already normalized by construction.
     """
-    pixels = features.topo.pixels
-    peak = float(np.max(np.abs(pixels)))
-    if peak > 0:
-        pixels = pixels * (FEATURE_SCALE / peak)
-    psd = features.psd
-    peak = float(np.max(np.abs(psd)))
-    if peak > 0:
-        psd = psd * (FEATURE_SCALE / peak)
-    return IcFeatures(
-        topo=ScalpTopography(pixels.copy(), features.topo.mask.copy()),
-        psd=psd.copy(),
-        autocorr=features.autocorr.copy(),
-    )
+    peak = float(np.max(np.abs(values)))
+    return values * (FEATURE_SCALE / peak) if peak > 0 else values
 
 
 #: The symmetry orbit of a scalp topography, identity first, as (mirror, negate)
@@ -334,16 +288,14 @@ class FeatureStack:
         return self.topo.shape[0]
 
     @classmethod
-    def from_features(cls, features) -> "FeatureStack":
-        feats = list(features)
-        if not feats:
+    def from_features(cls, rows) -> "FeatureStack":
+        """Stack (topo, psd, autocorr) rows, one per component; every mask is ``GRID_MASK``."""
+        rows = list(rows)
+        if not rows:
             raise DataError("cannot stack an empty feature list")
-        return cls(
-            topo=np.stack([f.topo.pixels for f in feats]),
-            mask=np.stack([f.topo.mask for f in feats]),
-            psd=np.stack([f.psd for f in feats]),
-            autocorr=np.stack([f.autocorr for f in feats]),
-        )
+        topo, psd, autocorr = (np.stack(column) for column in zip(*rows))
+        mask = np.broadcast_to(GRID_MASK, topo.shape).copy()
+        return cls(topo=topo, mask=mask, psd=psd, autocorr=autocorr)
 
     def orbit(self) -> "FeatureStack":
         """The stack repeated once per ``TOPOGRAPHY_ORBIT`` element, in orbit order (4n rows).
@@ -365,30 +317,46 @@ class FeatureStack:
         return FeatureStack(self.topo[idx], self.mask[idx], self.psd[idx], self.autocorr[idx])
 
 
-def extract_component_features(recording: Recording, index: int) -> IcFeatures:
-    """Compute normalized topography, PSD, and autocorrelation for one component.
+def extract_component_features(projection: np.ndarray, positions: np.ndarray,
+                               activity: np.ndarray, sample_rate: float) -> tuple:
+    """One component's normalized (topo, psd, autocorr) rows.
 
-    The mixing matrix is converted to a common average reference before
-    interpolating the scalp topography.
-
-    Raises
-    ------
-    DataError
-        If the component's mixing-matrix column or activity holds a
-        non-finite value, naming the array.
+    ``projection`` is the component's mixing-matrix column under the common
+    average reference; ``activity`` is its time course.
     """
-    if not 0 <= index < recording.n_components:
-        raise DataError(f"component index {index} out of range")
-    if not np.all(np.isfinite(recording.mixing_matrix[:, index])):
-        raise DataError(f"mixing_matrix column {index} has non-finite values")
-    if not np.all(np.isfinite(recording.component_activity[index])):
-        raise DataError(f"component_activity row {index} has non-finite samples")
-    referenced = common_average_reference(recording.mixing_matrix)
-    topo = scalp_topography(referenced[:, index], recording.electrode_positions)
-    activity = recording.component_activity[index]
-    raw = IcFeatures(
-        topo=topo,
-        psd=median_welch_psd(activity, recording.sample_rate),
-        autocorr=autocorrelation(activity, recording.sample_rate),
-    )
-    return normalize_features(raw)
+    topo = normalize_features(scalp_topography(projection, positions))
+    psd = normalize_features(median_welch_psd(activity, sample_rate))
+    return topo, psd, autocorrelation(activity, sample_rate)
+
+
+def extract_recording(recording: Recording, workers: int = 1) -> tuple:
+    """Features of every component, computed on ``workers`` threads.
+
+    The mixing matrix is converted to the common average reference once.
+    Returns ``(stack, failures)``: the ``FeatureStack`` of the components
+    that succeeded, in component order (``None`` if none did), and a dict
+    from the index of each failed component to its error.  A component
+    whose mixing-matrix column or activity holds a non-finite value fails
+    with a ``DataError`` naming the array.
+    """
+    with np.errstate(invalid="ignore"):  # a non-finite column turns NaN; rejected below
+        referenced = common_average_reference(recording.mixing_matrix)
+
+    def one(index):
+        if not np.all(np.isfinite(recording.mixing_matrix[:, index])):
+            raise DataError(f"mixing_matrix column {index} has non-finite values")
+        activity = recording.component_activity[index]
+        if not np.all(np.isfinite(activity)):
+            raise DataError(f"component_activity row {index} has non-finite samples")
+        return extract_component_features(referenced[:, index], recording.electrode_positions,
+                                          activity, recording.sample_rate)
+
+    rows, failures = [], {}
+    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+        futures = [pool.submit(one, i) for i in range(recording.n_components)]
+        for index, future in enumerate(futures):  # collect by index, not completion
+            try:
+                rows.append(future.result())
+            except IcsortError as exc:
+                failures[index] = exc
+    return (FeatureStack.from_features(rows) if rows else None), failures

@@ -8,8 +8,9 @@ IEEE 754 single precision):
   kernel dimensions, kernel values in row-major order, then one bias value
   per output channel.
 
-Loading validates the magic, version, layer set, and every shape against
-the fixed architecture, so a loaded file is always usable directly.
+Loading validates the magic, version, layer set, every shape against the
+fixed architecture and the finiteness of every value, so a loaded file is
+always usable directly.
 """
 
 from __future__ import annotations
@@ -75,10 +76,15 @@ def load_weights(path) -> NetworkWeights:
 
     weights = NetworkWeights()
     for spec in ARCHITECTURE:
-        name = reader.take(reader.u32()).decode()
+        name = reader.take(reader.u32()).decode("utf-8", errors="replace")
         if name != spec.name:
             raise DataError(f"{path}: expected layer {spec.name!r}, found {name!r}")
         rank = reader.u32()
+        if rank != len(spec.weight_shape):
+            raise DataError(
+                f"{path}: layer {name!r} kernel must have rank {len(spec.weight_shape)}, "
+                f"found {rank}"
+            )
         shape = tuple(reader.u32() for _ in range(rank))
         if shape != spec.weight_shape:
             raise DataError(
@@ -87,10 +93,11 @@ def load_weights(path) -> NetworkWeights:
         count = int(np.prod(shape))
         kernel = np.frombuffer(reader.take(4 * count), dtype="<f4").reshape(shape)
         bias = np.frombuffer(reader.take(4 * spec.out_channels), dtype="<f4")
+        if not (np.all(np.isfinite(kernel)) and np.all(np.isfinite(bias))):
+            raise DataError(f"{path}: layer {name!r} contains non-finite weights")
         weights.kernels[name] = kernel.astype(np.float32)
         weights.biases[name] = bias.astype(np.float32)
     if reader.offset != len(reader.data):
         raise DataError(f"{path}: trailing bytes after the last layer")
     weights.version = version
-    weights.validate()
     return weights

@@ -37,7 +37,6 @@ def make_recording(
         activity[c] += 0.1 * rng.standard_normal(n_samples)
     mixing = rng.standard_normal((n_channels, n_components))
     return Recording(
-        channel_data=mixing @ activity,
         sample_rate=sample_rate,
         electrode_positions=electrode_cap(n_channels),
         mixing_matrix=mixing,

@@ -1,11 +1,14 @@
 """Array records, bundle directories, and label CSV files."""
 
+import functools
 import json
 import os
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import builders
 from icsort.bundles import (
@@ -20,7 +23,9 @@ from icsort.bundles import (
     write_labels_csv,
     write_recording_bundle,
 )
+from icsort.crowdlabel import VOTES_CSV_HEADER, read_votes_csv
 from icsort.errors import DataError
+from icsort.network import initialize_weights, load_weights, save_weights
 
 
 def _f32(a):
@@ -106,10 +111,14 @@ def test_recording_bundle_round_trip(tmp_path):
     target = tmp_path / "rec01"
     write_recording_bundle(target, recording, recording_id="session-7")
 
+    arrays = ["component_activity", "electrode_positions", "mixing_matrix"]
+    assert sorted(os.listdir(target)) == sorted([f"{a}.bin" for a in arrays] + ["manifest.json"])
+    manifest = json.loads((target / "manifest.json").read_text())
+    assert sorted(manifest["arrays"]) == arrays
+
     loaded, recording_id = read_recording_bundle(target)
     assert recording_id == "session-7"
     assert loaded.sample_rate == recording.sample_rate
-    np.testing.assert_array_equal(loaded.channel_data, _f32(recording.channel_data))
     np.testing.assert_array_equal(
         loaded.electrode_positions, _f32(recording.electrode_positions)
     )
@@ -117,6 +126,13 @@ def test_recording_bundle_round_trip(tmp_path):
     np.testing.assert_array_equal(
         loaded.component_activity, _f32(recording.component_activity)
     )
+
+    # an older bundle that lists its channel data still loads; the array is not opened
+    manifest["arrays"]["channel_data"] = "channel_data.bin"
+    (target / "manifest.json").write_text(json.dumps(manifest))
+    older, _ = read_recording_bundle(target)
+    np.testing.assert_array_equal(older.mixing_matrix, loaded.mixing_matrix)
+    np.testing.assert_array_equal(older.component_activity, loaded.component_activity)
 
 
 def test_recording_bundle_id_defaults_to_directory_name(tmp_path):
@@ -173,6 +189,27 @@ def test_read_recording_bundle_rejects_broken_manifests(tmp_path):
     with pytest.raises(DataError, match="sample_rate"):
         read_recording_bundle(target)
 
+    # every malformed manifest is a DataError that names the bundle
+    (target / "subdir").mkdir()
+    for text, message in (
+        (json.dumps([manifest]), "JSON object"),
+        (json.dumps(dict(manifest, arrays=list(manifest["arrays"]))), "arrays"),
+        (json.dumps(dict(manifest, sample_rate="abc")), "sample_rate"),
+        (json.dumps(dict(manifest, sample_rate=[1])), "sample_rate"),
+        (json.dumps(dict(manifest, arrays=dict(manifest["arrays"], mixing_matrix="subdir"))),
+         "mixing_matrix"),
+        (json.dumps(dict(manifest, arrays=dict(manifest["arrays"], mixing_matrix=7))),
+         "mixing_matrix"),
+    ):
+        manifest_path.write_text(text)
+        with pytest.raises(DataError, match=message) as info:
+            read_recording_bundle(target)
+        assert str(target) in str(info.value)
+    for raw in (b'{"format": "\xff\xfe"}', b"[" * 100000):  # not UTF-8; nested too deep
+        manifest_path.write_bytes(raw)
+        with pytest.raises(DataError, match="JSON"):
+            read_recording_bundle(target)
+
 
 # ---------------------------------------------------------- feature bundles
 
@@ -212,6 +249,25 @@ def test_read_feature_bundle_checks_array_shapes(tmp_path):
     write_feature_bundle(target, stack, ["a", "b"])
     write_array(target / "psd.bin", np.zeros((2, 99)))
     with pytest.raises(DataError, match="psd"):
+        read_feature_bundle(target)
+
+    # non-finite feature values are named by component and array
+    for name in ("topo", "psd", "autocorr"):
+        target = tmp_path / f"nonfinite-{name}"
+        write_feature_bundle(target, stack, ["a", "b"])
+        values = read_array(target / f"{name}.bin")
+        values[1, 7] = np.nan if name == "psd" else np.inf
+        write_array(target / f"{name}.bin", values)
+        with pytest.raises(DataError, match=f"component b: {name} has non-finite"):
+            read_feature_bundle(target)
+
+    # so is a duplicate component id
+    target = tmp_path / "duplicates"
+    write_feature_bundle(target, stack, ["a", "b"])
+    manifest = json.loads((target / "manifest.json").read_text())
+    manifest["component_ids"] = ["b", "b"]
+    (target / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(DataError, match="component b: duplicate"):
         read_feature_bundle(target)
 
 
@@ -290,3 +346,53 @@ def test_read_labels_csv_rejects_malformed_files(tmp_path):
     path.write_text(header)
     with pytest.raises(DataError, match="no label rows"):
         read_labels_csv(path)
+
+    path.write_bytes(header.encode() + b"\xffa,1.0,0,0,0,0,0,0\n")  # not UTF-8
+    with pytest.raises(DataError, match="CSV"):
+        read_labels_csv(path)
+
+
+# ------------------------------------------------------- damaged files
+
+
+def _write_votes(path):
+    rows = [",".join(VOTES_CSV_HEADER)]
+    for i, flags in enumerate(("1,0,0,0,0,0,0,0", "0,1,0,0,0,0,1,0", "0,0,0,0,0,0,0,1")):
+        rows.append(f"ann,c{i:02d},{flags},{i % 2}")
+    path.write_text("\n".join(rows) + "\n")
+
+
+_VALID_FILES = {
+    "array": (lambda path: write_array(path, np.arange(12.0).reshape(3, 4)), read_array),
+    "weights": (lambda path: save_weights(path, initialize_weights(seed=0)), load_weights),
+    "labels": (lambda path: write_labels_csv(path, ["a", "b"], np.eye(7)[[0, 3]]),
+               read_labels_csv),
+    "votes": (_write_votes, read_votes_csv),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _valid_bytes(kind, directory):
+    path = directory / f"valid-{kind}"
+    _VALID_FILES[kind][0](path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("kind", sorted(_VALID_FILES))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_readers_raise_only_data_error_on_damaged_bytes(tmp_path_factory, kind, data):
+    good = _valid_bytes(kind, tmp_path_factory.getbasetemp())
+    length = data.draw(st.one_of(st.just(len(good)), st.integers(0, len(good))), label="length")
+    # a file's headers sit in its first bytes, so many flips are aimed there
+    position = st.one_of(st.integers(0, min(63, len(good) - 1)), st.integers(0, len(good) - 1))
+    flips = data.draw(st.lists(st.tuples(position, st.integers(0, 7)), max_size=4), label="flips")
+    damaged = bytearray(good)
+    for index, bit in flips:
+        damaged[index] ^= 1 << bit
+    path = tmp_path_factory.getbasetemp() / f"damaged-{kind}"
+    path.write_bytes(bytes(damaged[:length]))
+    try:
+        _VALID_FILES[kind][1](path)
+    except DataError:
+        pass

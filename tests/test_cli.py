@@ -17,7 +17,6 @@ from icsort.bundles import (
 )
 from icsort.categories import CATEGORIES
 from icsort.crowdlabel import VOTES_CSV_HEADER
-from icsort.errors import DataError
 from icsort.features import Recording
 from icsort.network import initialize_weights, save_weights
 
@@ -74,28 +73,32 @@ def test_extract_writes_a_deterministic_feature_bundle(tmp_path, capsys):
                      "--force"]) == 0
 
 
-def test_extract_reports_failed_components_but_keeps_the_rest(tmp_path, capsys, monkeypatch):
-    recording = builders.make_recording(seed=2)
+def test_extract_reports_failed_components_but_keeps_the_rest(tmp_path, capsys):
+    base = builders.make_recording(seed=2)
+    activity = base.component_activity.copy()
+    activity[1] = 0.0  # a constant signal has no autocorrelation
+    recording = Recording(
+        sample_rate=base.sample_rate,
+        electrode_positions=base.electrode_positions,
+        mixing_matrix=base.mixing_matrix,
+        component_activity=activity,
+    )
     rec_dir = tmp_path / "rec"
     write_recording_bundle(rec_dir, recording, recording_id="rec")
 
-    real = cli.extract_component_features
+    for workers in ("1", "3"):
+        out = tmp_path / f"features{workers}"
+        assert cli.main(["extract", "--recording", str(rec_dir), "--out", str(out),
+                         "--workers", workers]) == 2
+        err = capsys.readouterr().err
+        assert "component ic001: autocorrelation is undefined for a constant signal" in err
+        assert "1 component(s) failed extraction: ic001" in err
 
-    def flaky(rec, index):
-        if index == 1:
-            raise DataError("synthetic failure")
-        return real(rec, index)
-
-    monkeypatch.setattr(cli, "extract_component_features", flaky)
-    out = tmp_path / "features"
-    assert cli.main(["extract", "--recording", str(rec_dir), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "ic001" in err and "synthetic failure" in err
-
-    _, ids = read_feature_bundle(out)  # survivors are still written
-    assert ids == ["ic000", "ic002", "ic003"]
+        _, ids = read_feature_bundle(out)  # survivors are still written
+        assert ids == ["ic000", "ic002", "ic003"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_extract_names_the_array_holding_non_finite_component_data(tmp_path, capsys):
     base = builders.make_recording(seed=3)
     activity = base.component_activity.copy()
@@ -103,7 +106,6 @@ def test_extract_names_the_array_holding_non_finite_component_data(tmp_path, cap
     mixing = base.mixing_matrix.copy()
     mixing[5, 2] = np.inf
     recording = Recording(
-        channel_data=base.channel_data,
         sample_rate=base.sample_rate,
         electrode_positions=base.electrode_positions,
         mixing_matrix=mixing,
@@ -205,6 +207,16 @@ def test_classify_merges_categories_and_applies_thresholds(tmp_path):
     # threshold count must match the merged class count
     assert cli.main(["classify", "--weights", str(weights), "--features", str(features),
                      "--out", str(tmp_path / "x.json"), "--thresholds", str(thresholds)]) == 2
+
+    # non-numeric, out-of-range or undecodable thresholds are data errors
+    for payload in (b'{"thresholds": ["a", 0.2, 0.2, 0.2, 0.2]}', b'[0.2, 0.2, [0.2], 0.2, 0.2]',
+                    b'[0.2, 0.2, NaN, 0.2, 0.2]', b'{"thresholds": {"a": 1}}', b'[0.2, "\xff"]',
+                    b"[" * 100000):
+        thresholds.write_bytes(payload)
+        assert cli.main(["classify", "--weights", str(weights), "--features", str(features),
+                         "--out", str(tmp_path / "y.json"), "--merge", "5",
+                         "--thresholds", str(thresholds)]) == 2
+    assert not (tmp_path / "y.json").exists()
 
 
 # ------------------------------------------------------------------- train

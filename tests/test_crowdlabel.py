@@ -174,6 +174,9 @@ def test_read_votes_csv_rejects_bad_or_missing_header(tmp_path):
     path.write_text("", encoding="utf-8")
     with pytest.raises(DataError):
         read_votes_csv(path)
+    path.write_bytes(",".join(VOTES_CSV_HEADER).encode() + b"\nann,c\xff1,1,0,0,0,0,0,0,0,0\n")
+    with pytest.raises(DataError, match="CSV"):  # not UTF-8
+        read_votes_csv(path)
 
 
 # ----------------------------------------------------------------- sampler

@@ -4,19 +4,19 @@ import numpy as np
 import pytest
 
 import builders
+import icsort.features as features
 import oracles
 from icsort.errors import DataError
 from icsort.features import (
     FEATURE_SCALE,
     GRID_MASK,
     FeatureStack,
-    IcFeatures,
     Recording,
     TOPOGRAPHY_ORBIT,
-    ScalpTopography,
     autocorrelation,
     common_average_reference,
     extract_component_features,
+    extract_recording,
     median_welch_psd,
     normalize_features,
     orbit_element,
@@ -67,8 +67,9 @@ def test_projection_is_radius_invariant():
 def test_topography_reproduces_constants_exactly_inside_the_disk():
     cap = builders.electrode_cap(20)
     topo = scalp_topography(np.full(20, 3.25), cap)
-    assert np.allclose(topo.pixels[topo.mask], 3.25, atol=1e-8)
-    assert np.all(topo.pixels[~topo.mask] == 0.0)
+    assert topo.shape == (32, 32)
+    assert np.allclose(topo[GRID_MASK], 3.25, atol=1e-8)
+    assert np.all(topo[~GRID_MASK] == 0.0)
 
 
 def test_topography_reproduces_linear_fields():
@@ -81,7 +82,7 @@ def test_topography_reproduces_linear_fields():
     gx = np.linspace(-1.0, 1.0, 32)
     gy = np.linspace(1.0, -1.0, 32)
     expect = 0.7 * gx[None, :] - 1.3 * gy[:, None] + 0.2
-    assert np.allclose(topo.pixels[topo.mask], expect[topo.mask], atol=1e-7)
+    assert np.allclose(topo[GRID_MASK], expect[GRID_MASK], atol=1e-7)
 
 
 def test_topography_rejects_collinear_montages():
@@ -106,13 +107,13 @@ def test_topography_ignores_nonfinite_electrodes():
     values = np.ones(21)
     values[5] = np.nan
     topo = scalp_topography(values, cap)
-    assert np.allclose(topo.pixels[topo.mask], 1.0, atol=1e-8)
+    assert np.allclose(topo[GRID_MASK], 1.0, atol=1e-8)
 
 
 def test_topography_mirror_and_negate_are_involutions():
     cap = builders.electrode_cap(20)
     rng = np.random.default_rng(3)
-    pixels = scalp_topography(rng.standard_normal(20), cap).pixels
+    pixels = scalp_topography(rng.standard_normal(20), cap)
     for mirror, negate in TOPOGRAPHY_ORBIT:
         once = orbit_element(pixels, mirror, negate)
         assert np.array_equal(orbit_element(once, mirror, negate), pixels)
@@ -222,26 +223,18 @@ def test_autocorrelation_rejects_unusable_inputs():
 def test_normalize_scales_topo_and_psd_peaks_to_099():
     cap = builders.electrode_cap(20)
     rng = np.random.default_rng(8)
-    feats = IcFeatures(
-        topo=scalp_topography(rng.standard_normal(20) * 7.0, cap),
-        psd=rng.standard_normal(100) * 30.0,
-        autocorr=rng.uniform(-0.9, 0.9, 100),
-    )
-    normalized = normalize_features(feats)
-    assert np.max(np.abs(normalized.topo.pixels)) == pytest.approx(FEATURE_SCALE, abs=1e-12)
-    assert np.max(np.abs(normalized.psd)) == pytest.approx(FEATURE_SCALE, abs=1e-12)
-    assert np.array_equal(normalized.autocorr, feats.autocorr)
+    topo = scalp_topography(rng.standard_normal(20) * 7.0, cap)
+    psd = rng.standard_normal(100) * 30.0
+    for values in (topo, psd):
+        normalized = normalize_features(values)
+        assert normalized.shape == values.shape
+        assert np.max(np.abs(normalized)) == pytest.approx(FEATURE_SCALE, abs=1e-12)
+        assert np.array_equal(normalized, values * (FEATURE_SCALE / np.max(np.abs(values))))
 
 
 def test_normalize_passes_all_zero_features_through():
-    feats = IcFeatures(
-        topo=ScalpTopography(np.zeros((32, 32)), GRID_MASK.copy()),
-        psd=np.zeros(100),
-        autocorr=np.zeros(100),
-    )
-    normalized = normalize_features(feats)
-    assert np.all(normalized.topo.pixels == 0.0)
-    assert np.all(normalized.psd == 0.0)
+    for values in (np.zeros((32, 32)), np.zeros(100)):
+        assert np.all(normalize_features(values) == 0.0)
 
 
 # ----------------------------------------------------------------- orbit
@@ -250,7 +243,7 @@ def test_normalize_passes_all_zero_features_through():
 def test_topography_orbit_lists_the_four_symmetry_variants():
     cap = builders.electrode_cap(20)
     rng = np.random.default_rng(9)
-    base = scalp_topography(rng.standard_normal(20), cap).pixels
+    base = scalp_topography(rng.standard_normal(20), cap)
     variants = [orbit_element(base, mirror, negate) for mirror, negate in TOPOGRAPHY_ORBIT]
     assert len(variants) == 4
     assert np.array_equal(variants[0], base)
@@ -262,15 +255,23 @@ def test_topography_orbit_lists_the_four_symmetry_variants():
 # ------------------------------------------------------------ extraction
 
 
+def _component_rows(recording, index):
+    referenced = common_average_reference(recording.mixing_matrix)
+    return extract_component_features(referenced[:, index], recording.electrode_positions,
+                                      recording.component_activity[index],
+                                      recording.sample_rate)
+
+
 def test_extract_component_features_is_normalized_and_masked():
     recording = builders.make_recording(seed=10)
-    feats = extract_component_features(recording, 1)
-    assert np.max(np.abs(feats.topo.pixels)) == pytest.approx(FEATURE_SCALE, abs=1e-9)
-    assert np.max(np.abs(feats.psd)) == pytest.approx(FEATURE_SCALE, abs=1e-9)
-    assert np.all(feats.topo.pixels[~feats.topo.mask] == 0.0)
-    assert np.all(np.isfinite(feats.psd))
-    assert np.all(np.isfinite(feats.autocorr))
-    assert abs(feats.autocorr).max() <= FEATURE_SCALE + 1e-9
+    topo, psd, autocorr = _component_rows(recording, 1)
+    assert topo.shape == (32, 32) and psd.shape == (100,) and autocorr.shape == (100,)
+    assert np.max(np.abs(topo)) == pytest.approx(FEATURE_SCALE, abs=1e-9)
+    assert np.max(np.abs(psd)) == pytest.approx(FEATURE_SCALE, abs=1e-9)
+    assert np.all(topo[~GRID_MASK] == 0.0)
+    assert np.all(np.isfinite(psd))
+    assert np.all(np.isfinite(autocorr))
+    assert abs(autocorr).max() <= FEATURE_SCALE + 1e-9
 
 
 def test_extraction_is_invariant_to_a_common_mixing_offset():
@@ -278,22 +279,31 @@ def test_extraction_is_invariant_to_a_common_mixing_offset():
     # channel of a component's scalp projection
     base = builders.make_recording(seed=11)
     shifted = Recording(
-        channel_data=base.channel_data,
         sample_rate=base.sample_rate,
         electrode_positions=base.electrode_positions,
         mixing_matrix=base.mixing_matrix + 5.0,
         component_activity=base.component_activity,
     )
-    for index in range(base.n_components):
-        a = extract_component_features(base, index)
-        b = extract_component_features(shifted, index)
-        assert np.allclose(a.topo.pixels, b.topo.pixels, atol=1e-9)
+    a, _ = extract_recording(base)
+    b, _ = extract_recording(shifted)
+    assert np.allclose(a.topo, b.topo, atol=1e-9)
 
 
-def test_extraction_index_out_of_range():
-    recording = builders.make_recording(seed=12)
-    with pytest.raises(DataError):
-        extract_component_features(recording, recording.n_components)
+def test_extract_recording_references_once_and_stacks_every_component(monkeypatch):
+    recording = builders.make_recording(n_channels=20, n_components=6, seed=13)
+    calls = []
+    real = features.common_average_reference
+    monkeypatch.setattr(features, "common_average_reference",
+                        lambda data: calls.append(data.shape) or real(data))
+    stack, failures = extract_recording(recording, workers=3)
+    assert calls == [(20, 6)] and failures == {}
+    assert len(stack) == 6
+    for i in range(6):  # bit for bit the per-component rows, in component order
+        topo, psd, autocorr = _component_rows(recording, i)
+        assert np.array_equal(stack.topo[i], topo)
+        assert np.array_equal(stack.psd[i], psd)
+        assert np.array_equal(stack.autocorr[i], autocorr)
+    assert np.array_equal(stack.mask, np.broadcast_to(GRID_MASK, (6, 32, 32)))
 
 
 # ---------------------------------------------------------- feature stack
@@ -301,14 +311,16 @@ def test_extraction_index_out_of_range():
 
 def test_feature_stack_round_trips_components():
     recording = builders.make_recording(seed=13)
-    feats = [extract_component_features(recording, i) for i in range(recording.n_components)]
-    stack = FeatureStack.from_features(feats)
+    rows = [_component_rows(recording, i) for i in range(recording.n_components)]
+    stack = FeatureStack.from_features(rows)
     assert len(stack) == recording.n_components
-    for i, original in enumerate(feats):
-        assert np.array_equal(stack.topo[i], original.topo.pixels)
-        assert np.array_equal(stack.mask[i], original.topo.mask)
-        assert np.array_equal(stack.psd[i], original.psd)
-        assert np.array_equal(stack.autocorr[i], original.autocorr)
+    for i, (topo, psd, autocorr) in enumerate(rows):
+        assert np.array_equal(stack.topo[i], topo)
+        assert np.array_equal(stack.mask[i], GRID_MASK)
+        assert np.array_equal(stack.psd[i], psd)
+        assert np.array_equal(stack.autocorr[i], autocorr)
+    with pytest.raises(DataError, match="empty"):
+        FeatureStack.from_features([])
 
 
 def test_feature_stack_mirror_negate_and_subset():
@@ -339,27 +351,34 @@ def test_feature_stack_mirror_negate_and_subset():
 
 def test_recording_validation_rejects_malformed_inputs():
     good = builders.make_recording(seed=15)
-    with pytest.raises(DataError):
-        Recording(
-            channel_data=good.channel_data,
-            sample_rate=0.0,
-            electrode_positions=good.electrode_positions,
-            mixing_matrix=good.mixing_matrix,
-            component_activity=good.component_activity,
-        )
-    with pytest.raises(DataError):
-        Recording(
-            channel_data=good.channel_data,
-            sample_rate=good.sample_rate,
-            electrode_positions=good.electrode_positions * 3.0,  # norms far from 1
-            mixing_matrix=good.mixing_matrix,
-            component_activity=good.component_activity,
-        )
-    with pytest.raises(DataError):
-        Recording(
-            channel_data=good.channel_data,
-            sample_rate=good.sample_rate,
-            electrode_positions=good.electrode_positions[:-1],  # count mismatch
-            mixing_matrix=good.mixing_matrix,
-            component_activity=good.component_activity,
-        )
+    fields = dict(
+        sample_rate=good.sample_rate,
+        electrode_positions=good.electrode_positions,
+        mixing_matrix=good.mixing_matrix,
+        component_activity=good.component_activity,
+    )
+    for bad in (
+        dict(sample_rate=0.0),
+        dict(sample_rate=float("inf")),
+        dict(electrode_positions=good.electrode_positions * 3.0),  # norms far from 1
+        dict(electrode_positions=good.electrode_positions[:-1]),  # count mismatch
+        dict(mixing_matrix=good.mixing_matrix[:1]),  # one channel
+        dict(mixing_matrix=good.mixing_matrix[:, :0]),  # no components
+        dict(component_activity=good.component_activity[:-1]),  # row count mismatch
+        dict(component_activity=good.component_activity[:, :0]),  # no samples
+        dict(component_activity=good.component_activity[0]),  # not 2-D
+    ):
+        with pytest.raises(DataError):
+            Recording(**{**fields, **bad})
+
+
+def test_recording_accepts_and_discards_channel_data():
+    good = builders.make_recording(seed=16)
+    recording = Recording(
+        channel_data=np.ones((3, 3)),  # never checked: extraction does not read it
+        sample_rate=good.sample_rate,
+        electrode_positions=good.electrode_positions,
+        mixing_matrix=good.mixing_matrix,
+        component_activity=good.component_activity,
+    )
+    assert "channel_data" not in vars(recording)

@@ -1,5 +1,7 @@
 """Network architecture, convolution primitives, gradients, weight files."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -376,6 +378,20 @@ def test_weights_file_rejects_corruption(tmp_path):
     trailing.write_bytes(blob + b"\x00\x00\x00\x00")
     with pytest.raises(DataError):
         load_weights(trailing)
+
+    # the first layer name starts at byte 16: magic, version, layer count, name length
+    assert blob[16:21] == b"topo1"
+    bad_name = tmp_path / "name.iclw"
+    bad_name.write_bytes(blob[:16] + b"\xff" + blob[17:])  # not UTF-8
+    with pytest.raises(DataError, match="expected layer 'topo1'"):
+        load_weights(bad_name)
+
+    nan = bytearray(blob)
+    nan[-4:] = struct.pack("<f", np.nan)  # the last bias value
+    not_finite = tmp_path / "nan.iclw"
+    not_finite.write_bytes(bytes(nan))
+    with pytest.raises(DataError, match="non-finite weights"):
+        load_weights(not_finite)
 
 
 def test_weights_validation_catches_bad_shapes_and_nans(tmp_path):
