@@ -155,6 +155,10 @@ def _read_arrays(directory, manifest: dict, names) -> dict:
     loaded = {}
     for name in names:
         entry = entries[name]
+        if isinstance(entry, str) and (
+            os.path.isabs(entry) or os.path.normpath(entry).split(os.sep)[0] == os.pardir
+        ):
+            raise DataError(f"{directory}: array {name} entry {entry!r} is outside the bundle")
         path = os.path.join(os.fspath(directory), entry) if isinstance(entry, str) else ""
         if not os.path.isfile(path):
             raise DataError(f"{directory}: array {name} entry {entry!r} is not a file")

@@ -75,9 +75,13 @@ def conv2d_forward(
 
 
 def conv2d_backward(
-    x: np.ndarray, w: np.ndarray, stride: int, padding: str, dy: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (dx, dw, db) of a 2-D convolution given upstream dy."""
+    x: np.ndarray, w: np.ndarray, stride: int, padding: str, dy: np.ndarray,
+    input_grad: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Gradients (dx, dw, db) of a 2-D convolution given upstream dy.
+
+    With ``input_grad`` off, dx is not computed and is returned as None.
+    """
     kh, kw, c_in, c_out = w.shape
     ph = _resolve_padding(x.shape[1], kh, stride, padding)
     pw = _resolve_padding(x.shape[2], kw, stride, padding)
@@ -89,6 +93,8 @@ def conv2d_backward(
 
     db = dy_flat.sum(axis=0)
     dw = (cols.T @ dy_flat).reshape(w.shape)
+    if not input_grad:
+        return None, dw, db
     dcols = (dy_flat @ w.reshape(kh * kw * c_in, c_out).T).reshape(n, ho, wo, kh, kw, c_in)
 
     dxp = np.zeros_like(xp)
@@ -114,22 +120,33 @@ def conv1d_forward(
 
 
 def conv1d_backward(
-    x: np.ndarray, w: np.ndarray, stride: int, padding: str, dy: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (dx, dw, db) of a 1-D convolution given upstream dy."""
+    x: np.ndarray, w: np.ndarray, stride: int, padding: str, dy: np.ndarray,
+    input_grad: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Gradients (dx, dw, db) of a 1-D convolution given upstream dy; see ``conv2d_backward``."""
     dx4, dw4, db = conv2d_backward(
-        x[:, None, :, :], w[None, :, :, :], stride, padding, dy[:, None, :, :]
+        x[:, None, :, :], w[None, :, :, :], stride, padding, dy[:, None, :, :], input_grad
     )
-    return dx4[:, 0, :, :], dw4[0], db
+    return (None if dx4 is None else dx4[:, 0, :, :]), dw4[0], db
 
 
-def leaky_relu(x: np.ndarray, alpha: float = 0.2) -> np.ndarray:
-    return np.where(x > 0, x, alpha * x)
+def leaky_relu(x: np.ndarray, alpha: float = 0.2, out: np.ndarray | None = None) -> np.ndarray:
+    """max(x, alpha*x) for 0 < alpha < 1; ``out=x`` applies it in place.
+
+    For finite x this has the bits of ``where(x > 0, x, alpha*x)``, signed
+    zeros included, without the branch that mixed signs mispredict.
+    """
+    return np.maximum(x, alpha * x, out=out)
 
 
 def leaky_relu_grad(x: np.ndarray, alpha: float = 0.2) -> np.ndarray:
-    """Derivative with respect to the pre-activation (alpha at exactly 0)."""
-    return np.where(x > 0, np.ones((), dtype=x.dtype), np.asarray(alpha, dtype=x.dtype))
+    """Derivative at x, 1 where x > 0 and alpha elsewhere (alpha at exactly 0).
+
+    For 0 < alpha the activation keeps the sign, so x may be the
+    pre-activation or the activation's output.
+    """
+    grad = np.sign(x)
+    return np.maximum(grad, np.asarray(alpha, dtype=x.dtype), out=grad)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

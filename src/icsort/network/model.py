@@ -89,14 +89,17 @@ _CONVOLUTIONS = {
     "conv2d": (convops.conv2d_forward, convops.conv2d_backward),
     "conv1d": (convops.conv1d_forward, convops.conv1d_backward),
 }
-#: activation -> (function, derivative) of the pre-activation; None is the identity's
+#: activation -> (function applied in place to the pre-activation, derivative evaluated
+#: on the output, whose sign is the pre-activation's); None is the identity's derivative
 _ACTIVATIONS = {
     "lrelu": (
-        lambda pre: convops.leaky_relu(pre, LEAKY_SLOPE),
-        lambda pre: convops.leaky_relu_grad(pre, LEAKY_SLOPE),
+        lambda pre: convops.leaky_relu(pre, LEAKY_SLOPE, out=pre),
+        lambda out: convops.leaky_relu_grad(out, LEAKY_SLOPE),
     ),
     "linear": (lambda pre: pre, None),
 }
+#: Layers fed the network's inputs; nothing uses the gradient of their input.
+_INPUT_LAYERS = frozenset(branch[0] for branch in BRANCHES)
 
 
 @dataclass
@@ -185,27 +188,31 @@ def _walk_forward(weights: NetworkWeights, specs, x: np.ndarray, cache) -> np.nd
                    spec.stride, spec.padding)
         if not np.all(np.isfinite(pre)):
             raise NumericError(f"non-finite activations in layer {spec.name!r}")
+        out = _ACTIVATIONS[spec.activation][0](pre)  # the walk owns pre, so in place
         if cache is not None:
-            cache[spec.name] = (x, pre)
-        x = _ACTIVATIONS[spec.activation][0](pre)
+            cache[spec.name] = (x, out)
+        x = out
     return x
 
 
-def _walk_backward(weights: NetworkWeights, specs, cache: dict, dy, grads) -> np.ndarray:
+def _walk_backward(weights: NetworkWeights, specs, cache: dict, dy, grads):
     """Backpropagate ``dy`` through the cached layers ``specs``, last layer first.
 
     Stores each layer's kernel and bias gradients in ``grads`` and returns
-    the gradient with respect to the input of the first layer walked.
+    the gradient with respect to the input of the last spec walked, or None
+    when that layer is fed a network input.
     """
     for spec in specs:
-        x, pre = cache[spec.name]
-        dy = dy.reshape(pre.shape)
+        x, out = cache[spec.name]
+        dy = dy.reshape(out.shape)
         derivative = _ACTIVATIONS[spec.activation][1]
         if derivative is not None:
-            dy = dy * derivative(pre)
+            grad = derivative(out)
+            dy = np.multiply(dy, grad, out=grad)
         conv_backward = _CONVOLUTIONS[spec.kind][1]
         dy, grads[0][spec.name], grads[1][spec.name] = conv_backward(
-            x, weights.kernels[spec.name], spec.stride, spec.padding, dy
+            x, weights.kernels[spec.name], spec.stride, spec.padding, dy,
+            input_grad=spec not in _INPUT_LAYERS,
         )
     return dy
 
@@ -239,6 +246,15 @@ def _unmerge(dmerged: np.ndarray, shapes: list) -> list:
     return grads
 
 
+def _head(weights: NetworkWeights, outputs: list, cache) -> np.ndarray:
+    """Class probabilities from the branch outputs: merge, head layer, softmax."""
+    logits = _walk_forward(weights, (HEAD,), _merge(outputs), cache)
+    probs = convops.softmax(logits.reshape(len(logits), N_CATEGORIES))
+    if cache is not None:
+        cache["probs"] = probs
+    return probs
+
+
 def forward(
     weights: NetworkWeights,
     topo: np.ndarray,
@@ -251,15 +267,12 @@ def forward(
     Inputs are cast to the weight dtype.  The weights are not checked here
     (see ``NetworkWeights.validate``; ``classify`` and ``train`` check them
     once per call).  When ``cache`` is a dict it is filled with per-layer
-    (input, pre-activation) pairs for the backward pass.
+    (input, output) pairs for the backward pass; a layer's output is the
+    next layer's input, so no pre-activation is kept.
     """
     inputs = _as_network_inputs(topo, psd, autocorr, weights.dtype)
     outputs = [_walk_forward(weights, branch, x, cache) for branch, x in zip(BRANCHES, inputs)]
-    logits = _walk_forward(weights, (HEAD,), _merge(outputs), cache)
-    probs = convops.softmax(logits.reshape(len(logits), N_CATEGORIES))
-    if cache is not None:
-        cache["probs"] = probs
-    return probs
+    return _head(weights, outputs, cache)
 
 
 def forward_backward(
@@ -308,8 +321,11 @@ def classify(
     topography orbit (identity, mirror, negation, both) and the
     probabilities are averaged in double precision, making the output
     invariant to those transforms of the input up to rounding.  Without
-    it only the identity element is evaluated.  Each ``forward`` call sees
-    at most ``batch_size`` rows; the weights are validated once per call.
+    it only the identity element is evaluated.  The network sees at most
+    ``batch_size`` rows at a time, and the orbit transforms only the
+    topography, so the PSD and autocorrelation branches run once per batch.
+    Every row sums its orbit's probabilities in orbit order, as ``forward``
+    over each element would.  The weights are validated once per call.
     """
     if batch_size < 1:
         raise ConfigError(f"batch size must be at least 1, got {batch_size}")
@@ -320,15 +336,17 @@ def classify(
     if topo.ndim != 3:
         raise DataError(f"topo batch must be (n, {TOPO_SIZE}, {TOPO_SIZE}), got {topo.shape}")
     orbit = TOPOGRAPHY_ORBIT if tta else TOPOGRAPHY_ORBIT[:1]
-    n = topo.shape[0]
-    total = np.zeros((n, N_CATEGORIES))
-    for mirror, negate in orbit:
-        element = orbit_element(topo, mirror, negate)
-        for start in range(0, n, batch_size):
-            stop = start + batch_size
-            total[start:stop] += forward(
-                weights, element[start:stop], psd[start:stop], autocorr[start:stop]
-            )
+    total = np.zeros((topo.shape[0], N_CATEGORIES))
+    for start in range(0, topo.shape[0], batch_size):
+        rows = slice(start, start + batch_size)
+        topo_x, *signals = _as_network_inputs(topo[rows], psd[rows], autocorr[rows],
+                                              weights.dtype)
+        signal_outputs = [_walk_forward(weights, branch, x, None)
+                          for branch, x in zip(BRANCHES[1:], signals)]
+        for mirror, negate in orbit:
+            element = orbit_element(topo_x[..., 0], mirror, negate)[..., None]
+            topo_output = _walk_forward(weights, BRANCHES[0], element, None)
+            total[rows] += _head(weights, [topo_output, *signal_outputs], None)
     return total / len(orbit)
 
 

@@ -191,6 +191,8 @@ def test_read_recording_bundle_rejects_broken_manifests(tmp_path):
 
     # every malformed manifest is a DataError that names the bundle
     (target / "subdir").mkdir()
+    outside = tmp_path / "outside.bin"  # a real array file next to the bundle
+    outside.write_bytes((target / manifest["arrays"]["mixing_matrix"]).read_bytes())
     for text, message in (
         (json.dumps([manifest]), "JSON object"),
         (json.dumps(dict(manifest, arrays=list(manifest["arrays"]))), "arrays"),
@@ -200,6 +202,11 @@ def test_read_recording_bundle_rejects_broken_manifests(tmp_path):
          "mixing_matrix"),
         (json.dumps(dict(manifest, arrays=dict(manifest["arrays"], mixing_matrix=7))),
          "mixing_matrix"),
+        (json.dumps(dict(manifest, arrays=dict(manifest["arrays"],
+                                               mixing_matrix="../outside.bin"))),
+         "mixing_matrix entry '../outside.bin' is outside the bundle"),
+        (json.dumps(dict(manifest, arrays=dict(manifest["arrays"], mixing_matrix=str(outside)))),
+         "mixing_matrix entry .* is outside the bundle"),
     ):
         manifest_path.write_text(text)
         with pytest.raises(DataError, match=message) as info:

@@ -4,10 +4,14 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import builders
 import oracles
 from icsort.errors import DataError, NumericError
+from icsort.features import TOPOGRAPHY_ORBIT, orbit_element
 from icsort.network import (
     ARCHITECTURE,
     LAYER_ORDER,
@@ -112,6 +116,34 @@ def test_leaky_relu_and_its_gradient():
     assert np.allclose(leaky_relu_grad(x), [0.2, 0.2, 0.2, 1.0, 1.0], atol=1e-12)
 
 
+_TINY = float(np.finfo(np.float32).smallest_subnormal)
+_HUGE = float(np.finfo(np.float32).max)
+# signed zeros, subnormals (the smallest two negatives round to -0.0 under x0.2),
+# the smallest normal and the largest magnitudes
+_EDGES = [0.0, -0.0, _TINY, -_TINY, -2 * _TINY, -3 * _TINY, 1e-39, -1e-39,
+          float(np.finfo(np.float32).tiny), -float(np.finfo(np.float32).tiny), _HUGE, -_HUGE]
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float32, st.integers(1, 64), elements=st.one_of(
+    st.sampled_from(_EDGES), st.floats(width=32, allow_nan=False, allow_infinity=False))))
+def test_leaky_relu_keeps_the_bits_of_the_branching_form(x):
+    def bits(a):
+        return a.view(np.uint32)
+
+    alpha = 0.2
+    activated = np.where(x > 0, x, alpha * x)
+    slope = np.where(x > 0, np.ones((), dtype=x.dtype), np.asarray(alpha, dtype=x.dtype))
+    assert np.array_equal(bits(leaky_relu(x, alpha)), bits(activated))
+    in_place = x.copy()
+    leaky_relu(in_place, alpha, out=in_place)
+    assert np.array_equal(bits(in_place), bits(activated))
+    assert leaky_relu_grad(x, alpha).dtype == np.float32
+    assert np.array_equal(bits(leaky_relu_grad(x, alpha)), bits(slope))
+    # the backward evaluates the slope on the output, which keeps the input's sign
+    assert np.array_equal(bits(leaky_relu_grad(leaky_relu(x, alpha), alpha)), bits(slope))
+
+
 def test_softmax_rows_are_shift_invariant_distributions():
     rng = np.random.default_rng(3)
     z = rng.standard_normal((5, 7))
@@ -193,7 +225,7 @@ def test_live_forward_matches_the_shape_trace():
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
     trace = shape_trace(3)
     for name in ("topo1", "topo2", "topo3", "psd1", "psd2", "psd3", "acf1", "acf2", "acf3"):
-        assert cache[name][1].shape == trace[name]  # cached (input, pre-activation)
+        assert cache[name][1].shape == trace[name]  # cached (input, output)
     assert cache["out"][0].shape == trace["merged"]
     assert cache["probs"].shape == trace["probs"]
 
@@ -341,6 +373,22 @@ def test_classify_without_tta_runs_the_identity_orbit_element():
     ])
     assert plain.dtype == np.float64
     assert np.array_equal(plain, direct)
+
+
+@pytest.mark.parametrize("batch_size", [2, 128])
+def test_classify_with_tta_sums_forward_over_the_orbit(batch_size):
+    weights = initialize_weights(seed=21)
+    stack = builders.random_stack(5, seed=21)
+    averaged = classify(weights, stack.topo, stack.psd, stack.autocorr, batch_size=batch_size)
+    total = np.zeros((5, 7))
+    for mirror, negate in TOPOGRAPHY_ORBIT:
+        element = orbit_element(stack.topo, mirror, negate)
+        total += np.concatenate([
+            forward(weights, element[i:i + batch_size], stack.psd[i:i + batch_size],
+                    stack.autocorr[i:i + batch_size])
+            for i in range(0, 5, batch_size)
+        ])
+    assert np.array_equal(averaged, total / 4)
 
 
 # ---------------------------------------------------------------- weights io

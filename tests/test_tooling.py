@@ -44,3 +44,18 @@ def test_perfbench_recordings_write_read_and_extract(monkeypatch, tmp_path):
                      "--out", str(tmp_path / "features")]) == 0
     stack, ids = read_feature_bundle(tmp_path / "features")
     assert ids == ["ic000", "ic001", "ic002", "ic003"] and len(stack) == 4
+
+
+def test_perfbench_cnn_table_builds_at_a_small_batch(monkeypatch):
+    # the traced train run times each layer through the convops signatures,
+    # so a change to one of them must fail here, not only in a benchmark run
+    monkeypatch.syspath_prepend(ROOT)
+    cnn_table = importlib.import_module("perfbench.cnn_table")
+    from icsort.network import ARCHITECTURE, initialize_weights
+
+    monkeypatch.setattr(cnn_table, "BATCH", 2)
+    monkeypatch.setattr(cnn_table, "REPEATS", 1)
+    table = cnn_table.layer_table(initialize_weights(seed=0), np.random.default_rng(0))
+    assert {f"network.{spec.name}.bwd_ms" for spec in ARCHITECTURE} <= set(table)
+    assert all(np.isfinite(value) for value in table.values())
+    assert table["network.lrelu_ms"] > 0
