@@ -106,8 +106,7 @@ def cmd_classify(args) -> int:
 
     names = MERGED_NAMES[args.merge]
     if args.merge != "7":
-        scheme = MERGE_SCHEMES[args.merge]
-        probs = np.stack([metrics.merge_classes(row, scheme) for row in probs])
+        probs = metrics.merge_classes(probs, MERGE_SCHEMES[args.merge])
 
     thresholds = None
     if args.thresholds:
@@ -324,8 +323,8 @@ def _merged_pairs(targets, predictions, classes: str):
     if classes == "7":
         return targets, predictions, MERGED_NAMES["7"]
     scheme = MERGE_SCHEMES[classes]
-    merge = lambda arr: np.stack([metrics.merge_classes(row, scheme) for row in arr])
-    return merge(targets), merge(predictions), MERGED_NAMES[classes]
+    return (metrics.merge_classes(targets, scheme), metrics.merge_classes(predictions, scheme),
+            MERGED_NAMES[classes])
 
 
 def evaluation_report(targets, predictions, names) -> dict:

@@ -5,6 +5,10 @@ predicted label vectors, each row a probability distribution over k
 categories.  Hard metrics discretize by argmax (ties to the lowest
 index); soft metrics consume the full distributions through fuzzy-AND
 confusion matrices, preserving the information a hard argmax discards.
+
+ROC points and optimal thresholds share one sorted sweep of the detection
+counts (Fawcett, 2006, Alg. 1), O(n log n) per category; thresholds tied on
+F1 or accuracy resolve to the larger one.
 """
 
 from __future__ import annotations
@@ -161,23 +165,34 @@ class RocCurve:
     category: int
     points: list  # ordered (threshold, fpr, tpr), threshold ascending
 
-    @property
-    def thresholds(self) -> np.ndarray:
-        return np.array([p[0] for p in self.points])
-
-    @property
-    def fprs(self) -> np.ndarray:
-        return np.array([p[1] for p in self.points])
-
-    @property
-    def tprs(self) -> np.ndarray:
-        return np.array([p[2] for p in self.points])
-
     def auc(self) -> float:
         """Trapezoidal area under the (FPR, TPR) curve."""
-        fpr = self.fprs[::-1]  # ascending FPR
-        tpr = self.tprs[::-1]
+        fpr = np.array([p[1] for p in self.points])[::-1]  # ascending FPR
+        tpr = np.array([p[2] for p in self.points])[::-1]
         return float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0))
+
+
+def _positives(targets: np.ndarray, category: int) -> np.ndarray:
+    """Mask of the examples whose target argmax is ``category``; both classes must occur."""
+    positive = np.argmax(targets, axis=1) == category
+    if not np.any(positive):
+        raise DataError(f"ROC for category {category} undefined: no positive examples")
+    if np.all(positive):
+        raise DataError(f"ROC for category {category} undefined: no negative examples")
+    return positive
+
+
+def _detection_counts(scores: np.ndarray, positive: np.ndarray):
+    """Ascending candidate thresholds (the distinct scores plus 0 and
+    ``ABOVE_MAX``) and the true- and false-positive counts at each: how many
+    positive and negative scores lie at or above it, by binary search in the
+    sorted scores of each class."""
+    thresholds = np.unique(np.concatenate([scores, [0.0, ABOVE_MAX]]))
+    pos = np.sort(scores[positive])
+    neg = np.sort(scores[~positive])
+    tp = pos.size - np.searchsorted(pos, thresholds, side="left")
+    fp = neg.size - np.searchsorted(neg, thresholds, side="left")
+    return thresholds, tp, fp
 
 
 def roc_curve(targets: np.ndarray, predictions: np.ndarray, category: int) -> RocCurve:
@@ -187,7 +202,8 @@ def roc_curve(targets: np.ndarray, predictions: np.ndarray, category: int) -> Ro
     detection fires when the predicted probability is at or above the
     threshold.  Thresholds sweep the distinct predicted probabilities plus
     0 (everything detected) and a value above every probability (nothing
-    detected).
+    detected).  All points come from one sorted sweep, O(n log n); tied
+    scores share one point.
 
     Raises
     ------
@@ -197,22 +213,10 @@ def roc_curve(targets: np.ndarray, predictions: np.ndarray, category: int) -> Ro
     targets, predictions = validate_pairs(targets, predictions)
     if not 0 <= category < targets.shape[1]:
         raise DataError(f"category {category} out of range")
-    scores = predictions[:, category]
-    positive = np.argmax(targets, axis=1) == category
-    n_pos = int(np.sum(positive))
-    n_neg = positive.size - n_pos
-    if n_pos == 0:
-        raise DataError(f"ROC for category {category} undefined: no positive examples")
-    if n_neg == 0:
-        raise DataError(f"ROC for category {category} undefined: no negative examples")
-
-    thresholds = np.unique(np.concatenate([scores, [0.0, ABOVE_MAX]]))
-    points = []
-    for theta in thresholds:
-        detected = scores >= theta
-        tpr = float(np.sum(detected & positive)) / n_pos
-        fpr = float(np.sum(detected & ~positive)) / n_neg
-        points.append((float(theta), fpr, tpr))
+    positive = _positives(targets, category)
+    thresholds, tp, fp = _detection_counts(predictions[:, category], positive)
+    n_pos, n_neg = tp[0], fp[0]  # the 0 threshold detects every example
+    points = list(zip(thresholds.tolist(), (fp / n_neg).tolist(), (tp / n_pos).tolist()))
     return RocCurve(category=category, points=points)
 
 
@@ -244,13 +248,15 @@ def soc_points(targets: np.ndarray, predictions: np.ndarray, category: int) -> l
     return points
 
 
-def f1_score(recall: float, precision: float) -> float:
-    """Harmonic mean of recall and precision; 0 when both are 0."""
-    if not 0 <= recall <= 1 or not 0 <= precision <= 1:
+def f1_score(recall, precision):
+    """Harmonic mean of recall and precision (floats or arrays); 0 where both are 0."""
+    recall = np.asarray(recall, dtype=np.float64)
+    precision = np.asarray(precision, dtype=np.float64)
+    if not np.all((recall >= 0) & (recall <= 1) & (precision >= 0) & (precision <= 1)):
         raise DataError("recall and precision must lie in [0, 1]")
-    if recall == 0 and precision == 0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+    total = precision + recall
+    f1 = np.divide(2.0 * precision * recall, total, out=np.zeros(total.shape), where=total > 0)
+    return float(f1) if f1.ndim == 0 else f1
 
 
 def f1_isometric(level: float, fpr, prevalence: float = 0.5):
@@ -281,22 +287,8 @@ class ThresholdSet:
         self.thresholds = np.asarray(self.thresholds, dtype=np.float64)
         if self.thresholds.ndim != 1:
             raise ConfigError("thresholds must be a vector")
-        if np.any(self.thresholds < 0) or np.any(self.thresholds > 1):
+        if not np.all((self.thresholds >= 0) & (self.thresholds <= 1)):
             raise ConfigError("thresholds must lie in [0, 1]")
-
-
-def _criterion_value(detected, positive, criterion: str) -> float:
-    tp = float(np.sum(detected & positive))
-    fp = float(np.sum(detected & ~positive))
-    fn = float(np.sum(~detected & positive))
-    tn = float(np.sum(~detected & ~positive))
-    if criterion == "accuracy":
-        return (tp + tn) / (tp + tn + fp + fn)
-    if criterion == "f1":
-        recall = tp / (tp + fn) if tp + fn else 0.0
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        return f1_score(recall, precision)
-    raise ConfigError(f"unknown criterion {criterion!r}; expected 'f1' or 'accuracy'")
 
 
 def optimal_thresholds(
@@ -304,24 +296,27 @@ def optimal_thresholds(
 ) -> ThresholdSet:
     """Per-category thresholds maximizing F1 or accuracy over the ROC sweep.
 
-    Candidates are the ROC thresholds for each category; ties are broken
-    toward the larger threshold.  A winning candidate above every score is
-    stored as 1.0 (detect only certainties).
+    Candidates are the ROC thresholds for each category, all scored at once
+    from the same sorted sweep of detection counts, O(n log n) per category.
+    Ties go to the larger threshold.  A winning candidate above every score
+    is stored as 1.0 (detect only certainties).
     """
     targets, predictions = validate_pairs(targets, predictions)
+    if criterion not in ("f1", "accuracy"):
+        raise ConfigError(f"unknown criterion {criterion!r}; expected 'f1' or 'accuracy'")
     k = targets.shape[1]
-    hard = np.argmax(targets, axis=1)
     best = np.empty(k)
     for cat in range(k):
-        curve = roc_curve(targets, predictions, cat)
-        scores = predictions[:, cat]
-        positive = hard == cat
-        best_value, best_theta = -1.0, 0.0
-        for theta in curve.thresholds:
-            value = _criterion_value(scores >= theta, positive, criterion)
-            if value > best_value or (value == best_value and theta > best_theta):
-                best_value, best_theta = value, float(theta)
-        best[cat] = min(best_theta, 1.0)
+        thresholds, tp, fp = _detection_counts(predictions[:, cat], _positives(targets, cat))
+        fn, tn = tp[0] - tp, fp[0] - fp  # the 0 threshold detects every example
+        if criterion == "accuracy":
+            value = (tp + tn) / (tp + tn + fp + fn)
+        else:
+            detected = tp + fp
+            precision = np.divide(tp, detected, out=np.zeros(tp.shape), where=detected > 0)
+            value = f1_score(tp / tp[0], precision)
+        last_max = value.size - 1 - np.argmax(value[::-1])  # ties: the larger threshold
+        best[cat] = min(thresholds[last_max], 1.0)
     return ThresholdSet(thresholds=best, provenance=f"optimized:{criterion}")
 
 
@@ -345,14 +340,15 @@ def detect_multilabel(label: np.ndarray, thresholds) -> set:
 def merge_classes(label: np.ndarray, scheme) -> np.ndarray:
     """Sum label mass into merged categories.
 
-    ``scheme`` is either a named scheme (``"7to5"`` keeps Brain, Muscle,
-    Eye, Heart and pools the rest into Other; ``"7to2"`` keeps Brain
+    ``label`` is a (k,) vector or an (n, k) stack, summed over its last
+    axis.  ``scheme`` is either a named scheme (``"7to5"`` keeps Brain,
+    Muscle, Eye, Heart and pools the rest into Other; ``"7to2"`` keeps Brain
     versus everything else) or an explicit sequence of index groups
     partitioning the label. Mass is conserved exactly.
     """
     label = np.asarray(label, dtype=np.float64)
-    if label.ndim != 1:
-        raise DataError("merge_classes expects a single label vector")
+    if label.ndim not in (1, 2):
+        raise DataError("merge_classes expects a label vector or an (n, k) stack")
     if isinstance(scheme, str):
         if scheme not in _NAMED_SCHEMES:
             raise ConfigError(
@@ -362,6 +358,6 @@ def merge_classes(label: np.ndarray, scheme) -> np.ndarray:
     else:
         groups = tuple(tuple(g) for g in scheme)
     flat = [i for group in groups for i in group]
-    if sorted(flat) != list(range(label.shape[0])):
-        raise ConfigError(f"merge groups must partition indices 0..{label.shape[0] - 1}")
-    return np.array([label[list(group)].sum() for group in groups])
+    if sorted(flat) != list(range(label.shape[-1])):
+        raise ConfigError(f"merge groups must partition indices 0..{label.shape[-1] - 1}")
+    return np.stack([label[..., list(group)].sum(axis=-1) for group in groups], axis=-1)

@@ -1,12 +1,19 @@
 """Evaluation metrics: hard, soft, and threshold-based, against brute force."""
 
+import time
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import builders
 import oracles
+from icsort.cli import MERGED_NAMES, evaluation_report
 from icsort.errors import ConfigError, DataError
 from icsort.metrics import (
+    ABOVE_MAX,
     MERGE_7_TO_2,
     MERGE_7_TO_5,
     TRAINING_ACCURACY_THRESHOLDS,
@@ -228,6 +235,86 @@ def test_roc_curve_matches_brute_force():
             assert got == pytest.approx(want, abs=1e-12)
 
 
+#: Prediction rows with many shared values, exact 0.0 and 1.0 among them,
+#: and a last category that always scores 0.0 (the everything-detected
+#: threshold itself), so its sweep has a single distinct score.
+_TIED_ROWS = np.array([
+    [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+    [0.5, 0.25, 0.25, 0.0, 0.0, 0.0, 0.0],
+    [0.25, 0.25, 0.25, 0.25, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.5, 0.0, 0.25, 0.25, 0.0],
+    [0.125, 0.125, 0.125, 0.125, 0.25, 0.25, 0.0],
+    [0.25, 0.0, 0.0, 0.5, 0.0, 0.25, 0.0],
+])
+
+
+def _tied_pairs(seed: int, n: int):
+    rng = np.random.default_rng(seed)
+    categories = np.concatenate([np.arange(7), rng.integers(0, 7, size=n - 7)])
+    predictions = _TIED_ROWS[rng.integers(0, len(_TIED_ROWS), size=n)]
+    return _one_hot(categories), predictions
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_roc_and_thresholds_match_brute_force_on_tied_scores(seed):
+    targets, predictions = _tied_pairs(seed, n=300)
+    assert np.unique(predictions[:, 6]).tolist() == [0.0]
+    for category in range(7):
+        curve = roc_curve(targets, predictions, category)
+        assert curve.points == oracles.bf_roc_points(targets, predictions, category)
+    assert len(roc_curve(targets, predictions, 6).points) == 2
+    for criterion in ("f1", "accuracy"):
+        result = optimal_thresholds(targets, predictions, criterion=criterion)
+        for category in range(7):
+            _, theta = oracles.bf_best_threshold(targets, predictions, category, criterion)
+            assert result.thresholds[category] == theta
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 60),
+    k=st.integers(2, 5),
+    levels=st.sampled_from([0, 1, 2, 4, 16]),
+)
+def test_roc_sweep_is_monotone_and_thresholds_are_candidates(seed, n, k, levels):
+    # levels > 0 quantizes each prediction row to multiples of 1/levels, so
+    # scores tie and hit 0.0 and 1.0 exactly; 0 keeps continuous rows
+    rng = np.random.default_rng(seed)
+    n = max(n, k)
+    categories = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
+    targets = _one_hot(categories, k=k)
+    predictions = rng.dirichlet(np.ones(k), size=n)
+    if levels:
+        predictions = np.array([rng.multinomial(levels, row) for row in predictions]) / levels
+    candidates = {}
+    for category in range(k):
+        points = roc_curve(targets, predictions, category).points
+        thresholds, fprs, tprs = (np.array(column) for column in zip(*points))
+        assert np.all(np.diff(thresholds) > 0)
+        assert np.all(np.diff(fprs) <= 0) and np.all(np.diff(tprs) <= 0)
+        assert points[0] == (0.0, 1.0, 1.0)
+        assert points[-1] == (ABOVE_MAX, 0.0, 0.0)
+        candidates[category] = set(thresholds.tolist()) | {1.0}
+    for criterion in ("f1", "accuracy"):
+        result = optimal_thresholds(targets, predictions, criterion=criterion)
+        for category in range(k):
+            assert result.thresholds[category] in candidates[category]
+
+
+def test_evaluation_report_scales_to_32000_pairs():
+    # the sorted sweep is O(n log n); a per-threshold rescan needs minutes here
+    targets, predictions = builders.random_label_pairs(seed=9, n=32000)
+    started = time.perf_counter()
+    report = evaluation_report(targets, predictions, MERGED_NAMES["7"])
+    assert time.perf_counter() - started < 30.0
+    assert set(report["optimal_thresholds"]) == {"f1", "accuracy"}
+    for points in report["roc"].values():
+        assert len(points) == 32000 + 2  # continuous scores: all distinct
+
+
 def test_roc_curve_needs_both_classes():
     targets = _one_hot([0, 0], k=3)
     predictions = np.full((2, 3), 1.0 / 3.0)
@@ -250,6 +337,15 @@ def test_f1_score_formula_and_edges():
         f1_score(1.2, 0.5)
     with pytest.raises(DataError):
         f1_score(0.5, -0.1)
+    with pytest.raises(DataError):
+        f1_score(np.nan, 0.5)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # 0/0 is masked, not warned about
+        values = f1_score(np.array([0.5, 0.0, 1.0, 0.0]), np.array([1.0, 0.0, 1.0, 0.5]))
+    assert values.tolist() == [f1_score(0.5, 1.0), 0.0, 1.0, 0.0]
+    with pytest.raises(DataError):
+        f1_score(np.array([0.5, np.nan]), np.array([0.5, 0.5]))
 
 
 @pytest.mark.parametrize("prevalence", [0.5, 0.3])
@@ -285,6 +381,11 @@ def test_threshold_set_validation():
         ThresholdSet(np.full((7, 1), 0.5), "fixed")
     with pytest.raises(ConfigError):
         ThresholdSet(np.array([0.5, 1.5]), "fixed")
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigError):
+            ThresholdSet(np.full(7, bad), "fixed")
+        with pytest.raises(ConfigError):
+            ThresholdSet(np.array([0.5, bad]), "fixed")
 
 
 @pytest.mark.parametrize("criterion", ["f1", "accuracy"])
@@ -357,5 +458,12 @@ def test_merge_conserves_mass_and_validates_partitions():
         merge_classes(label, ((0,), (1, 2)))  # missing indices
     with pytest.raises(ConfigError):
         merge_classes(label, "7to3")
+
+    stack = rng.dirichlet(np.ones(7), size=6)
+    merged = merge_classes(stack, "7to5")
+    assert merged.shape == (6, 5)
+    for row, merged_row in zip(stack, merged):
+        assert merged_row.tobytes() == merge_classes(row, "7to5").tobytes()
+        assert merged_row.sum() == pytest.approx(row.sum(), abs=1e-12)
     with pytest.raises(DataError):
-        merge_classes(label[None, :], "7to5")
+        merge_classes(stack[None], "7to5")
