@@ -15,7 +15,6 @@ from .categories import (
     N_RESPONSES,
     RESPONSES,
     argmax_category,
-    as_label_vector,
 )
 from .errors import ConfigError, DataError, IcsortError, NumericError
 from .features import (
@@ -45,7 +44,6 @@ __all__ = [
     "RESPONSES",
     "Recording",
     "argmax_category",
-    "as_label_vector",
     "autocorrelation",
     "common_average_reference",
     "extract_component_features",

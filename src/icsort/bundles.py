@@ -27,7 +27,7 @@ import tempfile
 
 import numpy as np
 
-from .categories import CATEGORIES, N_CATEGORIES, as_label_vector
+from .categories import CATEGORIES, N_CATEGORIES, first_invalid_label
 from .errors import DataError
 from .features import FeatureStack, Recording
 
@@ -320,22 +320,28 @@ def read_labels_csv(path, n_categories: int = N_CATEGORIES) -> tuple:
     if k < 2:
         raise DataError(f"{path}: need at least 2 category columns, found {k}")
     component_ids = []
-    vectors = []
+    line_numbers = []
+    rows_values = []
     for line_no, row in enumerate(rows, start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != k + 1:
             raise DataError(f"{path}:{line_no}: expected {k + 1} fields, got {len(row)}")
         component_ids.append(row[0].strip())
+        line_numbers.append(line_no)
         try:
-            values = [float(cell) for cell in row[1:]]
+            rows_values.append([float(cell) for cell in row[1:]])
         except ValueError as exc:
             raise DataError(f"{path}:{line_no}: non-numeric probability: {exc}") from exc
-        vectors.append(as_label_vector(values, n_categories=k))
     if not component_ids:
         raise DataError(f"{path}: no label rows found")
+    labels = np.array(rows_values, dtype=np.float64)
+    problem = first_invalid_label(labels)
+    if problem:
+        row, reason = problem
+        raise DataError(f"{path}:{line_numbers[row]}: {reason}")
     if len(set(component_ids)) != len(component_ids):
         raise DataError(f"{path}: duplicate component ids")
     if n_categories is not None and k != n_categories:
         raise DataError(f"{path}: expected {n_categories} category columns, found {k}")
-    return component_ids, np.stack(vectors)
+    return component_ids, labels

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataError
-
 CATEGORIES = (
     "Brain",
     "Muscle",
@@ -33,25 +31,27 @@ RESPONSE_INDEX = {name: i for i, name in enumerate(RESPONSES)}
 LABEL_SUM_TOL = 1e-6
 
 
-def as_label_vector(values, n_categories: int = N_CATEGORIES) -> np.ndarray:
-    """Validate and return a compositional label vector as float64.
+def first_invalid_label(labels: np.ndarray):
+    """The first row of an (n, k) float stack that is not a label vector.
 
-    Raises ``DataError`` if the vector has the wrong length, negative
-    entries, or does not sum to 1 within ``LABEL_SUM_TOL``.
+    Returns ``(row, reason)`` naming the first check that row fails (finite
+    entries, then non-negative entries, then a sum of 1 within
+    ``LABEL_SUM_TOL``), or ``None`` when every row passes.
     """
-    vec = np.asarray(values, dtype=np.float64)
-    if vec.shape != (n_categories,):
-        raise DataError(
-            f"label vector must have shape ({n_categories},), got {vec.shape}"
-        )
-    if not np.all(np.isfinite(vec)):
-        raise DataError("label vector contains non-finite entries")
-    if np.any(vec < 0):
-        raise DataError("label vector contains negative entries")
-    total = float(vec.sum())
-    if abs(total - 1.0) > LABEL_SUM_TOL:
-        raise DataError(f"label vector sums to {total!r}, expected 1 within {LABEL_SUM_TOL}")
-    return vec
+    finite = np.isfinite(labels).all(axis=1)
+    nonnegative = (labels >= 0).all(axis=1)
+    with np.errstate(invalid="ignore"):
+        totals = labels.sum(axis=1)
+    bad = np.flatnonzero(~(finite & nonnegative & (np.abs(totals - 1.0) <= LABEL_SUM_TOL)))
+    if not bad.size:
+        return None
+    row = int(bad[0])
+    if not finite[row]:
+        return row, "label vector contains non-finite entries"
+    if not nonnegative[row]:
+        return row, "label vector contains negative entries"
+    return row, (f"label vector sums to {float(totals[row])!r}, "
+                 f"expected 1 within {LABEL_SUM_TOL}")
 
 
 def argmax_category(label) -> int:

@@ -11,10 +11,13 @@ Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import multiprocessing
 import os
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -259,9 +262,64 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------- aggregate
 
 
+def _chain_entry(fit, seed: int) -> tuple:
+    """Run one chain; returns its JSON entry and its wall seconds."""
+    started = time.perf_counter()
+    result = fit(seed=seed)
+    entry = {
+        "seed": result.seed,
+        "labels": {c: [float(v) for v in vec] for c, vec in result.labels.items()},
+        "labeler_confusions": {
+            l: [[float(v) for v in row] for row in mat]
+            for l, mat in result.labeler_confusions.items()
+        },
+        "diagnostics": result.diagnostics,
+        "log_joint": result.log_joint,
+    }
+    return entry, time.perf_counter() - started
+
+
+#: The chain function of a worker process, set there by the pool's initializer.
+_worker_fit = None
+
+
+def _start_chain_worker(fit) -> None:
+    global _worker_fit
+    _worker_fit = fit
+
+
+def _worker_chain(seed: int) -> tuple:
+    return _chain_entry(_worker_fit, seed)
+
+
+def _run_chains(fit, seeds: list) -> list:
+    """``_chain_entry`` for every seed, returned in seed order.
+
+    This process runs the first chain itself, so a profiler or tracer here
+    sees it; the others go to at most one worker process per further core.
+    The workers are forked: they inherit ``fit``, and with it the votes and
+    priors, instead of receiving it pickled, and they import nothing again.
+    With one chain, one core or no ``fork``, every chain runs here.  Each
+    chain's result depends only on its seed, never on the process count.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    workers = min(len(seeds), cores) - 1
+    if workers < 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return [_chain_entry(fit, seed) for seed in seeds]
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_start_chain_worker, initargs=(fit,)) as pool:
+        futures = [pool.submit(_worker_chain, seed) for seed in seeds[1:]]
+        first = _chain_entry(fit, seeds[0])
+        return [first] + [future.result() for future in futures]
+
+
 def cmd_aggregate(args) -> int:
     if args.chains < 1:
         raise ConfigError(f"--chains must be at least 1, got {args.chains}")
+    crowdlabel.validate_schedule(args.burn_in, args.epochs)
     submissions, experts = crowdlabel.read_votes_csv(args.votes)
     votes = crowdlabel.expand_submissions(submissions)
     votes = crowdlabel.filter_labelers(votes, min_votes=args.min_components)
@@ -283,24 +341,11 @@ def cmd_aggregate(args) -> int:
         for labeler in {v.labeler_id for v in votes}
     }
 
-    chains = []
-    for chain in range(args.chains):
-        result = crowdlabel.cllda_fit(
-            votes, priors, alpha,
-            burn_in=args.burn_in, sampling_epochs=args.epochs,
-            seed=args.seed + chain,
-        )
-        chains.append({
-            "seed": result.seed,
-            "labels": {c: [float(v) for v in vec] for c, vec in result.labels.items()},
-            "labeler_confusions": {
-                l: [[float(v) for v in row] for row in mat]
-                for l, mat in result.labeler_confusions.items()
-            },
-            "diagnostics": result.diagnostics,
-        })
-
-    _write_json(args.out, {
+    fit = functools.partial(crowdlabel.cllda_fit, votes, priors, alpha,
+                            burn_in=args.burn_in, sampling_epochs=args.epochs)
+    runs = _run_chains(fit, [args.seed + chain for chain in range(args.chains)])
+    chains = [entry for entry, _ in runs]
+    payload = {
         "format": "icsort-crowd",
         "version": 1,
         "prior_mode": args.prior_mode,
@@ -310,9 +355,14 @@ def cmd_aggregate(args) -> int:
         "category_names": list(CATEGORIES),
         "response_names": list(crowdlabel.RESPONSES),
         "chains": chains,
-    })
+    }
+    if args.chains > 1:
+        payload["r_hat"] = crowdlabel.gelman_rubin([entry["log_joint"] for entry in chains])
+    _write_json(args.out, payload)
     n_comp = chains[0]["diagnostics"]["n_components"]
-    print(f"aggregated {n_comp} components over {args.chains} chain(s) to {args.out}")
+    walls = ", ".join(f"{wall:.2f}" for _, wall in runs)
+    print(f"aggregated {n_comp} components over {args.chains} chain(s) to {args.out} "
+          f"(chain wall seconds: {walls})")
     return 0
 
 
@@ -342,11 +392,10 @@ def evaluation_report(targets, predictions, names) -> dict:
         "confusion_normalized": metrics.confusion_matrix(
             targets, predictions, normalized=True
         ).tolist(),
-        "soft_confusions": {
-            mode: metrics.soft_confusion(targets, predictions, mode).matrix.tolist()
-            for mode in metrics.SOFT_AND_MODES
-        },
     }
+    confusions = [metrics.soft_confusion(targets, predictions, mode)
+                  for mode in metrics.SOFT_AND_MODES]
+    report["soft_confusions"] = {c.and_mode: c.matrix.tolist() for c in confusions}
     roc = {}
     soc = {}
     auc = {}
@@ -360,7 +409,7 @@ def evaluation_report(targets, predictions, names) -> dict:
         roc[names[cat]] = [[t, f, p] for t, f, p in curve.points]
         auc[names[cat]] = curve.auc()
         soc[names[cat]] = [list(point) for point in
-                           metrics.soc_points(targets, predictions, cat)]
+                           metrics.soc_from_confusions(confusions, cat)]
     report["roc"] = roc
     report["soc"] = soc
     report["auc"] = auc

@@ -128,7 +128,8 @@ def soft_and(x, y, mode: str):
 
     ``strong`` assumes minimal overlap (max(0, x + y - 1)), ``product``
     assumes independence (x * y), ``weak`` assumes maximal overlap
-    (min(x, y)); strong <= product <= weak always holds.
+    (min(x, y)); strong <= product <= weak always holds, strong up to the
+    one rounding of x + y - 1 (at most 2.2e-16).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -231,16 +232,26 @@ def soc_points(targets: np.ndarray, predictions: np.ndarray, category: int) -> l
     targets, predictions = validate_pairs(targets, predictions)
     if not 0 <= category < targets.shape[1]:
         raise DataError(f"category {category} out of range")
+    return soc_from_confusions(
+        [soft_confusion(targets, predictions, mode) for mode in SOFT_AND_MODES], category)
+
+
+def soc_from_confusions(confusions, category: int) -> list:
+    """``soc_points`` for one category from soft confusions already built.
+
+    ``confusions`` holds one ``SoftConfusion`` per mode, in the order the
+    points are returned; a report builds them once for all its categories.
+    """
     points = []
-    for mode in SOFT_AND_MODES:
-        matrix = soft_confusion(targets, predictions, mode).matrix
+    for confusion in confusions:
+        matrix = confusion.matrix
         row_mass = matrix[category].sum()
         others = np.delete(np.arange(matrix.shape[0]), category)
         other_mass = matrix[others].sum()
         if row_mass == 0 or other_mass == 0:
             raise DataError(
-                f"SOC point for category {category} undefined under {mode!r}: "
-                "zero confusion mass"
+                f"SOC point for category {category} undefined under "
+                f"{confusion.and_mode!r}: zero confusion mass"
             )
         tpr = matrix[category, category] / row_mass
         fpr = matrix[others, category].sum() / other_mass

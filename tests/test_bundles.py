@@ -354,6 +354,21 @@ def test_read_labels_csv_rejects_malformed_files(tmp_path):
     with pytest.raises(DataError, match="no label rows"):
         read_labels_csv(path)
 
+    # the whole stack is checked at once; the error names the first bad
+    # row's line (blank lines count) and the first check that row fails
+    good = ["a,1.0,0,0,0,0,0,0", "", "b,0.5,0.5,0,0,0,0,0"]
+    negative = "c,-0.5,1.5,0,0,0,0,0"
+    non_finite_and_negative = "d,nan,-1,1,1,0,0,0"
+    off_sum = "e,0.2,0.2,0.2,0.2,0.2,0.2,0.2"
+    for rows, reason in (
+        ([negative, non_finite_and_negative, off_sum], "contains negative entries"),
+        ([non_finite_and_negative, negative], "contains non-finite entries"),
+        ([off_sum, negative], "sums to 1.4"),
+    ):
+        path.write_text(header + "\n".join(good + rows) + "\n")
+        with pytest.raises(DataError, match=rf"labels\.csv:5: label vector {reason}"):
+            read_labels_csv(path)
+
     path.write_bytes(header.encode() + b"\xffa,1.0,0,0,0,0,0,0\n")  # not UTF-8
     with pytest.raises(DataError, match="CSV"):
         read_labels_csv(path)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import builders
-from icsort import cli
+from icsort import cli, crowdlabel
 from icsort.bundles import (
     read_feature_bundle,
     read_labels_csv,
@@ -352,6 +352,45 @@ def test_aggregate_writes_per_chain_results(tmp_path, capsys):
     rerun = tmp_path / "again.json"
     assert cli.main(args[:4] + [str(rerun)] + args[5:]) == 0
     assert json.loads(rerun.read_text())["chains"] == report["chains"]
+
+
+@pytest.mark.parametrize("cores", [1, 4])
+def test_aggregate_chains_do_not_depend_on_the_process_count(tmp_path, monkeypatch, capsys,
+                                                             cores):
+    # with 1 core every chain runs in this process; with 4, chains 1 and 2
+    # run in forked workers; each chain must equal a one-chain run at its seed
+    votes = _votes_csv(tmp_path)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
+    common = ["aggregate", "--votes", str(votes), "--burn-in", "10", "--epochs", "20"]
+    assert cli.main(common + ["--out", str(tmp_path / "three.json"),
+                              "--chains", "3", "--seed", "5"]) == 0
+    assert "chain wall seconds: " in capsys.readouterr().out
+    report = json.loads((tmp_path / "three.json").read_text())
+    assert [chain["seed"] for chain in report["chains"]] == [5, 6, 7]
+    for i, chain in enumerate(report["chains"]):
+        single = tmp_path / f"single{i}.json"
+        assert cli.main(common + ["--out", str(single), "--seed", str(5 + i)]) == 0
+        assert json.loads(single.read_text())["chains"] == [chain]
+        assert len(chain["log_joint"]) == 20
+    traces = [chain["log_joint"] for chain in report["chains"]]
+    assert report["r_hat"] == crowdlabel.gelman_rubin(traces)
+    assert "r_hat" not in json.loads(single.read_text())
+
+
+@pytest.mark.parametrize("bad", [["--burn-in", "-1"], ["--epochs", "0"]])
+def test_aggregate_rejects_a_bad_schedule_before_starting_workers(tmp_path, monkeypatch,
+                                                                  capsys, bad):
+    def no_workers(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_workers)
+    out = tmp_path / "crowd.json"
+    args = ["aggregate", "--votes", str(_votes_csv(tmp_path)), "--out", str(out),
+            "--chains", "2", *bad]
+    assert cli.main(args) == 1
+    assert "burn_in must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_aggregate_fails_when_every_labeler_is_filtered_out(tmp_path, capsys):

@@ -1,10 +1,13 @@
 """Crowd-label aggregation: vote handling, priors, and the Gibbs sampler."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
 import oracles
-from icsort.categories import N_CATEGORIES, N_RESPONSES
+from icsort.categories import N_CATEGORIES, N_RESPONSES, RESPONSES
 from icsort.crowdlabel import (
     TRAINING_CLASS_PRIOR,
     VOTES_CSV_HEADER,
@@ -16,6 +19,7 @@ from icsort.crowdlabel import (
     default_priors,
     expand_submissions,
     filter_labelers,
+    gelman_rubin,
     read_votes_csv,
 )
 from icsort.errors import ConfigError, DataError
@@ -251,6 +255,70 @@ def test_fit_is_deterministic_per_seed():
             runs[0].labeler_confusions[lab], runs[1].labeler_confusions[lab]
         )
     assert not np.array_equal(runs[0].labels["c1"], other.labels["c1"])
+
+
+def _pinned_instance():
+    # 60 components, 2 experts and 4 unknown labelers, with "?" responses
+    # and two-box submissions (weight 1/2)
+    rng = np.random.default_rng(2024)
+    submissions = []
+    for comp, truth in enumerate(rng.integers(0, 7, size=60)):
+        for labeler in range(6):
+            picks = [RESPONSES[truth] if rng.random() < 0.7 else RESPONSES[rng.integers(0, 8)]]
+            if rng.random() < 0.25:
+                picks.append(RESPONSES[rng.integers(0, 8)])
+            submissions.append(Submission(f"l{labeler}", f"c{comp:02d}", tuple(picks)))
+    priors = {f"l{labeler}": default_priors("training-experts" if labeler < 2
+                                            else "training-unknown") for labeler in range(6)}
+    return expand_submissions(submissions), priors
+
+
+def test_sampler_output_bits_are_pinned():
+    # the digest was taken from the array-based sweep this list-based one
+    # replaced; any change in the chain's arithmetic or random stream moves it
+    votes, priors = _pinned_instance()
+    assert len(votes) == 442
+    assert sum(v.response == "?" for v in votes) == 30
+    result = cllda_fit(votes, priors, ClassPrior(TRAINING_CLASS_PRIOR), burn_in=5,
+                       sampling_epochs=10, seed=3)
+    digest = hashlib.sha256()
+    for component in sorted(result.labels):
+        digest.update(result.labels[component].tobytes())
+    for labeler in sorted(result.labeler_confusions):
+        digest.update(result.labeler_confusions[labeler].tobytes())
+    assert digest.hexdigest() == (
+        "3477c056da9bd6cf010524423655073bc750bff2a3b8c2b44458cd627227e144")
+
+
+def test_log_joint_is_the_collapsed_joint_of_the_current_state():
+    # one vote: the state is its latent category k, and the collapsed joint
+    # is p(z = k) p(r | z = k) = alpha_k / sum(alpha) * B[k, r] / sum_r' B[k, r']
+    alpha = np.array(TRAINING_CLASS_PRIOR)
+    prior = default_priors("training-unknown").confusion_prior
+    response = 2
+    result = cllda_fit([Vote("u1", "c1", RESPONSES[response])], _unknown_priors("u1"),
+                       ClassPrior(alpha), burn_in=3, sampling_epochs=40, seed=6)
+    assert len(result.log_joint) == 40
+    states = [math.log(alpha[k] / alpha.sum() * prior[k, response] / prior[k].sum())
+              for k in range(N_CATEGORIES)]
+    for value in result.log_joint:
+        assert min(abs(value - state) for state in states) < 1e-9
+    assert len(set(result.log_joint)) > 1  # the chain moves between states
+
+
+def test_gelman_rubin_separates_agreeing_from_disagreeing_chains():
+    rng = np.random.default_rng(0)
+    agreeing = rng.normal(size=(3, 500))
+    assert gelman_rubin(agreeing) == pytest.approx(1.0, abs=0.01)
+    assert gelman_rubin(agreeing + np.array([[0.0], [5.0], [10.0]])) > 3.0
+    # the textbook form: sqrt(((n - 1) / n * W + B / n) / W)
+    x = np.array([[1.0, 2.0, 4.0], [2.0, 5.0, 5.0]])
+    within = np.mean([np.var(row, ddof=1) for row in x])
+    between = 3 * np.var(x.mean(axis=1), ddof=1)
+    assert gelman_rubin(x) == pytest.approx(math.sqrt((2 / 3 * within + between / 3) / within))
+    assert gelman_rubin([[1.0, 2.0, 3.0]]) is None  # one chain
+    assert gelman_rubin([[1.0], [2.0]]) is None  # one draw
+    assert gelman_rubin([[1.0, 1.0], [2.0, 2.0]]) is None  # no within-chain variation
 
 
 # Exact posterior means for tiny single-component instances, computed by

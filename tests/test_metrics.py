@@ -90,6 +90,38 @@ def test_soft_and_modes_are_ordered_and_broadcast():
         soft_and(0.5, 0.5, "min")
 
 
+_unit = st.floats(0.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(_unit, _unit), min_size=1, max_size=20))
+def test_soft_and_modes_are_ordered_on_any_memberships(pairs):
+    # x + y - 1 rounds once, so strong may pass product or weak by an ulp
+    # (x = 1.0, y = 0.647693954369504 does); product <= weak is exact
+    x, y = (np.array(column) for column in zip(*pairs))
+    strong, product, weak = (soft_and(x, y, mode) for mode in ("strong", "product", "weak"))
+    eps = np.finfo(np.float64).eps
+    assert np.all(strong <= product + eps) and np.all(strong <= weak + eps)
+    assert np.all(product <= weak)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), k=st.integers(2, 7),
+       levels=st.sampled_from([0, 1, 2, 4]))
+def test_soft_confusions_are_ordered_entry_wise(seed, n, k, levels):
+    # levels > 0 quantizes the rows, so memberships of exactly 0 and 1 occur
+    rng = np.random.default_rng(seed)
+    targets = rng.dirichlet(np.ones(k), size=n)
+    predictions = rng.dirichlet(np.ones(k), size=n)
+    if levels:
+        targets = np.array([rng.multinomial(levels, row) for row in targets]) / levels
+        predictions = np.array([rng.multinomial(levels, row) for row in predictions]) / levels
+    strong, product, weak = (soft_confusion(targets, predictions, mode).matrix
+                             for mode in ("strong", "product", "weak"))
+    slack = 4 * n * np.finfo(np.float64).eps  # per-pair rounding, summed over n pairs
+    assert np.all(strong <= product + slack) and np.all(product <= weak + slack)
+
+
 # ------------------------------------------------------------ hard metrics
 
 
@@ -196,6 +228,16 @@ def test_soc_points_on_random_pairs_and_perfect_predictions():
     single = _one_hot([0, 0], k=3)
     with pytest.raises(DataError):
         soc_points(single, single, 0)  # no off-category mass
+
+
+def test_report_soc_points_equal_the_per_category_calls():
+    # the report builds the soft confusions once and reads every category's
+    # point from them; the values must be soc_points' own, bit for bit
+    targets, predictions = builders.random_label_pairs(seed=6, n=120)
+    report = evaluation_report(targets, predictions, MERGED_NAMES["7"])
+    for category, name in enumerate(MERGED_NAMES["7"]):
+        assert report["soc"][name] == [list(point) for point in
+                                       soc_points(targets, predictions, category)]
 
 
 # -------------------------------------------------------------------- ROC
@@ -467,3 +509,14 @@ def test_merge_conserves_mass_and_validates_partitions():
         assert merged_row.sum() == pytest.approx(row.sum(), abs=1e-12)
     with pytest.raises(DataError):
         merge_classes(stack[None], "7to5")
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), scheme=st.sampled_from(["7to5", "7to2"]),
+       concentration=st.sampled_from([0.05, 1.0, 20.0]))
+def test_merge_conserves_each_rows_mass(seed, n, scheme, concentration):
+    stack = np.random.default_rng(seed).dirichlet(np.full(7, concentration), size=n)
+    merged = merge_classes(stack, scheme)
+    assert merged.shape == (n, 5 if scheme == "7to5" else 2)
+    assert np.all(merged >= 0)
+    np.testing.assert_allclose(merged.sum(axis=1), stack.sum(axis=1), rtol=0, atol=1e-15)

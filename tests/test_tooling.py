@@ -59,3 +59,22 @@ def test_perfbench_cnn_table_builds_at_a_small_batch(monkeypatch):
     assert {f"network.{spec.name}.bwd_ms" for spec in ARCHITECTURE} <= set(table)
     assert all(np.isfinite(value) for value in table.values())
     assert table["network.lrelu_ms"] > 0
+
+
+def test_perfbench_traced_aggregate_keeps_a_fit_span(monkeypatch, tmp_path):
+    # this process runs chain 0 itself, so a traced curate run keeps its
+    # crowdlabel.fit spans when the other chains go to worker processes
+    monkeypatch.syspath_prepend(ROOT)
+    trace = importlib.import_module("perfbench.trace")
+    curate = importlib.import_module("perfbench.curate")
+    inputs = importlib.import_module("perfbench.inputs")
+    from icsort import cli
+
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    votes = tmp_path / "votes.csv"
+    inputs.vote_log(np.random.default_rng(0), 200, str(votes))
+    tracer = trace.Tracer()
+    with trace.instrument(tracer, curate.SPANS, curate.Curate.outer_only):
+        assert cli.main(["aggregate", "--votes", str(votes), "--out", str(tmp_path / "crowd.json"),
+                         "--chains", "2", "--burn-in", "2", "--epochs", "3"]) == 0
+    assert len(tracer.durations("crowdlabel.fit")) >= 1
