@@ -56,7 +56,7 @@ def _write_json(path, payload: dict) -> None:
 def cmd_extract(args) -> int:
     recording, recording_id = bundles.read_recording_bundle(args.recording)
     component_ids = [f"ic{i:03d}" for i in range(recording.n_components)]
-    stack, failures = extract_recording(recording, args.workers)
+    stack, failures = extract_recording(recording)
     for index, exc in failures.items():
         print(f"error: component {component_ids[index]}: {exc}", file=sys.stderr)
 
@@ -546,7 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--recording", required=True, help="recording bundle directory")
     p.add_argument("--out", required=True, help="feature bundle directory to create")
     p.add_argument("--force", action="store_true", help="replace an existing output")
-    p.add_argument("--workers", type=int, default=1, help="worker threads (default 1)")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("classify", help="label a feature bundle with trained weights")

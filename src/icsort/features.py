@@ -8,19 +8,21 @@ the classifier:
   Welch's method, and
 * a 100-lag autocorrelation function spanning (0, 1 s].
 
-All operations are pure functions of their inputs; ``extract_recording``
-references the mixing matrix once per recording and runs the components
-concurrently.
+All operations are pure functions of their inputs.  ``extract_recording``
+references the mixing matrix once per recording and interpolates every
+component's topography with one thin-plate-spline operator for the montage
+(the spline is linear in the electrode values), applied to each component
+on its own.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass
 
 import numpy as np
 import scipy.fft
 from scipy.interpolate import RBFInterpolator
+from scipy.spatial.distance import pdist
 
 from .errors import DataError, IcsortError
 
@@ -105,12 +107,14 @@ def common_average_reference(data: np.ndarray) -> np.ndarray:
     Returns
     -------
     Re-referenced array of the same shape; every column of the result sums
-    to zero.  Idempotent and linear.
+    to zero.  Idempotent and linear.  Each column's mean is taken along a
+    contiguous row of the transpose, so a column's bits do not depend on the
+    other columns (a reduction along axis 0 rounds differently by width).
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] < 2:
         raise DataError("common average reference needs at least 2 channels")
-    return data - data.mean(axis=0, keepdims=True)
+    return data - np.ascontiguousarray(data.T).mean(axis=1)
 
 
 def project_to_plane(positions: np.ndarray) -> np.ndarray:
@@ -129,60 +133,99 @@ def project_to_plane(positions: np.ndarray) -> np.ndarray:
     return np.column_stack([radius * np.cos(azimuth), radius * np.sin(azimuth)])
 
 
-def scalp_topography(projection: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Interpolate a channel projection vector into a 32x32 scalp image.
+def _interpolation_operator(planar: np.ndarray) -> np.ndarray:
+    """The (740, n_electrodes) matrix taking electrode values to the masked grid pixels.
 
-    Electrode positions are flattened with an azimuthal-equidistant
-    projection and the values are interpolated with a thin-plate-spline
-    radial basis function (exact at the electrodes).  Pixels outside
-    ``GRID_MASK`` (the unit disk) are 0.
-
-    Raises
-    ------
-    DataError
-        If fewer than 3 usable electrodes remain or all electrodes are
-        collinear in the projected plane.
+    A thin-plate spline with a linear tail is linear in the values it fits,
+    so interpolating the identity gives, column by column, the spline of each
+    unit vector; a projection's pixels are then ``operator @ values``.
     """
-    values = np.asarray(projection, dtype=np.float64)
-    pos = np.asarray(positions, dtype=np.float64)
-    if values.ndim != 1 or pos.shape != (values.shape[0], 3):
-        raise DataError("projection must be a vector with one entry per electrode position")
-
-    usable = np.isfinite(values) & np.all(np.isfinite(pos), axis=1)
-    values = values[usable]
-    planar = project_to_plane(pos[usable])
     if planar.shape[0] < 3:
         raise DataError("scalp interpolation needs at least 3 usable electrodes")
     centered = planar - planar.mean(axis=0)
     singular = np.linalg.svd(centered, compute_uv=False)
     if singular[1] <= 1e-9 * max(1.0, singular[0]):
         raise DataError("electrodes are collinear after projection; interpolation is rank-deficient")
-
+    # the spline system of two coincident electrodes is singular, yet its LU
+    # solve need not raise: it returns images of ~1e17
+    if np.min(pdist(planar)) <= 1e-9:
+        raise DataError("scalp interpolation is rank-deficient: two electrodes share a position")
     try:
-        interp = RBFInterpolator(planar, values, kernel="thin_plate_spline", degree=1)
-    except np.linalg.LinAlgError as exc:  # duplicate positions
+        interp = RBFInterpolator(planar, np.eye(planar.shape[0]),
+                                 kernel="thin_plate_spline", degree=1)
+    except np.linalg.LinAlgError as exc:
         raise DataError(f"scalp interpolation is rank-deficient: {exc}") from exc
-
     xx, yy = np.meshgrid(_GRID_X, _GRID_Y)
-    pts = np.column_stack([xx[GRID_MASK], yy[GRID_MASK]])
-    pixels = np.zeros((TOPO_SIZE, TOPO_SIZE))
-    pixels[GRID_MASK] = interp(pts)
-    return pixels
+    return interp(np.column_stack([xx[GRID_MASK], yy[GRID_MASK]]))
+
+
+def scalp_topography(projection: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Interpolate channel projections into 32x32 scalp images.
+
+    Electrode positions are flattened with an azimuthal-equidistant
+    projection and the values are interpolated with a thin-plate-spline
+    radial basis function (exact at the electrodes).  Pixels outside
+    ``GRID_MASK`` (the unit disk) are 0.
+
+    ``projection`` is one vector (n_channels,), giving one (32, 32) image,
+    or a matrix (n_channels, k) of k projections on the same montage, giving
+    (k, 32, 32) images.  The interpolation operator is built once per call
+    and applied to each projection on its own, so an image does not depend
+    on which other projections share the call.  Electrodes with a non-finite
+    position are dropped; so are those with a non-finite value in a vector,
+    while a matrix must be finite.
+
+    Raises
+    ------
+    DataError
+        If fewer than 3 usable electrodes remain, all electrodes are
+        collinear in the projected plane, or two share a position.
+    """
+    values = np.asarray(projection, dtype=np.float64)
+    pos = np.asarray(positions, dtype=np.float64)
+    if values.ndim not in (1, 2) or pos.shape != (values.shape[0], 3):
+        raise DataError("projection must have one row per electrode position")
+    usable = np.all(np.isfinite(pos), axis=1)
+    if values.ndim == 1:
+        usable &= np.isfinite(values)
+    elif not np.all(np.isfinite(values)):
+        raise DataError("a projection matrix must be finite; pass a column with gaps on its own")
+    operator = _interpolation_operator(project_to_plane(pos[usable]))
+
+    # one contiguous row per projection, so each image is the same matrix-vector product
+    rows = np.ascontiguousarray(np.atleast_2d(values[usable].T))
+    pixels = np.zeros((rows.shape[0], TOPO_SIZE, TOPO_SIZE))
+    for image, row in zip(pixels, rows):
+        image[GRID_MASK] = operator @ row
+    return pixels if values.ndim == 2 else pixels[0]
 
 
 def _segment_periodograms(x: np.ndarray, nperseg: int, sample_rate: float) -> np.ndarray:
     """One-sided, density-scaled periodograms of 50%-overlapping Hamming windows."""
     hop = nperseg - nperseg // 2
-    n_segments = 1 + (x.shape[0] - nperseg) // hop
     window = np.hamming(nperseg)
     scale = 1.0 / (sample_rate * float(np.sum(window**2)))
-    starts = np.arange(n_segments) * hop
-    segments = np.stack([x[s : s + nperseg] for s in starts]) * window
+    segments = np.lib.stride_tricks.sliding_window_view(x, nperseg)[::hop] * window
     spectra = np.abs(np.fft.rfft(segments, axis=1)) ** 2 * scale
     spectra[:, 1:] *= 2.0
     if nperseg % 2 == 0:  # undo the doubling at the Nyquist bin
         spectra[:, -1] /= 2.0
     return spectra
+
+
+def _psd_bins(nperseg: int, sample_rate: float) -> np.ndarray:
+    """Periodogram bin of each output frequency 1..100 Hz.
+
+    Each frequency at or below the Nyquist frequency takes its nearest bin
+    (the lower one on a tie); the frequencies above it repeat the highest
+    of those.
+    """
+    freqs = np.fft.rfftfreq(nperseg, 1.0 / sample_rate)
+    targets = np.arange(1, N_PSD_BINS + 1)
+    nearest = np.argmin(np.abs(freqs[None, :] - targets[:, None]), axis=1)
+    n_valid = int(np.sum(targets <= sample_rate / 2.0 + 1e-9))
+    nearest[n_valid:] = nearest[n_valid - 1]
+    return nearest
 
 
 def median_welch_psd(activity: np.ndarray, sample_rate: float) -> np.ndarray:
@@ -208,16 +251,7 @@ def median_welch_psd(activity: np.ndarray, sample_rate: float) -> np.ndarray:
     spectra = _segment_periodograms(x, nperseg, sample_rate)
     median_power = np.median(spectra, axis=0)
     db = 10.0 * np.log10(median_power + 1e-12)
-
-    freqs = np.fft.rfftfreq(nperseg, 1.0 / sample_rate)
-    nyquist = sample_rate / 2.0
-    out = np.empty(N_PSD_BINS)
-    last_valid = db[0]
-    for f in range(1, N_PSD_BINS + 1):
-        if f <= nyquist + 1e-9:
-            last_valid = db[int(np.argmin(np.abs(freqs - f)))]
-        out[f - 1] = last_valid
-    return out
+    return db[_psd_bins(nperseg, sample_rate)]
 
 
 def autocorrelation(activity: np.ndarray, sample_rate: float) -> np.ndarray:
@@ -324,39 +358,57 @@ def extract_component_features(projection: np.ndarray, positions: np.ndarray,
     ``projection`` is the component's mixing-matrix column under the common
     average reference; ``activity`` is its time course.
     """
-    topo = normalize_features(scalp_topography(projection, positions))
+    return _component_rows(scalp_topography(projection, positions), activity, sample_rate)
+
+
+def _component_rows(image: np.ndarray, activity: np.ndarray, sample_rate: float) -> tuple:
+    """Normalized (topo, psd, autocorr) rows from a component's image and time course."""
     psd = normalize_features(median_welch_psd(activity, sample_rate))
-    return topo, psd, autocorrelation(activity, sample_rate)
+    return normalize_features(image), psd, autocorrelation(activity, sample_rate)
 
 
-def extract_recording(recording: Recording, workers: int = 1) -> tuple:
-    """Features of every component, computed on ``workers`` threads.
+def extract_recording(recording: Recording) -> tuple:
+    """Features of every component of a recording.
 
-    The mixing matrix is converted to the common average reference once.
+    The mixing matrix is converted to the common average reference once,
+    and one ``scalp_topography`` call interpolates every finite column with
+    one operator for the montage.
+
     Returns ``(stack, failures)``: the ``FeatureStack`` of the components
     that succeeded, in component order (``None`` if none did), and a dict
     from the index of each failed component to its error.  A component
     whose mixing-matrix column or activity holds a non-finite value fails
-    with a ``DataError`` naming the array.
+    with a ``DataError`` naming the array; a montage the topography rejects
+    fails every component.
     """
-    with np.errstate(invalid="ignore"):  # a non-finite column turns NaN; rejected below
+    with np.errstate(invalid="ignore", over="ignore"):  # such columns are rejected below
         referenced = common_average_reference(recording.mixing_matrix)
+    finite = np.all(np.isfinite(referenced), axis=0)
+    column = np.cumsum(finite) - 1  # component index -> its image among the finite columns
+    try:
+        images = scalp_topography(referenced[:, finite], recording.electrode_positions)
+        montage_error = None
+    except DataError as exc:
+        images, montage_error = None, str(exc)
 
     def one(index):
-        if not np.all(np.isfinite(recording.mixing_matrix[:, index])):
-            raise DataError(f"mixing_matrix column {index} has non-finite values")
+        """The component's rows, or the error that stopped them."""
         activity = recording.component_activity[index]
-        if not np.all(np.isfinite(activity)):
-            raise DataError(f"component_activity row {index} has non-finite samples")
-        return extract_component_features(referenced[:, index], recording.electrode_positions,
-                                          activity, recording.sample_rate)
+        try:
+            if not np.all(np.isfinite(recording.mixing_matrix[:, index])):
+                raise DataError(f"mixing_matrix column {index} has non-finite values")
+            if not finite[index]:
+                raise DataError(f"mixing_matrix column {index} overflows the common average "
+                                "reference")
+            if not np.all(np.isfinite(activity)):
+                raise DataError(f"component_activity row {index} has non-finite samples")
+            if montage_error is not None:
+                raise DataError(montage_error)
+            return _component_rows(images[column[index]], activity, recording.sample_rate)
+        except IcsortError as exc:
+            return exc
 
-    rows, failures = [], {}
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        futures = [pool.submit(one, i) for i in range(recording.n_components)]
-        for index, future in enumerate(futures):  # collect by index, not completion
-            try:
-                rows.append(future.result())
-            except IcsortError as exc:
-                failures[index] = exc
+    results = [one(index) for index in range(recording.n_components)]
+    failures = {i: r for i, r in enumerate(results) if isinstance(r, IcsortError)}
+    rows = [r for r in results if not isinstance(r, IcsortError)]
     return (FeatureStack.from_features(rows) if rows else None), failures

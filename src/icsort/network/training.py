@@ -124,7 +124,10 @@ class Adam:
                         f"optimizer state for {name!r} overflowed; "
                         "gradients are too large to continue"
                     )
-                store[name] = store[name] - step_size * m / (np.sqrt(v) + cfg.epsilon)
+                # in place, in the order of store - step_size * m / (sqrt(v) + eps)
+                update = m * step_size
+                update /= np.sqrt(v) + cfg.epsilon
+                store[name] -= update
 
 
 def _expand_orbit(stack: FeatureStack, labels: np.ndarray):

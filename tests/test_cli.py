@@ -58,13 +58,12 @@ def test_extract_writes_a_deterministic_feature_bundle(tmp_path, capsys):
     out1, out2 = tmp_path / "f1", tmp_path / "f2"
     assert cli.main(["extract", "--recording", str(rec_dir), "--out", str(out1)]) == 0
     assert "extracted 4 of 4 components" in capsys.readouterr().out
-    assert cli.main(["extract", "--recording", str(rec_dir), "--out", str(out2),
-                     "--workers", "2"]) == 0
+    assert cli.main(["extract", "--recording", str(rec_dir), "--out", str(out2)]) == 0
 
     stack, ids = read_feature_bundle(out1)
     assert ids == ["ic000", "ic001", "ic002", "ic003"]
     assert len(stack) == 4
-    # workers and reruns do not change a single byte
+    # reruns do not change a single byte
     assert _bundle_bytes(out1) == _bundle_bytes(out2)
 
     assert cli.main(["extract", "--recording", str(rec_dir), "--out", str(out1)]) == 2
@@ -86,16 +85,14 @@ def test_extract_reports_failed_components_but_keeps_the_rest(tmp_path, capsys):
     rec_dir = tmp_path / "rec"
     write_recording_bundle(rec_dir, recording, recording_id="rec")
 
-    for workers in ("1", "3"):
-        out = tmp_path / f"features{workers}"
-        assert cli.main(["extract", "--recording", str(rec_dir), "--out", str(out),
-                         "--workers", workers]) == 2
-        err = capsys.readouterr().err
-        assert "component ic001: autocorrelation is undefined for a constant signal" in err
-        assert "1 component(s) failed extraction: ic001" in err
+    out = tmp_path / "features"
+    assert cli.main(["extract", "--recording", str(rec_dir), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "component ic001: autocorrelation is undefined for a constant signal" in err
+    assert "1 component(s) failed extraction: ic001" in err
 
-        _, ids = read_feature_bundle(out)  # survivors are still written
-        assert ids == ["ic000", "ic002", "ic003"]
+    _, ids = read_feature_bundle(out)  # survivors are still written
+    assert ids == ["ic000", "ic002", "ic003"]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

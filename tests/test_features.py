@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.interpolate import RBFInterpolator
 
 import builders
 import icsort.features as features
 import oracles
+from icsort import cli
+from icsort.bundles import write_recording_bundle
 from icsort.errors import DataError
 from icsort.features import (
     FEATURE_SCALE,
@@ -110,6 +113,52 @@ def test_topography_ignores_nonfinite_electrodes():
     assert np.allclose(topo[GRID_MASK], 1.0, atol=1e-8)
 
 
+def _per_component_fit(values, positions):
+    """The masked pixels of one thin-plate-spline fit to one projection."""
+    planar = project_to_plane(positions)
+    xx, yy = np.meshgrid(np.linspace(-1.0, 1.0, 32), np.linspace(1.0, -1.0, 32))
+    pts = np.column_stack([xx[GRID_MASK], yy[GRID_MASK]])
+    return RBFInterpolator(planar, values, kernel="thin_plate_spline", degree=1)(pts)
+
+
+@pytest.mark.parametrize("n_channels", [16, 64, 128])
+def test_topography_agrees_with_a_fit_per_component(n_channels):
+    cap = builders.electrode_cap(n_channels)
+    projections = np.random.default_rng(n_channels).standard_normal((n_channels, 5))
+    images = scalp_topography(projections, cap)
+    for j in range(5):
+        reference = _per_component_fit(projections[:, j], cap)
+        assert np.max(np.abs(images[j][GRID_MASK] - reference)) <= 1e-11 * np.max(np.abs(reference))
+
+
+def test_matrix_topography_equals_the_vector_calls_bit_for_bit():
+    cap = builders.electrode_cap(24)
+    cap[7] = np.nan  # dropped from the matrix call and from every vector call
+    projections = np.random.default_rng(21).standard_normal((24, 6))
+    images = scalp_topography(projections, cap)
+    assert images.shape == (6, 32, 32)
+    for j in range(6):
+        assert np.array_equal(images[j], scalp_topography(projections[:, j], cap))
+    assert scalp_topography(projections[:, :0], cap).shape == (0, 32, 32)
+
+
+def test_matrix_topography_must_be_finite():
+    cap = builders.electrode_cap(20)
+    projections = np.ones((20, 3))
+    projections[4, 1] = np.nan  # a vector call would drop the electrode; a matrix call refuses
+    with pytest.raises(DataError, match="finite"):
+        scalp_topography(projections, cap)
+    with pytest.raises(DataError, match="one row per electrode"):
+        scalp_topography(np.ones((19, 3)), cap)
+
+
+def test_topography_rejects_duplicate_electrodes():
+    cap = builders.electrode_cap(12)
+    cap[5] = cap[2]
+    with pytest.raises(DataError, match="rank-deficient"):
+        scalp_topography(np.ones((12, 2)), cap)
+
+
 def test_topography_mirror_and_negate_are_involutions():
     cap = builders.electrode_cap(20)
     rng = np.random.default_rng(3)
@@ -161,6 +210,21 @@ def test_median_welch_repeats_the_last_bin_above_nyquist():
     # 25 Hz is the last valid frequency for fs = 50
     assert np.all(psd[25:] == psd[24])
     assert not np.all(psd[:25] == psd[0])
+
+
+# at 101.6 Hz the bin nearest 51 Hz is the 50.8 Hz Nyquist bin, yet 51 Hz
+# lies above Nyquist and must repeat the 50 Hz bin
+@pytest.mark.parametrize("fs", [100.0, 101.6, 128.0, 200.5, 250.0, 256.0, 500.0, 512.0, 1000.0])
+def test_psd_bin_map_follows_the_nearest_frequency_rule(fs):
+    nperseg = int(round(fs))
+    freqs = np.fft.rfftfreq(nperseg, 1.0 / fs)
+    expect, last = [], None
+    for f in range(1, 101):  # nearest bin up to Nyquist, then the last one repeated
+        if f <= fs / 2.0 + 1e-9:
+            last = int(np.argmin(np.abs(freqs - f)))
+        expect.append(last)
+    bins = features._psd_bins(nperseg, fs)
+    assert bins.tolist() == expect
 
 
 def test_median_welch_rejects_unusable_inputs():
@@ -295,7 +359,7 @@ def test_extract_recording_references_once_and_stacks_every_component(monkeypatc
     real = features.common_average_reference
     monkeypatch.setattr(features, "common_average_reference",
                         lambda data: calls.append(data.shape) or real(data))
-    stack, failures = extract_recording(recording, workers=3)
+    stack, failures = extract_recording(recording)
     assert calls == [(20, 6)] and failures == {}
     assert len(stack) == 6
     for i in range(6):  # bit for bit the per-component rows, in component order
@@ -304,6 +368,79 @@ def test_extract_recording_references_once_and_stacks_every_component(monkeypatc
         assert np.array_equal(stack.psd[i], psd)
         assert np.array_equal(stack.autocorr[i], autocorr)
     assert np.array_equal(stack.mask, np.broadcast_to(GRID_MASK, (6, 32, 32)))
+
+
+def test_extracted_rows_do_not_depend_on_the_other_components():
+    recording = builders.make_recording(n_channels=20, n_components=7, seed=17)
+    subset = [5, 0, 3, 6]
+    part = Recording(
+        sample_rate=recording.sample_rate,
+        electrode_positions=recording.electrode_positions,
+        mixing_matrix=recording.mixing_matrix[:, subset],
+        component_activity=recording.component_activity[subset],
+    )
+    whole, _ = extract_recording(recording)
+    shared, failures = extract_recording(part)
+    assert failures == {}
+    for name in ("topo", "psd", "autocorr"):
+        assert np.array_equal(getattr(shared, name), getattr(whole, name)[subset])
+
+
+def test_extraction_drops_a_nan_electrode_for_every_component():
+    base = builders.make_recording(n_channels=18, n_components=4, seed=18)
+    positions = base.electrode_positions.copy()
+    positions[3] = np.nan
+    recording = Recording(
+        sample_rate=base.sample_rate,
+        electrode_positions=positions,
+        mixing_matrix=base.mixing_matrix,
+        component_activity=base.component_activity,
+    )
+    stack, failures = extract_recording(recording)
+    assert failures == {}
+    keep = np.arange(18) != 3
+    referenced = common_average_reference(base.mixing_matrix)
+    for j in range(4):
+        expect = scalp_topography(referenced[keep, j], base.electrode_positions[keep])
+        assert np.array_equal(stack.topo[j], normalize_features(expect))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_column_overflowing_the_reference_fails_alone():
+    base = builders.make_recording(n_channels=16, n_components=3, seed=20)
+    mixing = base.mixing_matrix.copy()
+    mixing[:, 1] = 1.5e308  # finite, but the channel sum is not
+    recording = Recording(
+        sample_rate=base.sample_rate,
+        electrode_positions=base.electrode_positions,
+        mixing_matrix=mixing,
+        component_activity=base.component_activity,
+    )
+    stack, failures = extract_recording(recording)
+    assert list(failures) == [1] and "overflows the common average reference" in str(failures[1])
+    clean, _ = extract_recording(base)
+    assert np.array_equal(stack.topo, clean.topo[[0, 2]])
+
+
+def test_a_collinear_montage_fails_every_component(tmp_path, capsys):
+    angle = np.linspace(-1.2, 1.2, 8)  # one arc through the vertex
+    base = builders.make_recording(n_channels=8, n_components=3, seed=19)
+    recording = Recording(
+        sample_rate=base.sample_rate,
+        electrode_positions=np.column_stack([np.sin(angle), np.zeros(8), np.cos(angle)]),
+        mixing_matrix=base.mixing_matrix,
+        component_activity=base.component_activity,
+    )
+    stack, failures = extract_recording(recording)
+    assert stack is None and sorted(failures) == [0, 1, 2]
+    for exc in failures.values():
+        assert isinstance(exc, DataError)
+        assert str(exc) == ("electrodes are collinear after projection; "
+                            "interpolation is rank-deficient")
+    write_recording_bundle(tmp_path / "rec", recording, recording_id="rec")
+    assert cli.main(["extract", "--recording", str(tmp_path / "rec"),
+                     "--out", str(tmp_path / "features")]) == 2
+    assert "3 component(s) failed extraction: ic000, ic001, ic002" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------- feature stack

@@ -80,6 +80,27 @@ def test_adam_keeps_float32_weights_float32():
         assert weights.biases[name].dtype == np.float32
 
 
+def test_adam_updates_the_weights_in_place_with_the_out_of_place_bits():
+    config = TrainConfig()
+    weights = initialize_weights(seed=4)
+    arrays = {n: weights.kernels[n] for n in LAYER_ORDER}
+    rng = np.random.default_rng(4)
+    kernels = {n: rng.normal(0.0, 1e-3, weights.kernels[n].shape).astype(np.float32)
+               for n in LAYER_ORDER}
+    biases = {n: np.zeros_like(weights.biases[n]) for n in LAYER_ORDER}
+    expect = {}
+    step_size = float(config.learning_rate * np.sqrt(1.0 - config.beta2) / (1.0 - config.beta1))
+    for name in LAYER_ORDER:  # the first step from zero moments, written out of place
+        g = kernels[name]
+        m = np.zeros_like(g) * config.beta1 + (1.0 - config.beta1) * g
+        v = np.zeros_like(g) * config.beta2 + (1.0 - config.beta2) * np.square(g)
+        expect[name] = weights.kernels[name] - step_size * m / (np.sqrt(v) + config.epsilon)
+    Adam(config).step(weights, kernels, biases)
+    for name in LAYER_ORDER:
+        assert weights.kernels[name] is arrays[name]
+        assert np.array_equal(weights.kernels[name], expect[name])
+
+
 def test_gradient_clipping_rescales_to_the_global_norm_ceiling():
     eps = 1e-8
     config = TrainConfig(clip_norm=20.0, learning_rate=1.0, epsilon=eps)

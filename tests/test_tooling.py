@@ -78,3 +78,25 @@ def test_perfbench_traced_aggregate_keeps_a_fit_span(monkeypatch, tmp_path):
         assert cli.main(["aggregate", "--votes", str(votes), "--out", str(tmp_path / "crowd.json"),
                          "--chains", "2", "--burn-in", "2", "--epochs", "3"]) == 0
     assert len(tracer.durations("crowdlabel.fit")) >= 1
+
+
+def test_perfbench_traced_extract_interpolates_once_per_recording(monkeypatch, tmp_path):
+    # the label workload's features.topography span wraps scalp_topography,
+    # so it must hold the whole montage's interpolation in one call
+    monkeypatch.syspath_prepend(ROOT)
+    trace = importlib.import_module("perfbench.trace")
+    label = importlib.import_module("perfbench.label")
+    inputs = importlib.import_module("perfbench.inputs")
+    from icsort import cli
+    from icsort.bundles import write_recording_bundle
+
+    tracer = trace.Tracer()
+    with trace.instrument(tracer, label.SPANS, label.Label.outer_only):
+        for index, (n_channels, n_components) in enumerate([(16, 16), (24, 5)]):
+            recording = inputs.recording(np.random.default_rng(index), n_channels, n_components,
+                                         128.0, 4.0)
+            write_recording_bundle(tmp_path / f"rec{index}", recording, recording_id="rec")
+            assert cli.main(["extract", "--recording", str(tmp_path / f"rec{index}"),
+                             "--out", str(tmp_path / f"features{index}")]) == 0
+            assert len(tracer.durations("features.topography")) == index + 1
+    assert len(tracer.durations("features.psd")) == 21
