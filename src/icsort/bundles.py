@@ -4,16 +4,18 @@ A bundle is a directory holding a ``manifest.json`` plus one ``.bin`` file
 per array.  Each ``.bin`` is a single array record: a 16-byte header
 (magic ``ICLB``, format version, row count, column count, all little-
 endian unsigned 32-bit after the magic) followed by the row-major data.
-Values are little-endian 32-bit floats except masks, which are single
-bytes; the element width is implied by the file length.
+Values are little-endian 32-bit floats or single bytes; the element width
+is implied by the file length.
 
 Two bundle kinds exist: recording bundles (electrode positions, mixing
 matrix, component activity, plus the sample rate in the manifest; other
 arrays an older bundle lists, such as its channel data, are not read) and
-feature bundles (stacked per-component topography, mask,
-power spectrum, and autocorrelation arrays).  Writers stage everything in
-a temporary location and rename into place, so a failed write never leaves
-a partial bundle at the destination.
+feature bundles (stacked per-component topography, power spectrum, and
+autocorrelation arrays).  Every topography's mask is the constant
+``GRID_MASK``, so masks are no longer written; the byte-valued ``mask`` an
+older feature bundle lists is read and must equal ``GRID_MASK`` in every
+row.  Writers stage everything in a temporary location and rename into
+place, so a failed write never leaves a partial bundle at the destination.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from .categories import CATEGORIES, N_CATEGORIES, first_invalid_label
 from .errors import DataError
-from .features import FeatureStack, Recording
+from .features import GRID_MASK, FeatureStack, Recording
 
 ARRAY_MAGIC = b"ICLB"
 ARRAY_VERSION = 1
@@ -39,7 +41,8 @@ FEATURES_FORMAT = "icsort-features"
 MANIFEST_NAME = "manifest.json"
 
 _RECORDING_ARRAYS = ("electrode_positions", "mixing_matrix", "component_activity")
-_FEATURE_ARRAYS = ("topo", "mask", "psd", "autocorr")
+_FEATURE_WIDTHS = {"topo": 1024, "psd": 100, "autocorr": 100, "mask": 1024}
+_FEATURE_ARRAYS = ("topo", "psd", "autocorr")
 
 
 def write_array(path, array: np.ndarray) -> None:
@@ -208,13 +211,8 @@ def write_feature_bundle(directory, stack: FeatureStack, component_ids,
         )
     if len(set(component_ids)) != len(component_ids):
         raise DataError("component ids must be unique")
-    n = len(stack)
-    arrays = {
-        "topo": stack.topo.reshape(n, -1),
-        "mask": stack.mask.reshape(n, -1).astype(np.uint8),
-        "psd": stack.psd,
-        "autocorr": stack.autocorr,
-    }
+    arrays = {"topo": stack.topo.reshape(len(stack), -1), "psd": stack.psd,
+              "autocorr": stack.autocorr}
     with _StagedDirectory(directory, force=force) as staging:
         for name in _FEATURE_ARRAYS:
             write_array(os.path.join(staging, f"{name}.bin"), arrays[name])
@@ -234,10 +232,13 @@ def read_feature_bundle(directory) -> tuple:
     """Read a feature bundle; returns (FeatureStack, component_ids list).
 
     Duplicate component ids and non-finite feature values are rejected
-    with a ``DataError`` naming the component and the array.
+    with a ``DataError`` naming the component and the array, as is a mask
+    an older bundle lists that differs from ``GRID_MASK``.
     """
     manifest = _load_manifest(directory, FEATURES_FORMAT)
-    loaded = _read_arrays(directory, manifest, _FEATURE_ARRAYS)
+    listed = manifest.get("arrays")
+    names = _FEATURE_ARRAYS + (("mask",) if isinstance(listed, dict) and "mask" in listed else ())
+    loaded = _read_arrays(directory, manifest, names)
     component_ids = manifest.get("component_ids", [])
     if not isinstance(component_ids, list):
         raise DataError(f"{directory}: manifest component_ids must be a list")
@@ -248,22 +249,18 @@ def read_feature_bundle(directory) -> tuple:
             raise DataError(f"{directory}: component {cid}: duplicate id in component_ids")
         seen.add(cid)
     n = len(component_ids)
-    if loaded["topo"].shape != (n, 1024) or loaded["mask"].shape != (n, 1024):
-        raise DataError(f"{directory}: topo/mask arrays must be ({n}, 1024)")
-    if loaded["psd"].shape != (n, 100) or loaded["autocorr"].shape != (n, 100):
-        raise DataError(f"{directory}: psd/autocorr arrays must be ({n}, 100)")
-    for name in ("topo", "psd", "autocorr"):
-        bad = np.flatnonzero(~np.all(np.isfinite(loaded[name]), axis=1))
-        if bad.size:
-            raise DataError(
-                f"{directory}: component {component_ids[bad[0]]}: {name} has non-finite values"
-            )
-    stack = FeatureStack(
-        topo=loaded["topo"].reshape(n, 32, 32),
-        mask=loaded["mask"].reshape(n, 32, 32).astype(bool),
-        psd=loaded["psd"],
-        autocorr=loaded["autocorr"],
-    )
+    for name, array in loaded.items():
+        if array.shape != (n, _FEATURE_WIDTHS[name]):
+            raise DataError(f"{directory}: {name} array must be ({n}, {_FEATURE_WIDTHS[name]})")
+    for name, array in loaded.items():
+        if name == "mask":
+            bad, problem = np.any(array != GRID_MASK.ravel(), axis=1), "differs from GRID_MASK"
+        else:
+            bad, problem = ~np.all(np.isfinite(array), axis=1), "has non-finite values"
+        if np.any(bad):
+            cid = component_ids[np.argmax(bad)]
+            raise DataError(f"{directory}: component {cid}: {name} {problem}")
+    stack = FeatureStack(loaded["topo"].reshape(n, 32, 32), loaded["psd"], loaded["autocorr"])
     return stack, component_ids
 
 

@@ -22,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import bundles, crowdlabel, metrics, plots
-from .categories import CATEGORIES, N_CATEGORIES
+from .categories import CATEGORIES
 from .errors import ConfigError, DataError, NumericError
 from .features import extract_recording
 from .network import TrainConfig, classify, load_weights, save_weights, train
@@ -125,8 +125,8 @@ def cmd_classify(args) -> int:
             "confidence": float(row[top]),
         }
         if thresholds is not None:
-            detected = sorted(np.flatnonzero(row >= thresholds).tolist())
-            entry["detections"] = [names[i] for i in detected]
+            detected = metrics.detect_multilabel(row, thresholds, names)
+            entry["detections"] = [name for name in names if name in detected]
         components.append(entry)
 
     report = {
@@ -194,8 +194,9 @@ def parse_config_file(path) -> dict:
 
 
 def _align_labels(component_ids, label_ids, labels):
-    missing = [c for c in component_ids if c not in set(label_ids)]
-    extra = [c for c in label_ids if c not in set(component_ids)]
+    known_labels, known_components = set(label_ids), set(component_ids)
+    missing = [c for c in component_ids if c not in known_labels]
+    extra = [c for c in label_ids if c not in known_components]
     if missing or extra:
         raise DataError(
             f"label file does not match features: missing labels for {missing or 'none'}, "
@@ -210,13 +211,13 @@ def cmd_train(args) -> int:
     if args.max_batches is not None:
         options["max_batches"] = args.max_batches
     config = TrainConfig(**options)  # validate before touching any data
+    if (args.val_features is None) != (args.val_labels is None):
+        raise ConfigError("--val-features and --val-labels must be given together")
 
     stack, component_ids = bundles.read_feature_bundle(args.features)
     label_ids, labels = bundles.read_labels_csv(args.labels)
     labels = _align_labels(component_ids, label_ids, labels)
 
-    if (args.val_features is None) != (args.val_labels is None):
-        raise ConfigError("--val-features and --val-labels must be given together")
     if args.val_features is not None:
         val_stack, val_ids = bundles.read_feature_bundle(args.val_features)
         vl_ids, val_labels = bundles.read_labels_csv(args.val_labels)

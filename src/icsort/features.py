@@ -311,44 +311,43 @@ def orbit_element(images: np.ndarray, mirror: bool, negate: bool) -> np.ndarray:
 
 @dataclass
 class FeatureStack:
-    """Batched feature arrays for a list of components (row per component)."""
+    """Batched feature arrays for a list of components (row per component).
+
+    Every topography lies on the same disk, so its mask is the constant
+    ``GRID_MASK``, not per-component data; a ``mask`` argument is accepted
+    and discarded.
+    """
 
     topo: np.ndarray  # (n, 32, 32)
-    mask: np.ndarray  # (n, 32, 32) bool
     psd: np.ndarray  # (n, 100)
     autocorr: np.ndarray  # (n, 100)
+    mask: InitVar[np.ndarray | None] = None
 
     def __len__(self) -> int:
         return self.topo.shape[0]
 
     @classmethod
     def from_features(cls, rows) -> "FeatureStack":
-        """Stack (topo, psd, autocorr) rows, one per component; every mask is ``GRID_MASK``."""
+        """Stack (topo, psd, autocorr) rows, one per component."""
         rows = list(rows)
         if not rows:
             raise DataError("cannot stack an empty feature list")
         topo, psd, autocorr = (np.stack(column) for column in zip(*rows))
-        mask = np.broadcast_to(GRID_MASK, topo.shape).copy()
-        return cls(topo=topo, mask=mask, psd=psd, autocorr=autocorr)
+        return cls(topo=topo, psd=psd, autocorr=autocorr)
 
     def orbit(self) -> "FeatureStack":
-        """The stack repeated once per ``TOPOGRAPHY_ORBIT`` element, in orbit order (4n rows).
-
-        Masks are mirrored with their images; negation keeps them.
-        """
+        """The stack repeated once per ``TOPOGRAPHY_ORBIT`` element, in orbit order (4n rows)."""
         k = len(TOPOGRAPHY_ORBIT)
         return FeatureStack(
             topo=np.concatenate([orbit_element(self.topo, mirror, negate)
                                  for mirror, negate in TOPOGRAPHY_ORBIT]),
-            mask=np.concatenate([orbit_element(self.mask, mirror, False)
-                                 for mirror, _ in TOPOGRAPHY_ORBIT]),
             psd=np.concatenate([self.psd] * k),
             autocorr=np.concatenate([self.autocorr] * k),
         )
 
     def subset(self, indices) -> "FeatureStack":
         idx = np.asarray(indices)
-        return FeatureStack(self.topo[idx], self.mask[idx], self.psd[idx], self.autocorr[idx])
+        return FeatureStack(self.topo[idx], self.psd[idx], self.autocorr[idx])
 
 
 def extract_component_features(projection: np.ndarray, positions: np.ndarray,

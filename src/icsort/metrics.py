@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .categories import CATEGORIES, N_CATEGORIES
+from .categories import CATEGORIES
 from .errors import ConfigError, DataError
 
 SOFT_AND_MODES = ("strong", "product", "weak")
@@ -331,11 +331,12 @@ def optimal_thresholds(
     return ThresholdSet(thresholds=best, provenance=f"optimized:{criterion}")
 
 
-def detect_multilabel(label: np.ndarray, thresholds) -> set:
-    """Category names whose probability meets or exceeds their threshold.
+def detect_multilabel(label: np.ndarray, thresholds, names=CATEGORIES) -> set:
+    """Names of the categories whose probability meets or exceeds their threshold.
 
     May return several categories or none; thresholds may be a
-    ThresholdSet or a plain vector.
+    ThresholdSet or a plain vector, and ``names`` gives the label's
+    categories in order.
     """
     label = np.asarray(label, dtype=np.float64)
     values = thresholds.thresholds if isinstance(thresholds, ThresholdSet) else np.asarray(
@@ -343,9 +344,9 @@ def detect_multilabel(label: np.ndarray, thresholds) -> set:
     )
     if label.shape != values.shape:
         raise DataError(f"label shape {label.shape} does not match thresholds {values.shape}")
-    if label.shape[0] != N_CATEGORIES:
-        raise DataError(f"multi-label detection expects {N_CATEGORIES} categories")
-    return {CATEGORIES[i] for i in np.flatnonzero(label >= values)}
+    if label.shape != (len(names),):
+        raise DataError(f"multi-label detection expects {len(names)} categories")
+    return {names[i] for i in np.flatnonzero(label >= values)}
 
 
 def merge_classes(label: np.ndarray, scheme) -> np.ndarray:

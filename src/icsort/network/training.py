@@ -18,7 +18,7 @@ import numpy as np
 
 from ..categories import N_CATEGORIES
 from ..errors import ConfigError, NumericError
-from ..features import TOPOGRAPHY_ORBIT, FeatureStack
+from ..features import GRID_MASK, TOPOGRAPHY_ORBIT, FeatureStack
 from .convops import weighted_cross_entropy
 from .model import LAYER_ORDER, NetworkWeights, forward, forward_backward, initialize_weights
 
@@ -209,7 +209,6 @@ def train(
     class_weights = np.asarray(config.class_weights, dtype=np.float64)
 
     topo32 = stack.topo.astype(np.float32)
-    mask = stack.mask
     psd32 = stack.psd.astype(np.float32)
     acf32 = stack.autocorr.astype(np.float32)
 
@@ -234,7 +233,7 @@ def train(
         acf = acf32[idx]
         if config.noise_sigma > 0:
             topo = topo + rng.normal(0.0, config.noise_sigma, topo.shape).astype(np.float32)
-            topo *= mask[idx]
+            topo *= GRID_MASK
             psd = psd + rng.normal(0.0, config.noise_sigma, psd.shape).astype(np.float32)
             acf = acf + rng.normal(0.0, config.noise_sigma, acf.shape).astype(np.float32)
 

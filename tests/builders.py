@@ -55,7 +55,6 @@ def toy_dataset(n: int, seed: int):
     cats = rng.integers(0, 3, size=n)
     topo = rng.normal(0.0, 0.05, size=(n, 32, 32)).astype(np.float32)
     topo *= GRID_MASK
-    mask = np.broadcast_to(GRID_MASK, (n, 32, 32)).astype(np.uint8)
     bins = np.arange(100, dtype=np.float64)
     lags = np.arange(1, 101, dtype=np.float64)
     psd = np.empty((n, 100), dtype=np.float32)
@@ -74,7 +73,7 @@ def toy_dataset(n: int, seed: int):
         acf[i] = (a + rng.normal(0, 0.02, 100)) * 0.9
     labels = np.zeros((n, 7), dtype=np.float64)
     labels[np.arange(n), cats] = 1.0
-    stack = FeatureStack(topo=topo, mask=mask, psd=psd, autocorr=acf)
+    stack = FeatureStack(topo=topo, psd=psd, autocorr=acf)
     return stack, labels
 
 
@@ -83,10 +82,9 @@ def random_stack(n: int, seed: int) -> FeatureStack:
     rng = np.random.default_rng(seed)
     topo = rng.uniform(-0.99, 0.99, size=(n, 32, 32)).astype(np.float32)
     topo *= GRID_MASK
-    mask = np.broadcast_to(GRID_MASK, (n, 32, 32)).astype(np.uint8)
     psd = rng.uniform(-0.99, 0.99, size=(n, 100)).astype(np.float32)
     acf = rng.uniform(-0.99, 0.99, size=(n, 100)).astype(np.float32)
-    return FeatureStack(topo=topo, mask=mask, psd=psd, autocorr=acf)
+    return FeatureStack(topo=topo, psd=psd, autocorr=acf)
 
 
 def random_label_pairs(seed: int, n: int = 500, k: int = 7):

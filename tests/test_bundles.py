@@ -3,6 +3,7 @@
 import functools
 import json
 import os
+import shutil
 import struct
 
 import numpy as np
@@ -25,6 +26,7 @@ from icsort.bundles import (
 )
 from icsort.crowdlabel import VOTES_CSV_HEADER, read_votes_csv
 from icsort.errors import DataError
+from icsort.features import GRID_MASK
 from icsort.network import initialize_weights, load_weights, save_weights
 
 
@@ -231,14 +233,54 @@ def test_feature_bundle_round_trip(tmp_path):
     assert loaded_ids == ids
     assert len(loaded) == 3
     np.testing.assert_array_equal(loaded.topo, _f32(stack.topo))
-    np.testing.assert_array_equal(loaded.mask, stack.mask)
-    assert loaded.mask.dtype == np.bool_
     np.testing.assert_array_equal(loaded.psd, _f32(stack.psd))
     np.testing.assert_array_equal(loaded.autocorr, _f32(stack.autocorr))
 
     manifest = json.loads((target / "manifest.json").read_text())
     assert manifest["source_recording"] == "rec"
     assert manifest["sample_rate"] == 128.0
+    # the mask is the constant GRID_MASK, so a bundle does not store one
+    assert sorted(manifest["arrays"]) == ["autocorr", "psd", "topo"]
+    assert sorted(p.name for p in target.iterdir()) == [
+        "autocorr.bin", "manifest.json", "psd.bin", "topo.bin"]
+
+
+def _older_feature_bundle(target, ids=("a", "b"), seed=6):
+    """A feature bundle as written before masks were dropped: it lists a GRID_MASK mask.bin."""
+    write_feature_bundle(target, builders.random_stack(len(ids), seed=seed), list(ids))
+    mask = np.broadcast_to(GRID_MASK.ravel(), (len(ids), 1024)).astype(np.uint8)
+    write_array(target / "mask.bin", mask)
+    manifest = json.loads((target / "manifest.json").read_text())
+    manifest["arrays"]["mask"] = "mask.bin"
+    (target / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def test_an_older_feature_bundle_with_a_grid_mask_loads(tmp_path):
+    _older_feature_bundle(tmp_path / "older")
+    write_feature_bundle(tmp_path / "new", builders.random_stack(2, seed=6), ["a", "b"])
+    older, older_ids = read_feature_bundle(tmp_path / "older")
+    new, new_ids = read_feature_bundle(tmp_path / "new")
+    assert older_ids == new_ids == ["a", "b"]
+    for name in ("topo", "psd", "autocorr"):
+        assert np.array_equal(getattr(older, name), getattr(new, name))
+
+
+def test_an_older_feature_bundle_with_another_mask_is_rejected(tmp_path):
+    target = tmp_path / "flipped"
+    _older_feature_bundle(target)
+    mask = read_array(target / "mask.bin")
+    mask[1, 0] ^= 1  # one pixel of component b
+    write_array(target / "mask.bin", mask)
+    with pytest.raises(DataError, match="component b: mask differs from GRID_MASK") as info:
+        read_feature_bundle(target)
+    assert str(target) in str(info.value)
+
+    for shape in ((2, 1023), (1, 1024), (3, 1024)):
+        target = tmp_path / f"shape-{shape[0]}x{shape[1]}"
+        _older_feature_bundle(target)
+        write_array(target / "mask.bin", np.ones(shape, dtype=np.uint8))
+        with pytest.raises(DataError, match=r"mask array must be \(2, 1024\)"):
+            read_feature_bundle(target)
 
 
 def test_write_feature_bundle_validates_component_ids(tmp_path):
@@ -384,12 +426,23 @@ def _write_votes(path):
     path.write_text("\n".join(rows) + "\n")
 
 
+def _read_with_mask(path):
+    """Read an older feature bundle whose mask.bin holds the bytes at ``path``."""
+    target = path.parent / "older-features"
+    if not target.exists():
+        _older_feature_bundle(target)
+    shutil.copyfile(path, target / "mask.bin")
+    read_feature_bundle(target)
+
+
 _VALID_FILES = {
     "array": (lambda path: write_array(path, np.arange(12.0).reshape(3, 4)), read_array),
     "weights": (lambda path: save_weights(path, initialize_weights(seed=0)), load_weights),
     "labels": (lambda path: write_labels_csv(path, ["a", "b"], np.eye(7)[[0, 3]]),
                read_labels_csv),
     "votes": (_write_votes, read_votes_csv),
+    "mask": (lambda path: write_array(path, np.tile(GRID_MASK.ravel(), (2, 1))),
+             _read_with_mask),
 }
 
 

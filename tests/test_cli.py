@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: commands, outputs, exit codes."""
 
 import json
+import time
 import xml.etree.ElementTree as ElementTree
 
 import numpy as np
@@ -17,6 +18,7 @@ from icsort.bundles import (
 )
 from icsort.categories import CATEGORIES
 from icsort.crowdlabel import VOTES_CSV_HEADER
+from icsort.errors import DataError
 from icsort.features import Recording
 from icsort.network import initialize_weights, save_weights
 
@@ -124,7 +126,7 @@ def test_extract_names_the_array_holding_non_finite_component_data(tmp_path, cap
     clean = tmp_path / "clean"
     assert cli.main(["extract", "--recording", str(clean_dir), "--out", str(clean)]) == 0
     clean_stack, _ = read_feature_bundle(clean)
-    for name in ("topo", "mask", "psd", "autocorr"):
+    for name in ("topo", "psd", "autocorr"):
         assert np.array_equal(getattr(stack, name), getattr(clean_stack, name)[[0, 3]])
 
 
@@ -267,10 +269,16 @@ def test_train_with_explicit_validation_files(tmp_path):
                      "--config", str(config), "--max-batches", "2",
                      "--out", str(tmp_path / "w.iclw")]) == 0
 
-    # giving only one of the two validation flags is a usage error
-    assert cli.main(["train", "--features", str(features), "--labels", str(labels),
-                     "--val-features", str(val_features), "--config", str(config),
-                     "--max-batches", "2", "--out", str(tmp_path / "w2.iclw")]) == 1
+    # giving only one of the two validation flags is a usage error, found
+    # before any bundle is read, so an unreadable training bundle does not hide it
+    for train_features in (features, tmp_path / "missing"):
+        assert cli.main(["train", "--features", str(train_features), "--labels", str(labels),
+                         "--val-features", str(val_features), "--config", str(config),
+                         "--max-batches", "2", "--out", str(tmp_path / "w2.iclw")]) == 1
+        assert cli.main(["train", "--features", str(train_features), "--labels", str(labels),
+                         "--val-labels", str(val_labels), "--config", str(config),
+                         "--max-batches", "2", "--out", str(tmp_path / "w2.iclw")]) == 1
+    assert not (tmp_path / "w2.iclw").exists()
 
 
 def test_train_rejects_mismatched_label_files(tmp_path, capsys):
@@ -279,6 +287,21 @@ def test_train_rejects_mismatched_label_files(tmp_path, capsys):
     assert cli.main(["train", "--features", str(features), "--labels", str(labels),
                      "--max-batches", "2", "--out", str(tmp_path / "w.iclw")]) == 2
     assert "does not match features" in capsys.readouterr().err
+
+
+def test_align_labels_is_linear_in_the_number_of_ids():
+    # 20 000 ids, about three times the paper's labelled set; a set rebuilt
+    # per id makes this take tens of seconds
+    ids = [f"c{i:05d}" for i in range(20000)]
+    labels = np.arange(20000.0)[::-1, None] * np.ones((1, 7))
+    started = time.perf_counter()
+    aligned = cli._align_labels(ids, ids[::-1], labels)
+    assert time.perf_counter() - started < 1.0
+    assert np.array_equal(aligned[:, 0], np.arange(20000.0))
+
+    with pytest.raises(DataError, match=r"missing labels for \['c00000'\], "
+                                        r"labels without features \['x'\]"):
+        cli._align_labels(ids, ids[1:] + ["x"], labels)
 
 
 def test_parse_config_file_accepts_the_documented_grammar(tmp_path):

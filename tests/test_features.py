@@ -1,5 +1,7 @@
 """Feature extraction: referencing, topography, spectra, autocorrelation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.interpolate import RBFInterpolator
@@ -367,7 +369,7 @@ def test_extract_recording_references_once_and_stacks_every_component(monkeypatc
         assert np.array_equal(stack.topo[i], topo)
         assert np.array_equal(stack.psd[i], psd)
         assert np.array_equal(stack.autocorr[i], autocorr)
-    assert np.array_equal(stack.mask, np.broadcast_to(GRID_MASK, (6, 32, 32)))
+    assert not np.any(stack.topo[:, ~GRID_MASK])  # every image lies on the one disk
 
 
 def test_extracted_rows_do_not_depend_on_the_other_components():
@@ -453,7 +455,7 @@ def test_feature_stack_round_trips_components():
     assert len(stack) == recording.n_components
     for i, (topo, psd, autocorr) in enumerate(rows):
         assert np.array_equal(stack.topo[i], topo)
-        assert np.array_equal(stack.mask[i], GRID_MASK)
+        assert not np.any(stack.topo[i][~GRID_MASK])
         assert np.array_equal(stack.psd[i], psd)
         assert np.array_equal(stack.autocorr[i], autocorr)
     with pytest.raises(DataError, match="empty"):
@@ -462,25 +464,28 @@ def test_feature_stack_round_trips_components():
 
 def test_feature_stack_mirror_negate_and_subset():
     stack = builders.random_stack(5, seed=14)
-    stack.mask = stack.mask.copy()
-    stack.mask[:, :, :3] = 0  # lopsided, so a mirrored mask differs
     orbit = stack.orbit()
     assert len(orbit) == 20
     rows = lambda q: slice(5 * q, 5 * q + 5)  # orbit element q
-    for q, (topo, mask) in enumerate([
-        (stack.topo, stack.mask),
-        (stack.topo[:, :, ::-1], stack.mask[:, :, ::-1]),
-        (-stack.topo, stack.mask),
-        (-stack.topo[:, :, ::-1], stack.mask[:, :, ::-1]),
-    ]):
+    for q, topo in enumerate([stack.topo, stack.topo[:, :, ::-1],
+                              -stack.topo, -stack.topo[:, :, ::-1]]):
         assert np.array_equal(orbit.topo[rows(q)], topo)
-        assert np.array_equal(orbit.mask[rows(q)], mask)
         assert np.array_equal(orbit.psd[rows(q)], stack.psd)
         assert np.array_equal(orbit.autocorr[rows(q)], stack.autocorr)
     sub = stack.subset([3, 0])
     assert len(sub) == 2
-    assert np.array_equal(sub.topo[0], stack.topo[3])
-    assert np.array_equal(sub.topo[1], stack.topo[0])
+    for name in ("topo", "psd", "autocorr"):
+        assert np.array_equal(getattr(sub, name), getattr(stack, name)[[3, 0]])
+
+
+def test_grid_mask_is_the_only_mask():
+    # the mask is a constant, so no stack carries one, and the orbit's
+    # mirror keeps it: a mirrored image stays on the disk
+    assert [f.name for f in dataclasses.fields(FeatureStack)] == ["topo", "psd", "autocorr"]
+    assert np.array_equal(GRID_MASK[:, ::-1], GRID_MASK)
+    stack = builders.random_stack(2, seed=15)
+    ignored = FeatureStack(stack.topo, stack.psd, stack.autocorr, mask=np.zeros((2, 32, 32)))
+    assert np.array_equal(ignored.orbit().topo, stack.orbit().topo)
 
 
 # ------------------------------------------------------------- recording

@@ -467,6 +467,15 @@ def test_detect_multilabel_with_the_tuned_thresholds():
         detect_multilabel(np.full(5, 0.2), TRAINING_ACCURACY_THRESHOLDS)
 
 
+def test_detect_multilabel_names_merged_categories():
+    names = ("Brain", "Muscle", "Eye", "Heart", "Other")
+    label = np.array([0.30, 0.05, 0.05, 0.10, 0.50])
+    assert detect_multilabel(label, np.full(5, 0.25), names) == {"Brain", "Other"}
+    assert detect_multilabel(label[[0, 4]], [0.5, 0.5], ("Brain", "Other")) == {"Other"}
+    with pytest.raises(DataError, match="expects 4 categories"):
+        detect_multilabel(label, np.full(5, 0.25), names[:4])
+
+
 # ----------------------------------------------------------------- merging
 
 

@@ -46,6 +46,22 @@ def test_perfbench_recordings_write_read_and_extract(monkeypatch, tmp_path):
     assert ids == ["ic000", "ic001", "ic002", "ic003"] and len(stack) == 4
 
 
+def test_perfbench_feature_set_writes_and_reads_a_feature_bundle(monkeypatch, tmp_path):
+    # the train workload builds its stacks with a mask= keyword, which
+    # FeatureStack must keep accepting until that call is changed
+    monkeypatch.syspath_prepend(ROOT)
+    inputs = importlib.import_module("perfbench.inputs")
+    from icsort.bundles import read_feature_bundle
+
+    stack, labels = inputs.feature_set(np.random.default_rng(0), 8)
+    bundle, csv_path = inputs.write_feature_set(tmp_path, stack, labels, "train")
+    loaded, ids = read_feature_bundle(bundle)
+    assert ids == [f"train{i:05d}" for i in range(8)] and os.path.isfile(csv_path)
+    for name in ("topo", "psd", "autocorr"):
+        expected = getattr(stack, name).reshape(8, -1).astype("<f4").astype(np.float64)
+        assert np.array_equal(getattr(loaded, name).reshape(8, -1), expected)
+
+
 def test_perfbench_cnn_table_builds_at_a_small_batch(monkeypatch):
     # the traced train run times each layer through the convops signatures,
     # so a change to one of them must fail here, not only in a benchmark run
