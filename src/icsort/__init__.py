@@ -8,14 +8,7 @@ evaluation metrics, and a deterministic command-line interface with
 binary bundle formats.
 """
 
-from .categories import (
-    CATEGORIES,
-    CATEGORY_INDEX,
-    N_CATEGORIES,
-    N_RESPONSES,
-    RESPONSES,
-    argmax_category,
-)
+from .categories import CATEGORIES, N_CATEGORIES, N_RESPONSES, RESPONSES
 from .errors import ConfigError, DataError, IcsortError, NumericError
 from .features import (
     FeatureStack,
@@ -33,7 +26,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CATEGORIES",
-    "CATEGORY_INDEX",
     "ConfigError",
     "DataError",
     "FeatureStack",
@@ -43,7 +35,6 @@ __all__ = [
     "NumericError",
     "RESPONSES",
     "Recording",
-    "argmax_category",
     "autocorrelation",
     "common_average_reference",
     "extract_component_features",

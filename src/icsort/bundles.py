@@ -31,7 +31,7 @@ import numpy as np
 
 from .categories import CATEGORIES, N_CATEGORIES, first_invalid_label
 from .errors import DataError
-from .features import GRID_MASK, FeatureStack, Recording
+from .features import GRID_MASK, N_AUTOCORR_LAGS, N_PSD_BINS, TOPO_SIZE, FeatureStack, Recording
 
 ARRAY_MAGIC = b"ICLB"
 ARRAY_VERSION = 1
@@ -41,7 +41,8 @@ FEATURES_FORMAT = "icsort-features"
 MANIFEST_NAME = "manifest.json"
 
 _RECORDING_ARRAYS = ("electrode_positions", "mixing_matrix", "component_activity")
-_FEATURE_WIDTHS = {"topo": 1024, "psd": 100, "autocorr": 100, "mask": 1024}
+_FEATURE_WIDTHS = {"topo": TOPO_SIZE * TOPO_SIZE, "psd": N_PSD_BINS,
+                   "autocorr": N_AUTOCORR_LAGS, "mask": TOPO_SIZE * TOPO_SIZE}
 _FEATURE_ARRAYS = ("topo", "psd", "autocorr")
 
 
@@ -84,19 +85,30 @@ def read_array(path) -> np.ndarray:
     )
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write text to path via a temporary file and atomic rename."""
+def atomic_write_bytes(path, data: bytes) -> None:
+    """Write bytes to path via a unique temporary file in the same directory
+    and an atomic rename; on any failure the temporary file is removed and
+    an existing file at path is left as it was.  The file gets the mode a
+    plain ``open`` would give it, not ``mkstemp``'s 0600."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Write text to path as UTF-8 through ``atomic_write_bytes``."""
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 class _StagedDirectory:
@@ -260,7 +272,8 @@ def read_feature_bundle(directory) -> tuple:
         if np.any(bad):
             cid = component_ids[np.argmax(bad)]
             raise DataError(f"{directory}: component {cid}: {name} {problem}")
-    stack = FeatureStack(loaded["topo"].reshape(n, 32, 32), loaded["psd"], loaded["autocorr"])
+    stack = FeatureStack(loaded["topo"].reshape(n, TOPO_SIZE, TOPO_SIZE), loaded["psd"],
+                         loaded["autocorr"])
     return stack, component_ids
 
 

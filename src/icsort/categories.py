@@ -1,4 +1,4 @@
-"""The seven source categories and helpers for compositional label vectors.
+"""The seven source categories and the rule for compositional label vectors.
 
 A label is a 7-element numpy vector of non-negative reals summing to one,
 ordered as in ``CATEGORIES``.  Crowd submissions additionally allow a "?"
@@ -25,7 +25,6 @@ N_CATEGORIES = len(CATEGORIES)
 RESPONSES = CATEGORIES + ("?",)
 N_RESPONSES = len(RESPONSES)
 
-CATEGORY_INDEX = {name: i for i, name in enumerate(CATEGORIES)}
 RESPONSE_INDEX = {name: i for i, name in enumerate(RESPONSES)}
 
 LABEL_SUM_TOL = 1e-6
@@ -38,13 +37,16 @@ def first_invalid_label(labels: np.ndarray):
     entries, then non-negative entries, then a sum of 1 within
     ``LABEL_SUM_TOL``), or ``None`` when every row passes.
     """
-    finite = np.isfinite(labels).all(axis=1)
-    nonnegative = (labels >= 0).all(axis=1)
     with np.errstate(invalid="ignore"):
         totals = labels.sum(axis=1)
-    bad = np.flatnonzero(~(finite & nonnegative & (np.abs(totals - 1.0) <= LABEL_SUM_TOL)))
-    if not bad.size:
+    sums_to_one = np.abs(totals - 1.0) <= LABEL_SUM_TOL
+    # a row with a non-finite entry has a non-finite total, so whole-array
+    # checks settle the common all-valid case without the per-row ones
+    if sums_to_one.all() and (labels >= 0).all():
         return None
+    finite = np.isfinite(labels).all(axis=1)
+    nonnegative = (labels >= 0).all(axis=1)
+    bad = np.flatnonzero(~(finite & nonnegative & sums_to_one))
     row = int(bad[0])
     if not finite[row]:
         return row, "label vector contains non-finite entries"
@@ -52,8 +54,3 @@ def first_invalid_label(labels: np.ndarray):
         return row, "label vector contains negative entries"
     return row, (f"label vector sums to {float(totals[row])!r}, "
                  f"expected 1 within {LABEL_SUM_TOL}")
-
-
-def argmax_category(label) -> int:
-    """Discretize a label by maximal probability; ties go to the lowest index."""
-    return int(np.argmax(np.asarray(label)))

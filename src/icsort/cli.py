@@ -11,12 +11,14 @@ Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import multiprocessing
 import os
 import sys
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -27,12 +29,16 @@ from .errors import ConfigError, DataError, NumericError
 from .features import extract_recording
 from .network import TrainConfig, classify, load_weights, save_weights, train
 
+#: Category names at each ``--merge`` / ``--classes`` count, and the groups of
+#: the seven categories summed into each merged category, in output order:
+#: 5 keeps Brain, Muscle, Eye and Heart and pools the rest into Other; 2 keeps
+#: Brain against everything else.
 MERGED_NAMES = {
     "7": CATEGORIES,
     "5": ("Brain", "Muscle", "Eye", "Heart", "Other"),
     "2": ("Brain", "Other"),
 }
-MERGE_SCHEMES = {"5": metrics.MERGE_7_TO_5, "2": metrics.MERGE_7_TO_2}
+MERGE_SCHEMES = {"5": ((0,), (1,), (2,), (3,), (4, 5, 6)), "2": ((0,), (1, 2, 3, 4, 5, 6))}
 
 #: Published median per-component classification time used as an
 #: informational reference point in bench reports (seconds).
@@ -82,6 +88,9 @@ def cmd_extract(args) -> int:
 
 
 def _load_thresholds(path, n_expected: int) -> np.ndarray:
+    """The ``(n_expected,)`` threshold vector of a JSON file (a list, or an
+    object with a ``thresholds`` list); each value must be finite and in
+    [0, 1].  Any other content is a ``DataError``."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -96,8 +105,8 @@ def _load_thresholds(path, n_expected: int) -> np.ndarray:
         raise DataError(
             f"{path}: need {n_expected} thresholds for this class count, got {thresholds.shape}"
         )
-    if not np.all((thresholds >= 0) & (thresholds <= 1)):
-        raise DataError(f"{path}: thresholds must lie in [0, 1]")
+    if not np.all((thresholds >= 0) & (thresholds <= 1)):  # False for NaN
+        raise DataError(f"{path}: thresholds must be finite and lie in [0, 1]")
     return thresholds
 
 
@@ -148,24 +157,24 @@ def cmd_classify(args) -> int:
 # ---------------------------------------------------------------- train
 
 
-_CONFIG_KEYS = {
-    "batch_size": int,
-    "learning_rate": float,
-    "beta1": float,
-    "beta2": float,
-    "epsilon": float,
-    "clip_norm": float,
-    "noise_sigma": float,
-    "val_interval": int,
-    "early_stop_window": int,
-    "max_batches": int,
-    "augment": bool,
-    "class_weights": tuple,
-}
+def _option_types() -> dict:
+    """Each ``TrainConfig`` field's value type, ``int | None`` read as ``int``."""
+    hints = typing.get_type_hints(TrainConfig)
+    types = {}
+    for field in dataclasses.fields(TrainConfig):
+        hint = hints[field.name]
+        types[field.name] = next(
+            (t for t in typing.get_args(hint) if t is not type(None)), hint)
+    return types
 
 
 def parse_config_file(path) -> dict:
-    """Parse a ``key = value`` training-config file into TrainConfig kwargs."""
+    """Parse a ``key = value`` training-config file into TrainConfig kwargs.
+
+    Keys are the ``TrainConfig`` field names.  Booleans are ``true`` or
+    ``false``, tuples comma-separated numbers; ``#`` starts a comment.
+    """
+    option_types = _option_types()
     options: dict = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -176,9 +185,9 @@ def parse_config_file(path) -> dict:
                 raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in option_types:
                 raise ConfigError(f"{path}:{line_no}: unknown option {key!r}")
-            kind = _CONFIG_KEYS[key]
+            kind = option_types[key]
             try:
                 if kind is bool:
                     if value.lower() not in ("true", "false"):
@@ -193,14 +202,19 @@ def parse_config_file(path) -> dict:
     return options
 
 
-def _align_labels(component_ids, label_ids, labels):
+def _align_labels(component_ids, label_ids, labels, ids_file, labels_file):
+    """The rows of ``labels`` (in ``label_ids`` order) put in ``component_ids`` order.
+
+    Both id lists must hold the same ids; otherwise a ``DataError`` names the
+    two files and lists the ids found in only one of them.
+    """
     known_labels, known_components = set(label_ids), set(component_ids)
-    missing = [c for c in component_ids if c not in known_labels]
-    extra = [c for c in label_ids if c not in known_components]
-    if missing or extra:
+    only_ids = [c for c in component_ids if c not in known_labels]
+    only_labels = [c for c in label_ids if c not in known_components]
+    if only_ids or only_labels:
         raise DataError(
-            f"label file does not match features: missing labels for {missing or 'none'}, "
-            f"labels without features {extra or 'none'}"
+            f"component id mismatch: only in {ids_file}: {only_ids or 'none'}, "
+            f"only in {labels_file}: {only_labels or 'none'}"
         )
     order = {c: i for i, c in enumerate(label_ids)}
     return labels[[order[c] for c in component_ids]]
@@ -216,12 +230,13 @@ def cmd_train(args) -> int:
 
     stack, component_ids = bundles.read_feature_bundle(args.features)
     label_ids, labels = bundles.read_labels_csv(args.labels)
-    labels = _align_labels(component_ids, label_ids, labels)
+    labels = _align_labels(component_ids, label_ids, labels, args.features, args.labels)
 
     if args.val_features is not None:
         val_stack, val_ids = bundles.read_feature_bundle(args.val_features)
         vl_ids, val_labels = bundles.read_labels_csv(args.val_labels)
-        val_labels = _align_labels(val_ids, vl_ids, val_labels)
+        val_labels = _align_labels(val_ids, vl_ids, val_labels,
+                                   args.val_features, args.val_labels)
     else:
         n = len(stack)
         holdout = args.holdout if args.holdout is not None else min(DEFAULT_HOLDOUT, n // 5)
@@ -244,9 +259,7 @@ def cmd_train(args) -> int:
         for line in log_lines:
             print(line)
 
-    tmp = os.fspath(args.out) + ".tmp"
-    save_weights(tmp, result.weights)
-    os.replace(tmp, args.out)
+    save_weights(args.out, result.weights)
     if args.log:
         lines = [
             f"{batch} {train_loss} {val_loss}" for batch, train_loss, val_loss in result.history
@@ -421,7 +434,7 @@ def evaluation_report(targets, predictions, names) -> dict:
             criterion: {
                 "thresholds": metrics.optimal_thresholds(
                     targets, predictions, criterion
-                ).thresholds.tolist(),
+                ).tolist(),
                 "provenance": f"optimized:{criterion}",
             }
             for criterion in ("f1", "accuracy")
@@ -432,14 +445,8 @@ def evaluation_report(targets, predictions, names) -> dict:
 def cmd_evaluate(args) -> int:
     target_ids, targets = bundles.read_labels_csv(args.targets)
     pred_ids, predictions = bundles.read_labels_csv(args.predictions)
-    if set(target_ids) != set(pred_ids):
-        only_t = sorted(set(target_ids) - set(pred_ids))
-        only_p = sorted(set(pred_ids) - set(target_ids))
-        raise DataError(
-            f"component id mismatch: only in targets {only_t}, only in predictions {only_p}"
-        )
-    order = {c: i for i, c in enumerate(pred_ids)}
-    predictions = predictions[[order[c] for c in target_ids]]
+    predictions = _align_labels(target_ids, pred_ids, predictions,
+                                args.targets, args.predictions)
 
     targets, predictions, names = _merged_pairs(targets, predictions, args.classes)
     report = evaluation_report(targets, predictions, names)

@@ -205,7 +205,6 @@ def cllda_fit(
     burn_in: int = DEFAULT_BURN_IN,
     sampling_epochs: int = DEFAULT_SAMPLING_EPOCHS,
     seed: int = 0,
-    components=None,
 ) -> CrowdResult:
     """Estimate component labels and labeler confusions by collapsed Gibbs sampling.
 
@@ -218,9 +217,6 @@ def cllda_fit(
     class_prior : Dirichlet prior over the 7 categories.
     burn_in, sampling_epochs : epochs to discard, then to average over.
     seed : seeds both the initial assignment and every sweep order.
-    components : optional roster of component ids to include in the output
-        even if they received no votes; their label is the normalized
-        class prior.
 
     Returns
     -------
@@ -241,7 +237,7 @@ def cllda_fit(
         raise DataError("no votes to aggregate")
     validate_schedule(burn_in, sampling_epochs)
 
-    component_ids = sorted({v.component_id for v in votes} | set(components or ()))
+    component_ids = sorted({v.component_id for v in votes})
     labeler_ids = sorted({v.labeler_id for v in votes})
     comp_index = {c: i for i, c in enumerate(component_ids)}
     lab_index = {l: i for i, l in enumerate(labeler_ids)}

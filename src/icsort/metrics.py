@@ -2,13 +2,16 @@
 
 All operations take a pair of (n, k) arrays: target label vectors and
 predicted label vectors, each row a probability distribution over k
-categories.  Hard metrics discretize by argmax (ties to the lowest
-index); soft metrics consume the full distributions through fuzzy-AND
-confusion matrices, preserving the information a hard argmax discards.
+categories (``categories.first_invalid_label`` is the one rule for that).
+Hard metrics discretize by argmax (ties to the lowest index); soft metrics
+consume the full distributions through fuzzy-AND confusion matrices,
+preserving the information a hard argmax discards.
 
 ROC points and optimal thresholds share one sorted sweep of the detection
 counts (Fawcett, 2006, Alg. 1), O(n log n) per category; thresholds tied on
-F1 or accuracy resolve to the larger one.
+F1 or accuracy resolve to the larger one.  Thresholds are plain (k,)
+vectors.  ``merge_classes`` sums categories by explicit index groups; the
+7-to-5 and 7-to-2 groups the command line uses live in ``cli.MERGE_SCHEMES``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .categories import CATEGORIES
+from .categories import CATEGORIES, first_invalid_label
 from .errors import ConfigError, DataError
 
 SOFT_AND_MODES = ("strong", "product", "weak")
@@ -30,16 +33,14 @@ ABOVE_MAX = 1.0 + 1e-9
 #: training corpus, in category order (Brain .. Other).
 TRAINING_ACCURACY_THRESHOLDS = (0.44, 0.18, 0.13, 0.33, 0.04, 0.13, 0.15)
 
-#: Merging schemes: each inner tuple lists the source categories summed
-#: into one output category, in output order.
-MERGE_7_TO_5 = ((0,), (1,), (2,), (3,), (4, 5, 6))
-MERGE_7_TO_2 = ((0,), (1, 2, 3, 4, 5, 6))
-_NAMED_SCHEMES = {"7to5": MERGE_7_TO_5, "7to2": MERGE_7_TO_2}
-
 
 def validate_pairs(targets: np.ndarray, predictions: np.ndarray):
     """Check that targets and predictions are matching (n, k) stacks of
-    probability vectors and return them as float64 arrays."""
+    label vectors and return them as float64 arrays.
+
+    Rows are checked by ``first_invalid_label``, targets first; a bad row
+    raises a ``DataError`` naming the array, the row and the reason.
+    """
     targets = np.asarray(targets, dtype=np.float64)
     predictions = np.asarray(predictions, dtype=np.float64)
     if targets.ndim != 2 or targets.shape[1] < 2:
@@ -51,12 +52,10 @@ def validate_pairs(targets: np.ndarray, predictions: np.ndarray):
     if targets.shape[0] == 0:
         raise DataError("no evaluation pairs given")
     for name, arr in (("targets", targets), ("predictions", predictions)):
-        if not np.all(np.isfinite(arr)):
-            raise DataError(f"{name} contain non-finite values")
-        if np.any(arr < 0):
-            raise DataError(f"{name} contain negative values")
-        if np.any(np.abs(arr.sum(axis=1) - 1.0) > 1e-6):
-            raise DataError(f"{name} rows must each sum to 1")
+        problem = first_invalid_label(arr)
+        if problem:
+            row, reason = problem
+            raise DataError(f"{name} row {row}: {reason}")
     return targets, predictions
 
 
@@ -270,47 +269,31 @@ def f1_score(recall, precision):
     return float(f1) if f1.ndim == 0 else f1
 
 
-def f1_isometric(level: float, fpr, prevalence: float = 0.5):
+def f1_isometric(level: float, fpr):
     """TPR locus achieving a fixed F1 score as a function of FPR.
 
     With positive-class prevalence pi, F1 = c along
-    TPR = c * (pi + (1 - pi) * FPR) / (pi * (2 - c)).  The default is the
-    balanced (pi = 1/2) case used when overlaying isometrics on operating-
+    TPR = c * (pi + (1 - pi) * FPR) / (pi * (2 - c)); this is the balanced
+    (pi = 1/2) case used when overlaying isometrics on operating-
     characteristic plots.  Values above 1 indicate the level is
     unattainable at that FPR.
     """
     if not 0 < level < 2:
         raise ConfigError(f"F1 level must be in (0, 2), got {level}")
-    if not 0 < prevalence < 1:
-        raise ConfigError(f"prevalence must be in (0, 1), got {prevalence}")
     fpr = np.asarray(fpr, dtype=np.float64)
-    return level * (prevalence + (1.0 - prevalence) * fpr) / (prevalence * (2.0 - level))
-
-
-@dataclass
-class ThresholdSet:
-    """Per-category detection thresholds plus where they came from."""
-
-    thresholds: np.ndarray  # (k,) values in [0, 1]
-    provenance: str
-
-    def __post_init__(self):
-        self.thresholds = np.asarray(self.thresholds, dtype=np.float64)
-        if self.thresholds.ndim != 1:
-            raise ConfigError("thresholds must be a vector")
-        if not np.all((self.thresholds >= 0) & (self.thresholds <= 1)):
-            raise ConfigError("thresholds must lie in [0, 1]")
+    return level * (0.5 + 0.5 * fpr) / (0.5 * (2.0 - level))
 
 
 def optimal_thresholds(
     targets: np.ndarray, predictions: np.ndarray, criterion: str = "f1"
-) -> ThresholdSet:
+) -> np.ndarray:
     """Per-category thresholds maximizing F1 or accuracy over the ROC sweep.
 
-    Candidates are the ROC thresholds for each category, all scored at once
-    from the same sorted sweep of detection counts, O(n log n) per category.
-    Ties go to the larger threshold.  A winning candidate above every score
-    is stored as 1.0 (detect only certainties).
+    Returns a (k,) float64 vector in [0, 1], in category order.  Candidates
+    are the ROC thresholds for each category, all scored at once from the
+    same sorted sweep of detection counts, O(n log n) per category.  Ties go
+    to the larger threshold.  A winning candidate above every score is
+    stored as 1.0 (detect only certainties).
     """
     targets, predictions = validate_pairs(targets, predictions)
     if criterion not in ("f1", "accuracy"):
@@ -328,20 +311,19 @@ def optimal_thresholds(
             value = f1_score(tp / tp[0], precision)
         last_max = value.size - 1 - np.argmax(value[::-1])  # ties: the larger threshold
         best[cat] = min(thresholds[last_max], 1.0)
-    return ThresholdSet(thresholds=best, provenance=f"optimized:{criterion}")
+    return best
 
 
 def detect_multilabel(label: np.ndarray, thresholds, names=CATEGORIES) -> set:
     """Names of the categories whose probability meets or exceeds their threshold.
 
-    May return several categories or none; thresholds may be a
-    ThresholdSet or a plain vector, and ``names`` gives the label's
-    categories in order.
+    May return several categories or none.  ``thresholds`` is a vector with
+    one value per category, and ``names`` gives the label's categories in
+    order.  Threshold values are not range-checked here; a thresholds file
+    is checked where it is read (``cli._load_thresholds``).
     """
     label = np.asarray(label, dtype=np.float64)
-    values = thresholds.thresholds if isinstance(thresholds, ThresholdSet) else np.asarray(
-        thresholds, dtype=np.float64
-    )
+    values = np.asarray(thresholds, dtype=np.float64)
     if label.shape != values.shape:
         raise DataError(f"label shape {label.shape} does not match thresholds {values.shape}")
     if label.shape != (len(names),):
@@ -349,26 +331,19 @@ def detect_multilabel(label: np.ndarray, thresholds, names=CATEGORIES) -> set:
     return {names[i] for i in np.flatnonzero(label >= values)}
 
 
-def merge_classes(label: np.ndarray, scheme) -> np.ndarray:
+def merge_classes(label: np.ndarray, groups) -> np.ndarray:
     """Sum label mass into merged categories.
 
     ``label`` is a (k,) vector or an (n, k) stack, summed over its last
-    axis.  ``scheme`` is either a named scheme (``"7to5"`` keeps Brain,
-    Muscle, Eye, Heart and pools the rest into Other; ``"7to2"`` keeps Brain
-    versus everything else) or an explicit sequence of index groups
-    partitioning the label. Mass is conserved exactly.
+    axis.  ``groups`` is a sequence of index groups partitioning 0..k-1;
+    output category i holds the summed mass of ``groups[i]``.  Mass is
+    conserved exactly.  ``cli.MERGE_SCHEMES`` holds the 7-to-5 and 7-to-2
+    groups.
     """
     label = np.asarray(label, dtype=np.float64)
     if label.ndim not in (1, 2):
         raise DataError("merge_classes expects a label vector or an (n, k) stack")
-    if isinstance(scheme, str):
-        if scheme not in _NAMED_SCHEMES:
-            raise ConfigError(
-                f"unknown merge scheme {scheme!r}; expected one of {sorted(_NAMED_SCHEMES)}"
-            )
-        groups = _NAMED_SCHEMES[scheme]
-    else:
-        groups = tuple(tuple(g) for g in scheme)
+    groups = tuple(tuple(g) for g in groups)
     flat = [i for group in groups for i in group]
     if sorted(flat) != list(range(label.shape[-1])):
         raise ConfigError(f"merge groups must partition indices 0..{label.shape[-1] - 1}")

@@ -19,6 +19,7 @@ import struct
 
 import numpy as np
 
+from ..bundles import atomic_write_bytes
 from ..errors import DataError
 from .model import ARCHITECTURE, NetworkWeights
 
@@ -27,7 +28,8 @@ VERSION = 1
 
 
 def save_weights(path, weights: NetworkWeights) -> None:
-    """Write weights to ``path``; values are stored in single precision."""
+    """Write weights to ``path`` atomically (``bundles.atomic_write_bytes``);
+    values are stored in single precision."""
     weights.validate()
     chunks = [MAGIC, struct.pack("<II", VERSION, len(ARCHITECTURE))]
     for spec in ARCHITECTURE:
@@ -40,8 +42,7 @@ def save_weights(path, weights: NetworkWeights) -> None:
         chunks.append(struct.pack(f"<{kernel.ndim}I", *kernel.shape))
         chunks.append(kernel.tobytes())
         chunks.append(bias.tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+    atomic_write_bytes(path, b"".join(chunks))
 
 
 class _Reader:

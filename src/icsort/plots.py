@@ -53,7 +53,7 @@ def _isometric_path(panel: _Panel, level: float) -> str:
     )
 
 
-def evaluation_svg(roc: dict, soc: dict, title: str = "", f1_levels=F1_LEVELS) -> str:
+def evaluation_svg(roc: dict, soc: dict, title: str = "") -> str:
     """Render ROC curves and SOC points into one SVG document.
 
     Parameters
@@ -92,7 +92,7 @@ def evaluation_svg(roc: dict, soc: dict, title: str = "", f1_levels=F1_LEVELS) -
         parts.append(panel.polyline(
             (0.0, 1.0), (0.0, 1.0), 'stroke="#dddddd" stroke-width="1"'
         ))
-        for level in f1_levels:
+        for level in F1_LEVELS:
             path = _isometric_path(panel, level)
             if path:
                 parts.append(path)

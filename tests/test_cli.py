@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: commands, outputs, exit codes."""
 
+import dataclasses
 import json
 import time
 import xml.etree.ElementTree as ElementTree
@@ -20,7 +21,7 @@ from icsort.categories import CATEGORIES
 from icsort.crowdlabel import VOTES_CSV_HEADER
 from icsort.errors import DataError
 from icsort.features import Recording
-from icsort.network import initialize_weights, save_weights
+from icsort.network import TrainConfig, initialize_weights, save_weights
 
 
 def _weights_file(tmp_path, seed=0):
@@ -210,7 +211,8 @@ def test_classify_merges_categories_and_applies_thresholds(tmp_path):
     # non-numeric, out-of-range or undecodable thresholds are data errors
     for payload in (b'{"thresholds": ["a", 0.2, 0.2, 0.2, 0.2]}', b'[0.2, 0.2, [0.2], 0.2, 0.2]',
                     b'[0.2, 0.2, NaN, 0.2, 0.2]', b'{"thresholds": {"a": 1}}', b'[0.2, "\xff"]',
-                    b"[" * 100000):
+                    b"[" * 100000, b"[0.2, 1.5, 0.2, 0.2, 0.2]", b"[0.2, Infinity, 0.2, 0.2, 0.2]",
+                    b"[0.2, -Infinity, 0.2, 0.2, 0.2]", b"[[0.2, 0.2, 0.2, 0.2, 0.2]]"):
         thresholds.write_bytes(payload)
         assert cli.main(["classify", "--weights", str(weights), "--features", str(features),
                          "--out", str(tmp_path / "y.json"), "--merge", "5",
@@ -283,10 +285,13 @@ def test_train_with_explicit_validation_files(tmp_path):
 
 def test_train_rejects_mismatched_label_files(tmp_path, capsys):
     features, ids = _feature_bundle(tmp_path, n=8, seed=9)
-    labels, _ = _labels_file(tmp_path, [f"other{i}" for i in range(8)], seed=9)
+    labels, _ = _labels_file(tmp_path, ids[1:] + ["other"], seed=9)
     assert cli.main(["train", "--features", str(features), "--labels", str(labels),
                      "--max-batches", "2", "--out", str(tmp_path / "w.iclw")]) == 2
-    assert "does not match features" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: component id mismatch: only in {features}: ['ic000'], "
+        f"only in {labels}: ['other']\n")
+    assert not (tmp_path / "w.iclw").exists()
 
 
 def test_align_labels_is_linear_in_the_number_of_ids():
@@ -295,13 +300,15 @@ def test_align_labels_is_linear_in_the_number_of_ids():
     ids = [f"c{i:05d}" for i in range(20000)]
     labels = np.arange(20000.0)[::-1, None] * np.ones((1, 7))
     started = time.perf_counter()
-    aligned = cli._align_labels(ids, ids[::-1], labels)
+    aligned = cli._align_labels(ids, ids[::-1], labels, "a", "b")
     assert time.perf_counter() - started < 1.0
     assert np.array_equal(aligned[:, 0], np.arange(20000.0))
 
-    with pytest.raises(DataError, match=r"missing labels for \['c00000'\], "
-                                        r"labels without features \['x'\]"):
-        cli._align_labels(ids, ids[1:] + ["x"], labels)
+    with pytest.raises(DataError, match=r"^component id mismatch: only in f.bin: \['c00000'\], "
+                                        r"only in l.csv: \['x'\]$"):
+        cli._align_labels(ids, ids[1:] + ["x"], labels, "f.bin", "l.csv")
+    with pytest.raises(DataError, match=r"only in f.bin: none, only in l.csv: \['x'\]$"):
+        cli._align_labels(ids, ids + ["x"], np.vstack([labels, labels[:1]]), "f.bin", "l.csv")
 
 
 def test_parse_config_file_accepts_the_documented_grammar(tmp_path):
@@ -309,20 +316,42 @@ def test_parse_config_file_accepts_the_documented_grammar(tmp_path):
     path.write_text(
         "# full line comment\n"
         "\n"
+        "batch_size = 16\n"
         "learning_rate = 0.001\n"
-        "class_weights = 2,1,1,1,1,1,1\n"
-        "augment = false\n"
+        "beta1 = 0.9   # trailing comment\n"
+        "beta2 = 0.99\n"
+        "epsilon = 1e-7\n"
         "clip_norm = 10.5\n"
+        "class_weights = 2,1,1,1,1,1,1\n"
+        "noise_sigma = 0\n"
+        "val_interval = 7\n"
+        "early_stop_window = 30\n"
+        "max_batches = 12\n"
+        "augment = False\n"
     )
     options = cli.parse_config_file(path)
     assert options == {
+        "batch_size": 16,
         "learning_rate": 0.001,
-        "class_weights": (2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0),
-        "augment": False,
+        "beta1": 0.9,
+        "beta2": 0.99,
+        "epsilon": 1e-7,
         "clip_norm": 10.5,
+        "class_weights": (2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0),
+        "noise_sigma": 0.0,
+        "val_interval": 7,
+        "early_stop_window": 30,
+        "max_batches": 12,
+        "augment": False,
     }
+    assert set(options) == {field.name for field in dataclasses.fields(TrainConfig)}
+    assert all(type(options[name]) is type(getattr(TrainConfig(), name))
+               for name in options if name != "max_batches")
+    assert type(options["max_batches"]) is int
+    TrainConfig(**options)
 
-    for bad in ("mystery = 1\n", "batch_size 8\n", "augment = maybe\n"):
+    for bad in ("mystery = 1\n", "batch_size 8\n", "augment = maybe\n", "batch_size = 1.5\n",
+                "max_batches = none\n", "class_weights = 1,x\n"):
         path.write_text(bad)
         with pytest.raises(cli.ConfigError):
             cli.parse_config_file(path)
@@ -483,12 +512,15 @@ def test_evaluate_merged_classes_and_skipped_categories(tmp_path):
 
 
 def test_evaluate_rejects_mismatched_component_ids(tmp_path, capsys):
-    write_labels_csv(tmp_path / "t.csv", ["a", "b"], np.eye(7)[[0, 1]])
-    write_labels_csv(tmp_path / "p.csv", ["a", "c"], np.eye(7)[[0, 1]])
-    assert cli.main(["evaluate", "--targets", str(tmp_path / "t.csv"),
-                     "--predictions", str(tmp_path / "p.csv"),
+    # the same message as train's: both files named, the ids found in only one
+    targets, predictions = tmp_path / "t.csv", tmp_path / "p.csv"
+    write_labels_csv(targets, ["a", "b"], np.eye(7)[[0, 1]])
+    write_labels_csv(predictions, ["a", "c"], np.eye(7)[[0, 1]])
+    assert cli.main(["evaluate", "--targets", str(targets), "--predictions", str(predictions),
                      "--out", str(tmp_path / "e.json")]) == 2
-    assert "component id mismatch" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: component id mismatch: only in {targets}: ['b'], only in {predictions}: ['c']\n")
+    assert not (tmp_path / "e.json").exists()
 
 
 # ------------------------------------------------------------------- bench

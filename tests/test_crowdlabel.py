@@ -202,21 +202,6 @@ def test_fit_validates_votes_epochs_and_priors():
         cllda_fit(votes, {}, UNIFORM)
 
 
-def test_unvoted_roster_components_get_the_normalized_class_prior():
-    alpha = np.array(TRAINING_CLASS_PRIOR)
-    result = cllda_fit(
-        [Vote("u1", "c1", "Brain")],
-        _unknown_priors("u1"),
-        ClassPrior(alpha),
-        burn_in=20,
-        sampling_epochs=50,
-        seed=0,
-        components=["c1", "quiet"],
-    )
-    assert set(result.labels) == {"c1", "quiet"}
-    np.testing.assert_allclose(result.labels["quiet"], alpha / alpha.sum(), rtol=1e-12)
-
-
 def test_results_are_probability_vectors():
     votes = [
         Vote("u1", "c1", "Line Noise"),

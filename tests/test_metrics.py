@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 
 import builders
 import oracles
-from icsort.cli import MERGED_NAMES, evaluation_report
+from icsort.categories import LABEL_SUM_TOL, first_invalid_label
+from icsort.cli import MERGE_SCHEMES, MERGED_NAMES, evaluation_report
 from icsort.errors import ConfigError, DataError
 from icsort.metrics import (
     ABOVE_MAX,
-    MERGE_7_TO_2,
-    MERGE_7_TO_5,
     TRAINING_ACCURACY_THRESHOLDS,
-    ThresholdSet,
     balanced_accuracy,
     confusion_matrix,
     cross_entropy,
@@ -52,14 +50,51 @@ def test_validate_pairs_rejects_malformed_stacks():
         validate_pairs(np.empty((0, 7)), np.empty((0, 7)))
     bad = good.copy()
     bad[0, 0] = np.nan
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="^predictions row 0: .*non-finite"):
         validate_pairs(good, bad)
     bad = good.copy()
     bad[1] = [-0.1, 0.3, 0.2, 0.2, 0.2, 0.1, 0.1]
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="^targets row 1: .*negative"):
         validate_pairs(bad, good)
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="^predictions row 0: .*sums to 0.49"):
         validate_pairs(good, good * 0.5)
+    # targets are checked first, and the accepted sum tolerance is 1e-6
+    with pytest.raises(DataError, match="^targets row 2: "):
+        validate_pairs(np.vstack([good[:2], good[2] * 1.00001]), good * 0.5)
+    validate_pairs(good * (1.0 + 9e-7), good)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 12),
+       damage=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 6), st.sampled_from(
+           [("set", np.nan), ("set", np.inf), ("set", -np.inf), ("set", -0.25), ("set", 1e308),
+            ("add", 1e-7), ("add", 2e-6), ("move", 0.75)])), max_size=3))
+def test_first_invalid_label_matches_a_per_row_reference(seed, n, damage):
+    labels = np.random.default_rng(seed).dirichlet(np.ones(7), size=n)
+    for row, col, (how, value) in damage:
+        if row >= n:
+            continue
+        if how == "set":
+            labels[row, col] = value
+        elif how == "add":
+            labels[row, col] += value
+        else:  # a negative entry in a row that still sums to 1
+            labels[row, col] -= value
+            labels[row, (col + 1) % 7] += value
+    expected = None
+    for row, label in enumerate(labels):
+        if not np.all(np.isfinite(label)):
+            expected = (row, "non-finite")
+        elif np.any(label < 0):
+            expected = (row, "negative")
+        elif abs(label.sum() - 1.0) > LABEL_SUM_TOL:
+            expected = (row, "sums to")
+        if expected:
+            break
+    found = first_invalid_label(labels)
+    assert (found is None) == (expected is None)
+    if found:
+        assert found[0] == expected[0] and expected[1] in found[1]
 
 
 # --------------------------------------------------------------- soft AND
@@ -311,7 +346,7 @@ def test_roc_and_thresholds_match_brute_force_on_tied_scores(seed):
         result = optimal_thresholds(targets, predictions, criterion=criterion)
         for category in range(7):
             _, theta = oracles.bf_best_threshold(targets, predictions, category, criterion)
-            assert result.thresholds[category] == theta
+            assert result[category] == theta
 
 
 @settings(max_examples=100, deadline=None)
@@ -343,7 +378,7 @@ def test_roc_sweep_is_monotone_and_thresholds_are_candidates(seed, n, k, levels)
     for criterion in ("f1", "accuracy"):
         result = optimal_thresholds(targets, predictions, criterion=criterion)
         for category in range(k):
-            assert result.thresholds[category] in candidates[category]
+            assert result[category] in candidates[category]
 
 
 def test_evaluation_report_scales_to_32000_pairs():
@@ -390,11 +425,11 @@ def test_f1_score_formula_and_edges():
         f1_score(np.array([0.5, np.nan]), np.array([0.5, 0.5]))
 
 
-@pytest.mark.parametrize("prevalence", [0.5, 0.3])
+@pytest.mark.parametrize("prevalence", [0.5])  # the balanced locus f1_isometric draws
 @pytest.mark.parametrize("level", [0.25, 0.6, 0.9])
 def test_f1_isometric_points_reproduce_their_level(level, prevalence):
     fpr = np.linspace(0.0, 1.0, 11)
-    tpr = f1_isometric(level, fpr, prevalence=prevalence)
+    tpr = f1_isometric(level, fpr)
     mask = tpr <= 1.0  # attainable part of the locus
     assert np.any(mask)
     recall = tpr[mask]
@@ -410,34 +445,22 @@ def test_f1_isometric_rejects_bad_parameters():
         f1_isometric(0.0, [0.5])
     with pytest.raises(ConfigError):
         f1_isometric(2.0, [0.5])
-    with pytest.raises(ConfigError):
-        f1_isometric(0.5, [0.5], prevalence=1.0)
 
 
 # --------------------------------------------------------------- thresholds
-
-
-def test_threshold_set_validation():
-    ThresholdSet(np.full(7, 0.5), "fixed")
-    with pytest.raises(ConfigError):
-        ThresholdSet(np.full((7, 1), 0.5), "fixed")
-    with pytest.raises(ConfigError):
-        ThresholdSet(np.array([0.5, 1.5]), "fixed")
-    for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ConfigError):
-            ThresholdSet(np.full(7, bad), "fixed")
-        with pytest.raises(ConfigError):
-            ThresholdSet(np.array([0.5, bad]), "fixed")
 
 
 @pytest.mark.parametrize("criterion", ["f1", "accuracy"])
 def test_optimal_thresholds_match_brute_force(criterion):
     targets, predictions = builders.random_label_pairs(seed=7, n=120)
     result = optimal_thresholds(targets, predictions, criterion=criterion)
-    assert result.provenance == f"optimized:{criterion}"
+    assert result.shape == (7,) and result.dtype == np.float64
     for category in range(7):
         _, theta = oracles.bf_best_threshold(targets, predictions, category, criterion)
-        assert result.thresholds[category] == pytest.approx(theta, abs=1e-12)
+        assert result[category] == pytest.approx(theta, abs=1e-12)
+    report = evaluation_report(targets, predictions, MERGED_NAMES["7"])
+    assert report["optimal_thresholds"][criterion] == {
+        "thresholds": result.tolist(), "provenance": f"optimized:{criterion}"}
 
 
 def test_optimal_thresholds_break_ties_upward_and_clamp_to_one():
@@ -446,7 +469,7 @@ def test_optimal_thresholds_break_ties_upward_and_clamp_to_one():
     targets = _one_hot([0, 1], k=2)
     predictions = np.array([[0.1, 0.9], [0.9, 0.1]])
     result = optimal_thresholds(targets, predictions, criterion="accuracy")
-    assert result.thresholds[0] == 1.0
+    assert result[0] == 1.0
 
     with pytest.raises(ConfigError):
         optimal_thresholds(targets, predictions, criterion="gini")
@@ -457,8 +480,8 @@ def test_detect_multilabel_with_the_tuned_thresholds():
     detected = detect_multilabel(label, TRAINING_ACCURACY_THRESHOLDS)
     assert detected == {"Brain", "Other"}
 
-    wrapped = ThresholdSet(TRAINING_ACCURACY_THRESHOLDS, "training-accuracy")
-    assert detect_multilabel(label, wrapped) == {"Brain", "Other"}
+    vector = np.array(TRAINING_ACCURACY_THRESHOLDS)
+    assert detect_multilabel(label, vector) == {"Brain", "Other"}
 
     nothing = detect_multilabel(np.full(7, 0.01), TRAINING_ACCURACY_THRESHOLDS)
     assert nothing == set()
@@ -489,43 +512,43 @@ def test_merging_can_flip_the_argmax():
 
 def test_named_merge_schemes():
     label = np.array([0.3, 0.1, 0.1, 0.1, 0.2, 0.1, 0.1])
-    five = merge_classes(label, "7to5")
+    five = merge_classes(label, MERGE_SCHEMES["5"])
     np.testing.assert_allclose(five, [0.3, 0.1, 0.1, 0.1, 0.4], atol=1e-15)
-    two = merge_classes(label, "7to2")
+    two = merge_classes(label, MERGE_SCHEMES["2"])
     np.testing.assert_allclose(two, [0.3, 0.7], atol=1e-15)
-    assert MERGE_7_TO_5[-1] == (4, 5, 6)
-    assert MERGE_7_TO_2 == ((0,), (1, 2, 3, 4, 5, 6))
+    assert MERGE_SCHEMES["5"] == ((0,), (1,), (2,), (3,), (4, 5, 6))
+    assert MERGE_SCHEMES["2"] == ((0,), (1, 2, 3, 4, 5, 6))
+    for classes, groups in MERGE_SCHEMES.items():
+        assert len(groups) == len(MERGED_NAMES[classes]) == int(classes)
 
 
 def test_merge_conserves_mass_and_validates_partitions():
     rng = np.random.default_rng(8)
     label = rng.dirichlet(np.ones(7))
-    merged = merge_classes(label, "7to5")
+    merged = merge_classes(label, MERGE_SCHEMES["5"])
     assert merged.sum() == pytest.approx(label.sum(), abs=1e-12)
 
     with pytest.raises(ConfigError):
         merge_classes(label, ((0, 1), (1, 2, 3, 4, 5, 6)))  # overlap
     with pytest.raises(ConfigError):
         merge_classes(label, ((0,), (1, 2)))  # missing indices
-    with pytest.raises(ConfigError):
-        merge_classes(label, "7to3")
 
     stack = rng.dirichlet(np.ones(7), size=6)
-    merged = merge_classes(stack, "7to5")
+    merged = merge_classes(stack, MERGE_SCHEMES["5"])
     assert merged.shape == (6, 5)
     for row, merged_row in zip(stack, merged):
-        assert merged_row.tobytes() == merge_classes(row, "7to5").tobytes()
+        assert merged_row.tobytes() == merge_classes(row, MERGE_SCHEMES["5"]).tobytes()
         assert merged_row.sum() == pytest.approx(row.sum(), abs=1e-12)
     with pytest.raises(DataError):
-        merge_classes(stack[None], "7to5")
+        merge_classes(stack[None], MERGE_SCHEMES["5"])
 
 
 @settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), scheme=st.sampled_from(["7to5", "7to2"]),
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), classes=st.sampled_from(["5", "2"]),
        concentration=st.sampled_from([0.05, 1.0, 20.0]))
-def test_merge_conserves_each_rows_mass(seed, n, scheme, concentration):
+def test_merge_conserves_each_rows_mass(seed, n, classes, concentration):
     stack = np.random.default_rng(seed).dirichlet(np.full(7, concentration), size=n)
-    merged = merge_classes(stack, scheme)
-    assert merged.shape == (n, 5 if scheme == "7to5" else 2)
+    merged = merge_classes(stack, MERGE_SCHEMES[classes])
+    assert merged.shape == (n, int(classes))
     assert np.all(merged >= 0)
     np.testing.assert_allclose(merged.sum(axis=1), stack.sum(axis=1), rtol=0, atol=1e-15)

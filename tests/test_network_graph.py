@@ -1,5 +1,6 @@
 """Network architecture, convolution primitives, gradients, weight files."""
 
+import os
 import struct
 
 import numpy as np
@@ -404,6 +405,25 @@ def test_weights_round_trip_is_bitwise(tmp_path):
         assert np.array_equal(loaded.biases[name], weights.biases[name])
         assert loaded.kernels[name].dtype == np.float32
     assert loaded.version == 1
+
+
+def test_failed_weights_write_keeps_the_old_file_and_no_temporary(tmp_path, monkeypatch):
+    path = tmp_path / "model.iclw"
+    save_weights(path, initialize_weights(seed=17))
+    old = path.read_bytes()
+    plain = tmp_path / "plain"
+    plain.write_bytes(b"")
+    assert path.stat().st_mode == plain.stat().st_mode  # not mkstemp's 0600
+    plain.unlink()
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        save_weights(path, initialize_weights(seed=18))
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["model.iclw"]
 
 
 def test_weights_file_rejects_corruption(tmp_path):

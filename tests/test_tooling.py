@@ -26,6 +26,22 @@ def test_perfbench_span_targets_resolve(monkeypatch):
     assert missing == []
 
 
+def test_perfbench_merge_matches_the_cli_merge(monkeypatch):
+    # the curate workload checks each merged evaluation against its own
+    # merge over the imported MERGE_SCHEMES, so the two must agree bit for bit
+    monkeypatch.syspath_prepend(ROOT)
+    curate = importlib.import_module("perfbench.curate")
+    from icsort import cli
+
+    rng = np.random.default_rng(0)
+    targets, predictions = rng.dirichlet(np.ones(7), size=(2, 50))
+    for classes in ("5", "2"):
+        merged_t, merged_p, names = cli._merged_pairs(targets, predictions, classes)
+        assert np.array_equal(curate._merge(targets, classes), merged_t)
+        assert np.array_equal(curate._merge(predictions, classes), merged_p)
+        assert len(names) == merged_t.shape[1] == int(classes)
+
+
 def test_perfbench_recordings_write_read_and_extract(monkeypatch, tmp_path):
     # the label workload builds its recordings through the program's Recording
     # and bundle writer, so a signature change there must fail here
