@@ -202,19 +202,27 @@ def parse_config_file(path) -> dict:
     return options
 
 
+def _some_ids(ids: list) -> str:
+    """The first five ids as a list, then how many more there are; 'none' if empty."""
+    if not ids:
+        return "none"
+    return f"{ids[:5]}" + (f" and {len(ids) - 5} more" if len(ids) > 5 else "")
+
+
 def _align_labels(component_ids, label_ids, labels, ids_file, labels_file):
     """The rows of ``labels`` (in ``label_ids`` order) put in ``component_ids`` order.
 
     Both id lists must hold the same ids; otherwise a ``DataError`` names the
-    two files and lists the ids found in only one of them.
+    two files and, for each, the first few ids found only in it and how many
+    more there are.
     """
     known_labels, known_components = set(label_ids), set(component_ids)
     only_ids = [c for c in component_ids if c not in known_labels]
     only_labels = [c for c in label_ids if c not in known_components]
     if only_ids or only_labels:
         raise DataError(
-            f"component id mismatch: only in {ids_file}: {only_ids or 'none'}, "
-            f"only in {labels_file}: {only_labels or 'none'}"
+            f"component id mismatch: only in {ids_file}: {_some_ids(only_ids)}, "
+            f"only in {labels_file}: {_some_ids(only_labels)}"
         )
     order = {c: i for i, c in enumerate(label_ids)}
     return labels[[order[c] for c in component_ids]]

@@ -248,8 +248,15 @@ def median_welch_psd(activity: np.ndarray, sample_rate: float) -> np.ndarray:
         raise DataError(
             f"need at least one full 1-second window ({nperseg} samples), got {x.shape[0]}"
         )
-    spectra = _segment_periodograms(x, nperseg, sample_rate)
-    median_power = np.median(spectra, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # such spectra are rejected below
+        spectra = _segment_periodograms(x, nperseg, sample_rate)
+    if not np.isfinite(spectra).all():
+        raise DataError("power spectrum is not finite: the activity has non-finite or "
+                        "overflowing samples")
+    # the median by selection: np.median's bits without its NaN sentinel partition
+    middle = len(spectra) // 2
+    middles = [middle] if len(spectra) % 2 else [middle - 1, middle]
+    median_power = np.mean(np.partition(spectra, middles, axis=0)[middles[0]:middle + 1], axis=0)
     db = 10.0 * np.log10(median_power + 1e-12)
     return db[_psd_bins(nperseg, sample_rate)]
 
@@ -277,7 +284,7 @@ def autocorrelation(activity: np.ndarray, sample_rate: float) -> np.ndarray:
     max_lag = int(np.ceil(sample_rate))
     nfft = scipy.fft.next_fast_len(n + max_lag + 1)
     spectrum = np.abs(np.fft.rfft(x, nfft)) ** 2
-    acov = np.fft.irfft(spectrum, nfft)[: max_lag + 1] / n
+    acov = scipy.fft.irfft(spectrum, nfft)[: max_lag + 1] / n  # faster than numpy's inverse
 
     lag_samples = np.linspace(0.0, 1.0, N_AUTOCORR_LAGS + 1) * sample_rate
     resampled = np.interp(lag_samples, np.arange(max_lag + 1, dtype=np.float64), acov)

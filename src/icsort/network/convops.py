@@ -1,17 +1,26 @@
 """Strided convolution primitives with explicit forward and backward passes.
 
-Convolutions are lowered to matrix multiplication: patches are gathered
-into a column matrix (a strided view, so gathering is cheap) and the
-kernel is applied as a single GEMM.  The backward pass scatters the column
-gradient back with one slice-add per kernel tap.
+Convolutions are lowered to matrix multiplication.  ``lower_2d`` and
+``lower_1d`` pad an input and copy its patches into a column matrix (the
+im2col matrix); ``forward_lowered`` applies the kernel to it as a single
+GEMM.  ``backward_lowered`` takes the same ``Lowered`` input, so a training
+step lowers each layer's input once: the forward pass keeps the matrix for
+the backward pass instead of the backward padding and copying again.  The
+backward pass scatters the column gradient back by stride phase: the
+kernel taps whose rows and columns share a quotient by the stride land on
+disjoint input positions, so each such group is one strided add, made in
+the order a tap-by-tap loop would add them.
 
 Layouts are channels-last: 2-D activations are (batch, height, width,
-channels) and 1-D activations are (batch, length, channels).  "same"
-padding follows the convention where the total padding splits evenly with
-the extra element trailing; "valid" applies none.
+channels) and 1-D activations are (batch, length, channels).  A 1-D
+convolution is lowered as a height-1 image.  "same" padding follows the
+convention where the total padding splits evenly with the extra element
+trailing; "valid" applies none.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,92 +51,138 @@ def output_size(size: int, kernel: int, stride: int, padding: str) -> int:
     return (size + lead + trail - kernel) // stride + 1
 
 
-def _patch_view_2d(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """Strided (n, ho, wo, kh, kw, c) window view of a padded NHWC array."""
-    n, h, w, c = x.shape
-    ho = (h - kh) // stride + 1
-    wo = (w - kw) // stride + 1
-    sn, sh, sw, sc = x.strides
-    return np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, ho, wo, kh, kw, c),
+class Lowered(NamedTuple):
+    """A convolution input lowered to its im2col matrix, with the geometry to undo it."""
+
+    cols: np.ndarray  # (n * out_h * out_w, kh * kw * c_in), one row per output position
+    input_shape: tuple  # the input as given: (n, h, w, c_in) or (n, length, c_in)
+    output_shape: tuple  # the output without channels: (n, out_h, out_w) or (n, out_length)
+    kernel: tuple  # (kh, kw); a 1-D kernel of k taps is (1, k)
+    stride: int
+    padding: tuple  # ((top, bottom), (left, right)) zero padding
+
+
+def lower_2d(x: np.ndarray, kernel_shape: tuple, stride: int, padding: str) -> Lowered:
+    """Lower x (n, h, w, c_in) for a kernel of shape (kh, kw, c_in, c_out)."""
+    kh, kw, c_in, _ = kernel_shape
+    if x.ndim != 4 or x.shape[3] != c_in:
+        raise ConfigError(f"expected input (n, h, w, {c_in}), got {x.shape}")
+    n, h, w, _ = x.shape
+    pads = (_resolve_padding(h, kh, stride, padding), _resolve_padding(w, kw, stride, padding))
+    xp = np.pad(x, ((0, 0), *pads, (0, 0)))
+    ho = (xp.shape[1] - kh) // stride + 1
+    wo = (xp.shape[2] - kw) // stride + 1
+    sn, sh, sw, sc = xp.strides
+    patches = np.lib.stride_tricks.as_strided(
+        xp,
+        shape=(n, ho, wo, kh, kw, c_in),
         strides=(sn, sh * stride, sw * stride, sh, sw, sc),
         writeable=False,
     )
+    cols = patches.reshape(n * ho * wo, kh * kw * c_in)
+    return Lowered(cols, x.shape, (n, ho, wo), (kh, kw), stride, pads)
+
+
+def lower_1d(x: np.ndarray, kernel_shape: tuple, stride: int, padding: str) -> Lowered:
+    """Lower x (n, length, c_in) for a kernel of shape (k, c_in, c_out)."""
+    k, c_in, c_out = kernel_shape
+    if x.ndim != 3 or x.shape[2] != c_in:
+        raise ConfigError(f"expected input (n, length, {c_in}), got {x.shape}")
+    lowered = lower_2d(x[:, None, :, :], (1, k, c_in, c_out), stride, padding)
+    n, _, wo = lowered.output_shape
+    return lowered._replace(input_shape=x.shape, output_shape=(n, wo))
+
+
+def forward_lowered(lowered: Lowered, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Convolution output for a lowered input: one GEMM with the kernel, plus the bias."""
+    y = lowered.cols @ w.reshape(lowered.cols.shape[1], -1)
+    y += b
+    return y.reshape(*lowered.output_shape, w.shape[-1])
+
+
+def backward_lowered(
+    lowered: Lowered, w: np.ndarray, dy: np.ndarray, input_grad: bool = True
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Gradients (dx, dw, db) of a convolution given its lowered input and upstream dy.
+
+    With ``input_grad`` off, dx is not computed and is returned as None.
+    """
+    cols = lowered.cols
+    c_out = w.shape[-1]
+    dy_flat = dy.reshape(cols.shape[0], c_out)
+    db = dy_flat.sum(axis=0)
+    dw = (cols.T @ dy_flat).reshape(w.shape)
+    if not input_grad:
+        return None, dw, db
+    ho, wo = _image_size(lowered.output_shape[1:])
+    dcols = (dy_flat @ w.reshape(cols.shape[1], c_out).T).reshape(
+        lowered.output_shape[0], ho, wo, *lowered.kernel, -1)
+    return _scatter_by_phase(dcols, lowered), dw, db
+
+
+def _image_size(spatial: tuple) -> tuple:
+    """(height, width) of a 2-D spatial shape, or (1, length) of a 1-D one."""
+    return (1, *spatial)[-2:]
+
+
+def _scatter_by_phase(dcols: np.ndarray, lowered: Lowered) -> np.ndarray:
+    """The input gradient: each tap's column gradient added at the positions it read.
+
+    Tap (i, j) of output (a, b) read padded position (s*a + i, s*b + j).
+    Writing i = s*qi + pi, that is row (a + qi, pi) of the padded rows
+    viewed as (rows / s, s), and the same for columns.  So the taps of one
+    (qi, qj) group are one strided add of a transposed ``dcols`` slice, and
+    the groups are added in the order a loop over (i, j) would add them,
+    which gives every position its terms in the same order and so the same
+    bits.  An axis with one output step uses stride 1, so a 1-D input does
+    not double its height; the padded axes are rounded up to a multiple of
+    the stride and the extra rows and columns are dropped.
+    """
+    n, ho, wo, kh, kw, c = dcols.shape
+    s = lowered.stride
+    sh, sw = (s if ho > 1 else 1), (s if wo > 1 else 1)
+    h, w = _image_size(lowered.input_shape[1:-1])
+    (top, bottom), (left, right) = lowered.padding
+    hq, wq = -(-(top + h + bottom) // sh), -(-(left + w + right) // sw)
+    phased = np.zeros((n, hq, sh, wq, sw, c), dtype=dcols.dtype)
+    for qi in range(-(-kh // sh)):
+        rows = slice(qi * sh, min(qi * sh + sh, kh))
+        for qj in range(-(-kw // sw)):
+            columns = slice(qj * sw, min(qj * sw + sw, kw))
+            group = dcols[:, :, :, rows, columns, :].transpose(0, 1, 3, 2, 4, 5)
+            phased[:, qi : qi + ho, : group.shape[2], qj : qj + wo, : group.shape[4], :] += group
+    padded = phased.reshape(n, hq * sh, wq * sw, c)
+    return padded[:, top : top + h, left : left + w, :].reshape(lowered.input_shape)
 
 
 def conv2d_forward(
     x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, padding: str
 ) -> np.ndarray:
     """2-D convolution of x (n, h, w, c_in) with w (kh, kw, c_in, c_out)."""
-    kh, kw, c_in, c_out = w.shape
-    if x.ndim != 4 or x.shape[3] != c_in:
-        raise ConfigError(f"expected input (n, h, w, {c_in}), got {x.shape}")
-    ph = _resolve_padding(x.shape[1], kh, stride, padding)
-    pw = _resolve_padding(x.shape[2], kw, stride, padding)
-    xp = np.pad(x, ((0, 0), ph, pw, (0, 0)))
-    patches = _patch_view_2d(xp, kh, kw, stride)
-    n, ho, wo = patches.shape[:3]
-    cols = patches.reshape(n * ho * wo, kh * kw * c_in)
-    y = cols @ w.reshape(kh * kw * c_in, c_out)
-    y += b
-    return y.reshape(n, ho, wo, c_out)
+    return forward_lowered(lower_2d(x, w.shape, stride, padding), w, b)
 
 
 def conv2d_backward(
     x: np.ndarray, w: np.ndarray, stride: int, padding: str, dy: np.ndarray,
     input_grad: bool = True,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """Gradients (dx, dw, db) of a 2-D convolution given upstream dy.
-
-    With ``input_grad`` off, dx is not computed and is returned as None.
-    """
-    kh, kw, c_in, c_out = w.shape
-    ph = _resolve_padding(x.shape[1], kh, stride, padding)
-    pw = _resolve_padding(x.shape[2], kw, stride, padding)
-    xp = np.pad(x, ((0, 0), ph, pw, (0, 0)))
-    patches = _patch_view_2d(xp, kh, kw, stride)
-    n, ho, wo = patches.shape[:3]
-    cols = patches.reshape(n * ho * wo, kh * kw * c_in)
-    dy_flat = dy.reshape(n * ho * wo, c_out)
-
-    db = dy_flat.sum(axis=0)
-    dw = (cols.T @ dy_flat).reshape(w.shape)
-    if not input_grad:
-        return None, dw, db
-    dcols = (dy_flat @ w.reshape(kh * kw * c_in, c_out).T).reshape(n, ho, wo, kh, kw, c_in)
-
-    dxp = np.zeros_like(xp)
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, i : i + ho * stride : stride, j : j + wo * stride : stride, :] += dcols[
-                :, :, :, i, j, :
-            ]
-    h, wdt = x.shape[1], x.shape[2]
-    dx = dxp[:, ph[0] : ph[0] + h, pw[0] : pw[0] + wdt, :]
-    return dx, dw, db
+    """Gradients (dx, dw, db) of a 2-D convolution given upstream dy; see ``backward_lowered``."""
+    return backward_lowered(lower_2d(x, w.shape, stride, padding), w, dy, input_grad)
 
 
 def conv1d_forward(
     x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, padding: str
 ) -> np.ndarray:
     """1-D convolution of x (n, length, c_in) with w (k, c_in, c_out)."""
-    k, c_in, c_out = w.shape
-    if x.ndim != 3 or x.shape[2] != c_in:
-        raise ConfigError(f"expected input (n, length, {c_in}), got {x.shape}")
-    y = conv2d_forward(x[:, None, :, :], w[None, :, :, :], b, stride, padding)
-    return y[:, 0, :, :]
+    return forward_lowered(lower_1d(x, w.shape, stride, padding), w, b)
 
 
 def conv1d_backward(
     x: np.ndarray, w: np.ndarray, stride: int, padding: str, dy: np.ndarray,
     input_grad: bool = True,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """Gradients (dx, dw, db) of a 1-D convolution given upstream dy; see ``conv2d_backward``."""
-    dx4, dw4, db = conv2d_backward(
-        x[:, None, :, :], w[None, :, :, :], stride, padding, dy[:, None, :, :], input_grad
-    )
-    return (None if dx4 is None else dx4[:, 0, :, :]), dw4[0], db
+    """Gradients (dx, dw, db) of a 1-D convolution given upstream dy; see ``backward_lowered``."""
+    return backward_lowered(lower_1d(x, w.shape, stride, padding), w, dy, input_grad)
 
 
 def leaky_relu(x: np.ndarray, alpha: float = 0.2, out: np.ndarray | None = None) -> np.ndarray:

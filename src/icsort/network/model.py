@@ -84,11 +84,8 @@ _INPUT_SIZES = (TOPO_SIZE, N_PSD_BINS, N_AUTOCORR_LAGS)  # per branch, per spati
 ARCHITECTURE: tuple = (*(spec for branch in BRANCHES for spec in branch), HEAD)
 LAYER_ORDER: tuple = tuple(spec.name for spec in ARCHITECTURE)
 
-#: kind -> (forward, backward) convolution
-_CONVOLUTIONS = {
-    "conv2d": (convops.conv2d_forward, convops.conv2d_backward),
-    "conv1d": (convops.conv1d_forward, convops.conv1d_backward),
-}
+#: kind -> the lowering of the layer's input for its convolution
+_LOWERINGS = {"conv2d": convops.lower_2d, "conv1d": convops.lower_1d}
 #: activation -> (function applied in place to the pre-activation, derivative evaluated
 #: on the output, whose sign is the pre-activation's); None is the identity's derivative
 _ACTIVATIONS = {
@@ -148,10 +145,11 @@ class NetworkWeights:
 def _truncated_normal(rng: np.random.Generator, shape, sigma: float) -> np.ndarray:
     """Normal(0, sigma) with draws beyond two sigma redrawn."""
     out = rng.normal(0.0, sigma, size=shape)
-    bad = np.abs(out) > 2.0 * sigma
-    while np.any(bad):
-        out[bad] = rng.normal(0.0, sigma, size=int(bad.sum()))
-        bad = np.abs(out) > 2.0 * sigma
+    flat = out.reshape(-1)
+    bad = np.flatnonzero(np.abs(flat) > 2.0 * sigma)
+    while bad.size:  # only the entries just redrawn can still be out of range
+        flat[bad] = rng.normal(0.0, sigma, size=bad.size)
+        bad = bad[np.abs(flat[bad]) > 2.0 * sigma]
     return out
 
 
@@ -183,14 +181,16 @@ def _as_network_inputs(topo: np.ndarray, psd: np.ndarray, autocorr: np.ndarray, 
 def _walk_forward(weights: NetworkWeights, specs, x: np.ndarray, cache) -> np.ndarray:
     """Run ``x`` through the layers ``specs`` in order; return the last activation."""
     for spec in specs:
-        conv = _CONVOLUTIONS[spec.kind][0]
-        pre = conv(x, weights.kernels[spec.name], weights.biases[spec.name],
-                   spec.stride, spec.padding)
+        lowered = _LOWERINGS[spec.kind](x, spec.weight_shape, spec.stride, spec.padding)
+        pre = convops.forward_lowered(lowered, weights.kernels[spec.name],
+                                      weights.biases[spec.name])
+        if cache is None:
+            del lowered  # no backward pass will read it, so free it before the next layer
         if not np.all(np.isfinite(pre)):
             raise NumericError(f"non-finite activations in layer {spec.name!r}")
         out = _ACTIVATIONS[spec.activation][0](pre)  # the walk owns pre, so in place
         if cache is not None:
-            cache[spec.name] = (x, out)
+            cache[spec.name] = (x, out, lowered)
         x = out
     return x
 
@@ -200,19 +200,19 @@ def _walk_backward(weights: NetworkWeights, specs, cache: dict, dy, grads):
 
     Stores each layer's kernel and bias gradients in ``grads`` and returns
     the gradient with respect to the input of the last spec walked, or None
-    when that layer is fed a network input.
+    when that layer is fed a network input.  Each layer's cache entry is
+    removed as it is used, so its im2col matrix is freed before the next
+    layer's backward pass.
     """
     for spec in specs:
-        x, out = cache[spec.name]
+        _, out, lowered = cache.pop(spec.name)
         dy = dy.reshape(out.shape)
         derivative = _ACTIVATIONS[spec.activation][1]
         if derivative is not None:
             grad = derivative(out)
             dy = np.multiply(dy, grad, out=grad)
-        conv_backward = _CONVOLUTIONS[spec.kind][1]
-        dy, grads[0][spec.name], grads[1][spec.name] = conv_backward(
-            x, weights.kernels[spec.name], spec.stride, spec.padding, dy,
-            input_grad=spec not in _INPUT_LAYERS,
+        dy, grads[0][spec.name], grads[1][spec.name] = convops.backward_lowered(
+            lowered, weights.kernels[spec.name], dy, input_grad=spec not in _INPUT_LAYERS,
         )
     return dy
 
@@ -267,8 +267,11 @@ def forward(
     Inputs are cast to the weight dtype.  The weights are not checked here
     (see ``NetworkWeights.validate``; ``classify`` and ``train`` check them
     once per call).  When ``cache`` is a dict it is filled with per-layer
-    (input, output) pairs for the backward pass; a layer's output is the
-    next layer's input, so no pre-activation is kept.
+    (input, output, lowered input) triples for the backward pass: the
+    lowered input (``convops.Lowered``) holds the im2col matrix the forward
+    GEMM read, so the backward pass need not build it again.  A layer's
+    output is the next layer's input, so no pre-activation is kept.
+    Without a cache each im2col matrix is freed after its GEMM.
     """
     inputs = _as_network_inputs(topo, psd, autocorr, weights.dtype)
     outputs = [_walk_forward(weights, branch, x, cache) for branch, x in zip(BRANCHES, inputs)]

@@ -51,6 +51,19 @@ class TrainConfig:
             raise ConfigError(f"class_weights must have {N_CATEGORIES} entries")
         if not self.learning_rate > 0:
             raise ConfigError("learning_rate must be positive")
+        for name in ("beta1", "beta2"):  # beta1 = 1 divides the bias correction by zero
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not self.epsilon > 0:
+            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        if self.clip_norm is not None and not self.clip_norm >= 0:
+            raise ConfigError(f"clip_norm must be non-negative, got {self.clip_norm}")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ConfigError(f"noise_sigma must be finite and non-negative, "
+                              f"got {self.noise_sigma}")
+        if not all(0 <= weight < np.inf for weight in self.class_weights):
+            raise ConfigError(f"class_weights must be finite and non-negative, "
+                              f"got {self.class_weights}")
         if self.val_interval < 1 or self.early_stop_window < 1:
             raise ConfigError("val_interval and early_stop_window must be positive")
 

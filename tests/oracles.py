@@ -69,6 +69,24 @@ def naive_conv1d(x, w, b, stride=1, padding="valid"):
 # ------------------------------------------------------- spectral features
 
 
+def tap_by_tap_input_grad(dcols, padded_shape, pads, stride):
+    """Convolution input gradient: each kernel tap's column gradient added in (i, j) order.
+
+    ``dcols`` is (n, out_h, out_w, kh, kw, c); the taps are added into a
+    zeroed padded input of ``padded_shape`` (n, h, w, c), whose
+    ``pads`` ((top, bottom), (left, right)) border is then cut away.
+    """
+    _, ho, wo, kh, kw, _ = dcols.shape
+    dxp = np.zeros(padded_shape, dtype=dcols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, i : i + ho * stride : stride, j : j + wo * stride : stride, :] += dcols[
+                :, :, :, i, j, :
+            ]
+    (top, bottom), (left, right) = pads
+    return dxp[:, top : dxp.shape[1] - bottom, left : dxp.shape[2] - right, :]
+
+
 def dft_median_welch(x, sample_rate):
     """Median-Welch log PSD at 1..100 Hz via direct DFT sums (no FFT)."""
     x = np.asarray(x, dtype=np.float64).ravel()

@@ -258,6 +258,33 @@ def test_train_runs_from_a_config_file_and_logs(tmp_path, capsys):
     assert out.read_bytes() == rerun.read_bytes()
 
 
+@pytest.mark.parametrize("line", [
+    "beta1 = 1.0",  # Adam's bias correction would divide by zero
+    "beta1 = -0.1",
+    "beta2 = 1.0",
+    "beta2 = nan",
+    "epsilon = 0",
+    "epsilon = -1e-8",
+    "clip_norm = -1",
+    "noise_sigma = -0.05",
+    "noise_sigma = inf",
+    "class_weights = 1,1,1,1,1,1,-50",
+    "class_weights = 1,1,nan,1,1,1,1",
+    "class_weights = 1,1,1,inf,1,1,1",
+])
+def test_train_rejects_unsafe_optimizer_settings(tmp_path, capsys, line):
+    features, ids = _feature_bundle(tmp_path, n=12, seed=6)
+    labels, _ = _labels_file(tmp_path, ids, seed=6)
+    config = tmp_path / "train.cfg"
+    config.write_text(f"batch_size = 8\n{line}\n")
+    out = tmp_path / "weights.iclw"
+    assert cli.main(["train", "--features", str(features), "--labels", str(labels),
+                     "--config", str(config), "--max-batches", "2", "--out", str(out)]) == 1
+    key = line.split()[0]
+    assert capsys.readouterr().err.startswith(f"error: {key} must be")
+    assert not out.exists()
+
+
 def test_train_with_explicit_validation_files(tmp_path):
     features, ids = _feature_bundle(tmp_path, "train-f", n=10, seed=7)
     labels, _ = _labels_file(tmp_path, ids, "train-l.csv", seed=7)
@@ -309,6 +336,24 @@ def test_align_labels_is_linear_in_the_number_of_ids():
         cli._align_labels(ids, ids[1:] + ["x"], labels, "f.bin", "l.csv")
     with pytest.raises(DataError, match=r"only in f.bin: none, only in l.csv: \['x'\]$"):
         cli._align_labels(ids, ids + ["x"], np.vstack([labels, labels[:1]]), "f.bin", "l.csv")
+
+
+def test_align_labels_names_a_few_ids_per_side_and_counts_the_rest():
+    # two disjoint 4000-id files: the message stays one readable line
+    ids = [f"a{i:04d}" for i in range(4000)]
+    others = [f"b{i:04d}" for i in range(4000)]
+    with pytest.raises(DataError) as raised:
+        cli._align_labels(ids, others, np.zeros((4000, 7)), "features.bin", "labels.csv")
+    message = str(raised.value)
+    assert len(message) < 300
+    assert message == (
+        "component id mismatch: only in features.bin: "
+        "['a0000', 'a0001', 'a0002', 'a0003', 'a0004'] and 3995 more, "
+        "only in labels.csv: ['b0000', 'b0001', 'b0002', 'b0003', 'b0004'] and 3995 more")
+    # five ids are listed whole
+    with pytest.raises(DataError, match=r"only in l.csv: \['b0000', 'b0001', 'b0002', 'b0003', "
+                                        r"'b0004'\]$"):
+        cli._align_labels(ids[:5], others[:5], np.zeros((5, 7)), "f.bin", "l.csv")
 
 
 def test_parse_config_file_accepts_the_documented_grammar(tmp_path):

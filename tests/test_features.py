@@ -238,6 +238,25 @@ def test_median_welch_rejects_unusable_inputs():
         median_welch_psd(np.ones(10), 64.0)  # shorter than one window
 
 
+@pytest.mark.parametrize("n_windows", [1, 2, 5, 6, 599, 600])
+def test_median_welch_takes_the_bits_of_numpy_median(n_windows):
+    # the median by selection must equal np.median for odd and even window counts
+    fs = 64.0
+    x = np.random.default_rng(n_windows).standard_normal(64 + 32 * (n_windows - 1))
+    spectra = features._segment_periodograms(x, 64, fs)
+    assert len(spectra) == n_windows
+    expected = (10.0 * np.log10(np.median(spectra, axis=0) + 1e-12))[features._psd_bins(64, fs)]
+    assert median_welch_psd(x, fs).tobytes() == expected.tobytes()
+
+
+def test_median_welch_rejects_activity_with_a_non_finite_spectrum():
+    x = np.random.default_rng(8).standard_normal(640)
+    for bad in (np.nan, np.inf, 1e300):
+        x[300] = bad
+        with pytest.raises(DataError, match="non-finite or overflowing samples"):
+            median_welch_psd(x, 64.0)
+
+
 def test_median_welch_shrugs_off_one_huge_window():
     fs = 128.0
     t = np.arange(int(fs * 120)) / fs

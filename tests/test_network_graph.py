@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 import builders
 import oracles
-from icsort.errors import DataError, NumericError
+from icsort.errors import ConfigError, DataError, NumericError
 from icsort.features import TOPOGRAPHY_ORBIT, orbit_element
 from icsort.network import (
     ARCHITECTURE,
@@ -26,6 +26,7 @@ from icsort.network import (
     shape_trace,
     weighted_cross_entropy,
 )
+from icsort.network import convops, model
 from icsort.network.convops import (
     conv1d_forward,
     conv2d_backward,
@@ -106,6 +107,56 @@ def test_conv2d_backward_matches_finite_differences():
             flat[idx] = orig
             numeric = (up - down) / (2 * h)
             assert grad.ravel()[idx] == pytest.approx(numeric, rel=1e-4, abs=1e-6)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_phase_scatter_matches_the_tap_by_tap_loop_bitwise(n):
+    # every layer of the network, at its own input shape, in both precisions
+    trace = shape_trace(n)
+    inputs = {model.HEAD.name: trace["merged"]}
+    for branch, shape in zip(model.BRANCHES, ((n, 32, 32, 1), (n, 100, 1), (n, 100, 1))):
+        for spec in branch:
+            inputs[spec.name], shape = shape, trace[spec.name]
+    rng = np.random.default_rng(n)
+    for spec in ARCHITECTURE:
+        shape = inputs[spec.name]
+        lower = convops.lower_2d if spec.kind == "conv2d" else convops.lower_1d
+        for dtype in (np.float32, np.float64):
+            x = rng.standard_normal(shape).astype(dtype)
+            w = rng.standard_normal(spec.weight_shape).astype(dtype)
+            lowered = lower(x, w.shape, spec.stride, spec.padding)
+            dy = rng.standard_normal((*lowered.output_shape, spec.out_channels)).astype(dtype)
+            dx, _, _ = convops.backward_lowered(lowered, w, dy)
+
+            ho, wo = (1, *lowered.output_shape[1:])[-2:]  # a 1-D output is one row
+            dy_flat = dy.reshape(-1, spec.out_channels)
+            dcols = (dy_flat @ w.reshape(-1, spec.out_channels).T).reshape(
+                n, ho, wo, *lowered.kernel, -1)
+            (top, bottom), (left, right) = lowered.padding
+            x4 = x.reshape(n, -1, x.shape[-2], x.shape[-1])
+            padded_shape = (n, x4.shape[1] + top + bottom, x4.shape[2] + left + right, x.shape[-1])
+            expected = oracles.tap_by_tap_input_grad(dcols, padded_shape, lowered.padding,
+                                                     spec.stride)
+            assert dx.shape == x.shape, spec.name
+            assert dx.reshape(x4.shape).tobytes() == expected.tobytes(), spec.name
+
+
+def test_forward_and_backward_read_one_lowering():
+    # the convops entry points are the lowering composed with the lowered passes
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((2, 9, 7, 3))
+    w = rng.standard_normal((3, 3, 3, 4))
+    b = rng.standard_normal(4)
+    lowered = convops.lower_2d(x, w.shape, 2, "same")
+    y = convops.forward_lowered(lowered, w, b)
+    assert np.array_equal(y, conv2d_forward(x, w, b, 2, "same"))
+    dy = rng.standard_normal(y.shape)
+    for got, want in zip(convops.backward_lowered(lowered, w, dy),
+                         conv2d_backward(x, w, 2, "same", dy)):
+        assert np.array_equal(got, want)
+    assert convops.backward_lowered(lowered, w, dy, input_grad=False)[0] is None
+    with pytest.raises(ConfigError):
+        convops.lower_1d(x, (3, 3, 4), 2, "same")
 
 
 # ----------------------------------------------------------- nonlinearity
@@ -256,6 +307,23 @@ def test_initialization_is_seeded_truncated_and_f32():
     assert any(
         not np.array_equal(a.kernels[name], c.kernels[name]) for name in LAYER_ORDER
     )
+
+
+def test_truncated_normal_redraws_like_a_whole_tensor_rescan():
+    # re-testing only the redrawn entries draws what re-scanning every entry drew
+    def rescan(rng, shape, sigma):
+        out = rng.normal(0.0, sigma, size=shape)
+        bad = np.abs(out) > 2.0 * sigma
+        while np.any(bad):
+            out[bad] = rng.normal(0.0, sigma, size=int(bad.sum()))
+            bad = np.abs(out) > 2.0 * sigma
+        return out
+
+    for seed, shape in ((0, (4, 4, 128, 256)), (1, (3, 1, 128)), (2, (7,))):
+        sigma = 0.1
+        expected = rescan(np.random.default_rng(seed), shape, sigma)
+        got = model._truncated_normal(np.random.default_rng(seed), shape, sigma)
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_forward_names_the_layer_with_nan_activations():
