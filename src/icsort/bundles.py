@@ -46,15 +46,27 @@ _FEATURE_WIDTHS = {"topo": TOPO_SIZE * TOPO_SIZE, "psd": N_PSD_BINS,
 _FEATURE_ARRAYS = ("topo", "psd", "autocorr")
 
 
-def write_array(path, array: np.ndarray) -> None:
-    """Write a 2-D array record; float arrays as f32, boolean/uint8 as bytes."""
+def write_array(path, array: np.ndarray, shown_as=None) -> None:
+    """Write a 2-D array record; float arrays as f32, boolean/uint8 as bytes.
+
+    A finite value beyond the f32 range is a ``DataError`` naming
+    ``shown_as`` (default ``path``), not a stored infinity.  NaN and
+    infinities are written as they are.
+    """
     array = np.asarray(array)
     if array.ndim != 2:
         raise DataError(f"array records are 2-D, got shape {array.shape}")
     if array.dtype == np.bool_ or array.dtype == np.uint8:
         payload = np.ascontiguousarray(array, dtype=np.uint8)
     else:
-        payload = np.ascontiguousarray(array, dtype="<f4")
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            payload = np.ascontiguousarray(array, dtype="<f4")
+        if not (np.isfinite(payload.min(initial=0.0)) and np.isfinite(payload.max(initial=0.0))):
+            overflow = np.argwhere(np.isinf(payload) & np.isfinite(array))
+            if len(overflow):
+                row, col = overflow[0]
+                raise DataError(f"{shown_as or path}: value {float(array[row, col])!r} at "
+                                f"row {row}, column {col} is beyond the float32 range")
     header = ARRAY_MAGIC + struct.pack("<III", ARRAY_VERSION, *array.shape)
     with open(path, "wb") as fh:
         fh.write(header)
@@ -186,7 +198,8 @@ def write_recording_bundle(directory, recording: Recording, recording_id: str = 
     """Write a recording as a bundle directory."""
     with _StagedDirectory(directory, force=force) as staging:
         for name in _RECORDING_ARRAYS:
-            write_array(os.path.join(staging, f"{name}.bin"), getattr(recording, name))
+            write_array(os.path.join(staging, f"{name}.bin"), getattr(recording, name),
+                        shown_as=os.path.join(directory, f"{name}.bin"))
         manifest = {
             "format": RECORDING_FORMAT,
             "version": 1,
@@ -227,7 +240,8 @@ def write_feature_bundle(directory, stack: FeatureStack, component_ids,
               "autocorr": stack.autocorr}
     with _StagedDirectory(directory, force=force) as staging:
         for name in _FEATURE_ARRAYS:
-            write_array(os.path.join(staging, f"{name}.bin"), arrays[name])
+            write_array(os.path.join(staging, f"{name}.bin"), arrays[name],
+                        shown_as=os.path.join(directory, f"{name}.bin"))
         manifest = {
             "format": FEATURES_FORMAT,
             "version": 1,

@@ -37,7 +37,7 @@ def first_invalid_label(labels: np.ndarray):
     entries, then non-negative entries, then a sum of 1 within
     ``LABEL_SUM_TOL``), or ``None`` when every row passes.
     """
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         totals = labels.sum(axis=1)
     sums_to_one = np.abs(totals - 1.0) <= LABEL_SUM_TOL
     # a row with a non-finite entry has a non-finite total, so whole-array

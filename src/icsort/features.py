@@ -17,6 +17,7 @@ on its own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -268,7 +269,9 @@ def autocorrelation(activity: np.ndarray, sample_rate: float) -> np.ndarray:
     for lags up to 1 s, linearly resampled onto 101 lags spanning [0, 1 s],
     scaled so the zero-lag value is 0.99, and returned with the zero-lag
     entry dropped.  The result is invariant to amplitude scaling and to the
-    sample rate of the input.
+    sample rate of the input: the signal is first scaled by the power of two
+    that brings its peak into [0.5, 1), which is exact, so every amplitude
+    gives the bits of that one and none overflows or underflows.
     """
     x = np.asarray(activity, dtype=np.float64).ravel()
     if not sample_rate > 0:
@@ -276,9 +279,10 @@ def autocorrelation(activity: np.ndarray, sample_rate: float) -> np.ndarray:
     n = x.shape[0]
     if n < 2 * sample_rate:
         raise DataError("need at least 2 seconds of samples to estimate lags up to 1 s")
-    x = x - x.mean()
-    variance = float(np.dot(x, x)) / n
-    if variance <= 1e-300:
+    _, exponent = math.frexp(max(x.max(), -x.min()))
+    x = np.ldexp(x, -exponent)
+    x -= x.mean()
+    if not x.any():  # a non-constant signal keeps a nonzero residual
         raise DataError("autocorrelation is undefined for a constant signal")
 
     max_lag = int(np.ceil(sample_rate))

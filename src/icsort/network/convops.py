@@ -6,10 +6,13 @@ im2col matrix); ``forward_lowered`` applies the kernel to it as a single
 GEMM.  ``backward_lowered`` takes the same ``Lowered`` input, so a training
 step lowers each layer's input once: the forward pass keeps the matrix for
 the backward pass instead of the backward padding and copying again.  The
-backward pass scatters the column gradient back by stride phase: the
-kernel taps whose rows and columns share a quotient by the stride land on
-disjoint input positions, so each such group is one strided add, made in
-the order a tap-by-tap loop would add them.
+backward pass consumes the matrix: once the kernel gradient has read it,
+the column gradient (``dcols``) is written over it when it is an owned
+copy, so a layer's backward needs no second matrix of that size.  It then
+scatters the column gradient back by stride phase: the kernel taps whose
+rows and columns share a quotient by the stride land on disjoint input
+positions, so each such group is one strided add, made in the order a
+tap-by-tap loop would add them.
 
 Layouts are channels-last: 2-D activations are (batch, height, width,
 channels) and 1-D activations are (batch, length, channels).  A 1-D
@@ -106,6 +109,10 @@ def backward_lowered(
     """Gradients (dx, dw, db) of a convolution given its lowered input and upstream dy.
 
     With ``input_grad`` off, dx is not computed and is returned as None.
+    With it on, the call consumes ``lowered``: after dw has read the im2col
+    matrix, the column gradient is written into it when it is writeable,
+    C-contiguous and of the result dtype (an owned copy, as ``lower_2d``
+    makes unless its patches are already a view of the padded input).
     """
     cols = lowered.cols
     c_out = w.shape[-1]
@@ -114,9 +121,12 @@ def backward_lowered(
     dw = (cols.T @ dy_flat).reshape(w.shape)
     if not input_grad:
         return None, dw, db
+    w_t = w.reshape(cols.shape[1], c_out).T
+    spent = (cols.flags.writeable and cols.flags.c_contiguous
+             and cols.dtype == np.result_type(dy_flat, w_t))
+    dcols = np.matmul(dy_flat, w_t, out=cols if spent else None)
     ho, wo = _image_size(lowered.output_shape[1:])
-    dcols = (dy_flat @ w.reshape(cols.shape[1], c_out).T).reshape(
-        lowered.output_shape[0], ho, wo, *lowered.kernel, -1)
+    dcols = dcols.reshape(lowered.output_shape[0], ho, wo, *lowered.kernel, -1)
     return _scatter_by_phase(dcols, lowered), dw, db
 
 

@@ -201,8 +201,9 @@ def _walk_backward(weights: NetworkWeights, specs, cache: dict, dy, grads):
     Stores each layer's kernel and bias gradients in ``grads`` and returns
     the gradient with respect to the input of the last spec walked, or None
     when that layer is fed a network input.  Each layer's cache entry is
-    removed as it is used, so its im2col matrix is freed before the next
-    layer's backward pass.
+    removed as it is used, and its im2col matrix, which the layer's backward
+    pass overwrites with the column gradient, is freed before the next
+    layer's.
     """
     for spec in specs:
         _, out, lowered = cache.pop(spec.name)
@@ -290,7 +291,10 @@ def forward_backward(
 
     Returns ``(loss, kernel_grads, bias_grads, probs)`` where the gradient
     dicts mirror the weight dicts and the loss is the batch mean of the
-    class-weighted cross entropy.
+    class-weighted cross entropy.  The backward pass walks the head, then
+    the branches in reverse merge order (autocorrelation, PSD,
+    topography), so the small 1-D caches are freed before the topography's
+    large transients are made; no layer's gradient depends on the order.
     """
     cache: dict = {}
     probs = forward(weights, topo, psd, autocorr, cache)
@@ -305,7 +309,7 @@ def forward_backward(
     grads: tuple = ({}, {})
     dmerged = _walk_backward(weights, (HEAD,), cache, dlogits, grads)
     branch_shapes = [cache[branch[-1].name][1].shape for branch in BRANCHES]
-    for branch, dy in zip(BRANCHES, _unmerge(dmerged, branch_shapes)):
+    for branch, dy in reversed(list(zip(BRANCHES, _unmerge(dmerged, branch_shapes)))):
         _walk_backward(weights, reversed(branch), cache, dy, grads)
     return loss, grads[0], grads[1], probs
 

@@ -325,3 +325,73 @@ def bf_best_threshold(targets, predictions, category, criterion):
         if value > best_value or (value == best_value and theta > best_theta):
             best_value, best_theta = value, theta
     return best_value, min(best_theta, 1.0)
+
+
+# ------------------------------------------------------- network training step
+
+
+def layer_by_layer_forward_backward(weights, topo, psd, autocorr, targets, class_weights):
+    """(loss, kernel_grads, bias_grads, probs) of the classifier, walked the plain way.
+
+    Every layer keeps its input and pre-activation.  The backward pass
+    lowers each input afresh through ``conv2d_backward``/``conv1d_backward``,
+    multiplies by ``leaky_relu_grad`` into a new array, computes every input
+    gradient, and walks the branches in merge order.  It uses the package's
+    convolution primitives but none of its buffer reuse, so a bitwise match
+    shows that the reuse changed no bits.
+    """
+    from icsort.network import convops, model
+
+    passes = {"conv2d": (convops.conv2d_forward, convops.conv2d_backward),
+              "conv1d": (convops.conv1d_forward, convops.conv1d_backward)}
+    dtype = weights.dtype
+    seen = {}  # layer name -> (input, pre-activation)
+
+    def layer_forward(spec, x):
+        pre = passes[spec.kind][0](x, weights.kernels[spec.name], weights.biases[spec.name],
+                                   spec.stride, spec.padding)
+        seen[spec.name] = (x, pre)
+        if spec.activation == "lrelu":
+            return convops.leaky_relu(pre, model.LEAKY_SLOPE)
+        return pre
+
+    kernel_grads, bias_grads = {}, {}
+
+    def layer_backward(spec, dy):
+        x, pre = seen[spec.name]
+        dy = dy.reshape(pre.shape)
+        if spec.activation == "lrelu":
+            dy = dy * convops.leaky_relu_grad(pre, model.LEAKY_SLOPE)
+        dx, kernel_grads[spec.name], bias_grads[spec.name] = passes[spec.kind][1](
+            x, weights.kernels[spec.name], spec.stride, spec.padding, dy)
+        return dx
+
+    outputs = []
+    for branch, features in zip(model.BRANCHES, (topo, psd, autocorr)):
+        x = np.asarray(features, dtype=dtype)[..., None]
+        for spec in branch:
+            x = layer_forward(spec, x)
+        outputs.append(x)
+    n, side = outputs[0].shape[:2]
+    maps = [outputs[0]] + [
+        np.pad(out, ((0, 0), (0, side * side - out.shape[1]), (0, 0))).reshape(n, side, side, -1)
+        for out in outputs[1:]
+    ]
+    logits = layer_forward(model.HEAD, np.concatenate(maps, axis=3))
+    probs = convops.softmax(logits.reshape(n, -1))
+    targets = np.asarray(targets, dtype=dtype)
+    class_weights = np.asarray(class_weights, dtype=dtype)
+    loss = convops.weighted_cross_entropy(probs, targets, class_weights)
+
+    dmerged = layer_backward(model.HEAD, convops.softmax_cross_entropy_grad(
+        probs, targets, class_weights))
+    start = 0
+    for branch, out in zip(model.BRANCHES, outputs):
+        channels = out.shape[-1]
+        dy = dmerged[..., start:start + channels]
+        start += channels
+        if out.ndim == 3:  # a 1-D output was padded and folded into the map
+            dy = dy.reshape(n, side * side, channels)[:, :out.shape[1], :]
+        for spec in reversed(branch):
+            dy = layer_backward(spec, dy)
+    return loss, kernel_grads, bias_grads, probs

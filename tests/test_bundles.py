@@ -137,6 +137,17 @@ def test_recording_bundle_round_trip(tmp_path):
     np.testing.assert_array_equal(older.component_activity, loaded.component_activity)
 
 
+def test_recording_bundle_refuses_activity_beyond_the_f32_range(tmp_path):
+    recording = builders.make_recording(seed=2)
+    recording.component_activity = recording.component_activity * 1e152
+    with pytest.raises(DataError, match=r"component_activity\.bin: value .* beyond the float32") as err:
+        write_recording_bundle(tmp_path / "rec01", recording)
+    # the message names the bundle the caller gave, not the deleted staging directory
+    assert str(err.value).startswith(os.path.join(str(tmp_path / "rec01"), "component_activity.bin"))
+    assert ".staging-" not in str(err.value)
+    assert os.listdir(tmp_path) == []  # refused at write time: no bundle, no staging
+
+
 def test_recording_bundle_id_defaults_to_directory_name(tmp_path):
     recording = builders.make_recording(seed=3)
     write_recording_bundle(tmp_path / "night2", recording)

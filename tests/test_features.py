@@ -288,6 +288,14 @@ def test_autocorrelation_is_amplitude_invariant():
     assert np.allclose(autocorrelation(x, 100.0), autocorrelation(42.0 * x, 100.0), atol=1e-12)
 
 
+@pytest.mark.parametrize("amplitude", [2.0**500, 2.0**-500])
+def test_autocorrelation_keeps_its_bits_at_extreme_power_of_two_amplitudes(amplitude):
+    x = np.random.default_rng(7).standard_normal(400).cumsum()
+    assert autocorrelation(amplitude * x, 100.0).tobytes() == autocorrelation(x, 100.0).tobytes()
+    with pytest.raises(DataError, match="undefined for a constant signal"):
+        autocorrelation(np.full(300, amplitude), 100.0)
+
+
 def test_autocorrelation_of_white_noise_decays_to_noise_floor():
     rng = np.random.default_rng(6)
     acf = autocorrelation(rng.standard_normal(50000), 100.0)

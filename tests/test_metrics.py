@@ -97,6 +97,13 @@ def test_first_invalid_label_matches_a_per_row_reference(seed, n, damage):
         assert found[0] == expected[0] and expected[1] in found[1]
 
 
+def test_first_invalid_label_rejects_an_overflowing_sum_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row, reason = first_invalid_label(np.array([[1e308] * 7]))
+    assert row == 0 and "sums to" in reason
+
+
 # --------------------------------------------------------------- soft AND
 
 

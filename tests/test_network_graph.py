@@ -2,6 +2,7 @@
 
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,6 +158,25 @@ def test_forward_and_backward_read_one_lowering():
     assert convops.backward_lowered(lowered, w, dy, input_grad=False)[0] is None
     with pytest.raises(ConfigError):
         convops.lower_1d(x, (3, 3, 4), 2, "same")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_backward_writes_the_column_gradient_into_the_spent_lowering(dtype):
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((3, 9, 7, 5)).astype(dtype)
+    w = rng.standard_normal((4, 4, 5, 6)).astype(dtype)
+    lowered = convops.lower_2d(x, w.shape, 2, "same")
+    assert lowered.cols.flags.writeable  # an owned copy, not a view of the padded input
+    kept = lowered.cols.copy()
+    kept.flags.writeable = False  # a read-only matrix keeps a fresh column gradient
+    dy = rng.standard_normal((*lowered.output_shape, 6)).astype(dtype)
+    fresh = convops.backward_lowered(lowered._replace(cols=kept), w, dy)
+    spent = convops.backward_lowered(lowered, w, dy)
+    for got, want in zip(spent, fresh):
+        assert got.tobytes() == want.tobytes()
+    assert np.array_equal(kept, convops.lower_2d(x, w.shape, 2, "same").cols)
+    # the call consumed its matrix: it now holds the column gradient
+    assert lowered.cols.tobytes() == (dy.reshape(-1, 6) @ w.reshape(-1, 6).T).tobytes()
 
 
 # ----------------------------------------------------------- nonlinearity
@@ -406,6 +426,59 @@ def test_forward_backward_loss_matches_forward():
     assert loss == pytest.approx(
         weighted_cross_entropy(probs2.astype(np.float64), targets, class_weights), rel=1e-6
     )
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 3])
+def test_forward_backward_matches_a_layer_by_layer_walk_bitwise(n, dtype):
+    weights = initialize_weights(seed=17).astype(dtype)
+    rng = np.random.default_rng(17)
+    for name in weights.biases:
+        weights.biases[name] = rng.normal(0.0, 0.1, weights.biases[name].shape).astype(dtype)
+    stack = builders.random_stack(n, seed=17 + n)
+    targets = np.eye(7)[np.arange(n) % 7]
+    class_weights = np.array([2.0, 1, 1, 1, 1, 1, 3])
+    got = forward_backward(weights, stack.topo, stack.psd, stack.autocorr, targets, class_weights)
+    want = oracles.layer_by_layer_forward_backward(
+        weights, stack.topo, stack.psd, stack.autocorr, targets, class_weights)
+    assert got[0] == want[0]
+    for grads, reference in zip(got[1:3], want[1:3]):
+        assert sorted(grads) == sorted(LAYER_ORDER)
+        for name in LAYER_ORDER:
+            assert grads[name].dtype == dtype
+            assert grads[name].tobytes() == reference[name].tobytes(), name
+    assert got[3].tobytes() == want[3].tobytes()
+
+
+def test_training_step_peak_memory_stays_near_the_forward_cache():
+    # the step writes each column gradient into its spent im2col matrix and
+    # frees the 1-D branches' caches before the topography's transients
+    def owner(a):
+        while getattr(a, "base", None) is not None:
+            a = a.base
+        return a
+
+    n = 32
+    weights = initialize_weights(seed=18)
+    stack = builders.random_stack(n, seed=18)
+    targets = np.eye(7)[np.arange(n) % 7]
+    cache = {}
+    forward(weights, stack.topo, stack.psd, stack.autocorr, cache)
+    owners = {}
+    for entry in cache.values():
+        for a in (entry if isinstance(entry, tuple) else (entry,)):
+            a = owner(getattr(a, "cols", a))  # shared views count once
+            owners[id(a)] = a.nbytes
+    cache_bytes = sum(owners.values())
+    del cache, owners
+
+    tracemalloc.start()
+    try:
+        forward_backward(weights, stack.topo, stack.psd, stack.autocorr, targets, np.ones(7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * cache_bytes
 
 
 # ---------------------------------------------------------------- classify
