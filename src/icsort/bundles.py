@@ -228,16 +228,26 @@ def read_recording_bundle(directory) -> tuple:
 def write_feature_bundle(directory, stack: FeatureStack, component_ids,
                          source_recording: str = "", sample_rate: float = 0.0,
                          force: bool = False) -> None:
-    """Write a feature stack plus component ids as a bundle directory."""
+    """Write a feature stack plus component ids as a bundle directory.
+
+    An empty stack is written as a 0-row bundle.  Arrays of another shape
+    than ``read_feature_bundle`` accepts are a ``DataError`` naming the array.
+    """
     component_ids = [str(c) for c in component_ids]
-    if len(component_ids) != len(stack):
-        raise DataError(
-            f"{len(component_ids)} component ids for {len(stack)} feature rows"
-        )
+    n = len(stack)
+    if len(component_ids) != n:
+        raise DataError(f"{len(component_ids)} component ids for {n} feature rows")
     if len(set(component_ids)) != len(component_ids):
         raise DataError("component ids must be unique")
-    arrays = {"topo": stack.topo.reshape(len(stack), -1), "psd": stack.psd,
+    if np.shape(stack.topo)[1:] != (TOPO_SIZE, TOPO_SIZE):
+        raise DataError(f"topo array must be ({n}, {TOPO_SIZE}, {TOPO_SIZE}), "
+                        f"got {np.shape(stack.topo)}")
+    arrays = {"topo": stack.topo.reshape(n, TOPO_SIZE * TOPO_SIZE), "psd": stack.psd,
               "autocorr": stack.autocorr}
+    for name, array in arrays.items():
+        if np.shape(array) != (n, _FEATURE_WIDTHS[name]):
+            raise DataError(f"{name} array must be ({n}, {_FEATURE_WIDTHS[name]}), "
+                            f"got {np.shape(array)}")
     with _StagedDirectory(directory, force=force) as staging:
         for name in _FEATURE_ARRAYS:
             write_array(os.path.join(staging, f"{name}.bin"), arrays[name],
@@ -322,8 +332,11 @@ def write_labels_csv(path, component_ids, labels: np.ndarray,
         )
     rows = [",".join(_label_header(category_names))]
     for cid, row in zip(component_ids, labels):
-        if "," in cid or "\n" in cid or '"' in cid:
+        if any(ch in cid for ch in ',"\n\r'):
             raise DataError(f"component id {cid!r} contains CSV metacharacters")
+        if cid != cid.strip():
+            raise DataError(f"component id {cid!r} has leading or trailing whitespace, "
+                            "which the reader strips")
         rows.append(cid + "," + ",".join(repr(float(v)) for v in row))
     atomic_write_text(path, "\n".join(rows) + "\n")
 

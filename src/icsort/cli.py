@@ -554,7 +554,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(self.prog + ": error: " + message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing does not change it."""
     parser = _Parser(prog="icsort", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

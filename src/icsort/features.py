@@ -346,16 +346,6 @@ class FeatureStack:
         topo, psd, autocorr = (np.stack(column) for column in zip(*rows))
         return cls(topo=topo, psd=psd, autocorr=autocorr)
 
-    def orbit(self) -> "FeatureStack":
-        """The stack repeated once per ``TOPOGRAPHY_ORBIT`` element, in orbit order (4n rows)."""
-        k = len(TOPOGRAPHY_ORBIT)
-        return FeatureStack(
-            topo=np.concatenate([orbit_element(self.topo, mirror, negate)
-                                 for mirror, negate in TOPOGRAPHY_ORBIT]),
-            psd=np.concatenate([self.psd] * k),
-            autocorr=np.concatenate([self.autocorr] * k),
-        )
-
     def subset(self, indices) -> "FeatureStack":
         idx = np.asarray(indices)
         return FeatureStack(self.topo[idx], self.psd[idx], self.autocorr[idx])

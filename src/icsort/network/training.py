@@ -2,11 +2,16 @@
 
 Batches are drawn class-balanced: a category is chosen uniformly among the
 categories present in the (augmented) training set, then an example of
-that category uniformly.  Inputs are perturbed with Gaussian noise each
-time they are drawn.  Validation loss is measured on a held-out set at a
-fixed cadence and training stops once it has not improved for a
-configurable number of batches; the weights from the best validation point
-are returned.
+that category uniformly.  The augmented set is the topography symmetry
+orbit of every example, but it is never built: a drawn orbit index names
+an orbit element and an example, and each batch's rows are mirrored and
+negated as they are gathered.  Training therefore holds one float32 copy
+of the set beside the caller's stack (none if the stack is float32) and
+one step's gradients at a time.  Inputs are perturbed with Gaussian noise
+each time they are drawn.  Validation loss is measured on a held-out set
+at a fixed cadence and training stops once it has not improved for a
+configurable number of batches; the weights from the best validation
+point are returned.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 
 from ..categories import N_CATEGORIES
 from ..errors import ConfigError, NumericError
-from ..features import GRID_MASK, TOPOGRAPHY_ORBIT, FeatureStack
+from ..features import GRID_MASK, TOPOGRAPHY_ORBIT, FeatureStack, orbit_element
 from .convops import weighted_cross_entropy
 from .model import LAYER_ORDER, NetworkWeights, forward, forward_backward, initialize_weights
 
@@ -143,21 +148,65 @@ class Adam:
                 store[name] -= update
 
 
-def _expand_orbit(stack: FeatureStack, labels: np.ndarray):
-    """The topography symmetry orbit of a feature stack, with its labels repeated to match."""
-    return stack.orbit(), np.concatenate([labels] * len(TOPOGRAPHY_ORBIT))
+def _expand_orbit(idx: np.ndarray, rows: tuple, labels: np.ndarray, orbit) -> tuple:
+    """The (topo, psd, autocorr, labels) rows of orbit indices ``idx``.
+
+    Orbit index i is element ``i // n`` of ``orbit`` applied to example
+    ``i % n`` of the n-row float32 arrays ``rows``, the layout of the set
+    repeated once per orbit element.  Mirroring and negation are exact, so
+    the rows have the bits of gathering from that repeated set.
+    """
+    element, example = np.divmod(idx, len(labels))
+    topo, psd, acf = (array[example] for array in rows)
+    for j, (mirror, negate) in enumerate(orbit):
+        picked = element == j
+        if (mirror or negate) and picked.any():
+            topo[picked] = orbit_element(topo[picked], mirror, negate)
+    return topo, psd, acf, labels[example]
 
 
-def _category_pools(labels: np.ndarray):
-    """Example indices grouped by argmax category, for categories present."""
+def _category_pools(labels: np.ndarray, orbit_size: int):
+    """Orbit indices grouped by argmax category, for categories present.
+
+    Each pool lists its examples once per orbit element, shifted by n per
+    element, in ascending order.
+    """
     hard = np.argmax(labels, axis=1)
-    return [np.flatnonzero(hard == k) for k in range(N_CATEGORIES) if np.any(hard == k)]
+    n = len(labels)
+    return [np.concatenate([members + j * n for j in range(orbit_size)])
+            for members in (np.flatnonzero(hard == k) for k in range(N_CATEGORIES))
+            if members.size]
 
 
 def sample_batch(rng: np.random.Generator, pools: list, batch_size: int) -> np.ndarray:
     """Class-balanced indices: uniform category, then uniform member."""
     picks = rng.integers(0, len(pools), size=batch_size)
     return np.array([pools[c][rng.integers(0, pools[c].shape[0])] for c in picks])
+
+
+def _train_step(batch: int, rng, pools, rows, labels, orbit, weights, optimizer: Adam,
+                class_weights):
+    """Draw, perturb and learn from one batch; returns its loss.
+
+    The batch and its gradients live only in this call, so the next step's
+    ``forward_backward`` starts with none of them alive.
+    """
+    config = optimizer.config
+    topo, psd, acf, targets = _expand_orbit(sample_batch(rng, pools, config.batch_size),
+                                            rows, labels, orbit)
+    if config.noise_sigma > 0:
+        topo = topo + rng.normal(0.0, config.noise_sigma, topo.shape).astype(np.float32)
+        topo *= GRID_MASK
+        psd = psd + rng.normal(0.0, config.noise_sigma, psd.shape).astype(np.float32)
+        acf = acf + rng.normal(0.0, config.noise_sigma, acf.shape).astype(np.float32)
+
+    loss, kernel_grads, bias_grads, _ = forward_backward(
+        weights, topo, psd, acf, targets, class_weights
+    )
+    if not np.isfinite(loss):
+        raise NumericError(f"training loss became non-finite at batch {batch}")
+    optimizer.step(weights, kernel_grads, bias_grads)
+    return loss
 
 
 def _validation_loss(weights, stack: FeatureStack, labels, class_weights, batch_size) -> float:
@@ -185,6 +234,10 @@ def train(
 ) -> TrainResult:
     """Train the classifier and return the best weights found.
 
+    Besides the caller's stack, training holds one float32 copy of its rows
+    (none if they already are float32), never the augmented orbit, and one
+    step's batch and gradients at a time, with the optimizer's moments.
+
     Parameters
     ----------
     stack, labels : training feature stack and (n, 7) soft labels.
@@ -211,9 +264,8 @@ def train(
     labels = np.asarray(labels, dtype=np.float64)
     if labels.shape != (len(stack), N_CATEGORIES):
         raise ConfigError(f"labels must be ({len(stack)}, {N_CATEGORIES}), got {labels.shape}")
-    if config.augment:
-        stack, labels = _expand_orbit(stack, labels)
-    pools = _category_pools(labels)
+    orbit = TOPOGRAPHY_ORBIT if config.augment else TOPOGRAPHY_ORBIT[:1]
+    pools = _category_pools(labels, len(orbit))
 
     rng = np.random.default_rng(seed)
     weights = (initial_weights or initialize_weights(seed=seed)).copy()
@@ -221,9 +273,8 @@ def train(
     optimizer = Adam(config)
     class_weights = np.asarray(config.class_weights, dtype=np.float64)
 
-    topo32 = stack.topo.astype(np.float32)
-    psd32 = stack.psd.astype(np.float32)
-    acf32 = stack.autocorr.astype(np.float32)
+    rows = tuple(array.astype(np.float32, copy=False)
+                 for array in (stack.topo, stack.psd, stack.autocorr))
 
     best = weights.copy()
     best_loss = np.inf
@@ -240,22 +291,8 @@ def train(
     batch = 0
     while config.max_batches is None or batch < config.max_batches:
         batch += 1
-        idx = sample_batch(rng, pools, config.batch_size)
-        topo = topo32[idx]
-        psd = psd32[idx]
-        acf = acf32[idx]
-        if config.noise_sigma > 0:
-            topo = topo + rng.normal(0.0, config.noise_sigma, topo.shape).astype(np.float32)
-            topo *= GRID_MASK
-            psd = psd + rng.normal(0.0, config.noise_sigma, psd.shape).astype(np.float32)
-            acf = acf + rng.normal(0.0, config.noise_sigma, acf.shape).astype(np.float32)
-
-        loss, kernel_grads, bias_grads, _ = forward_backward(
-            weights, topo, psd, acf, labels[idx], class_weights
-        )
-        if not np.isfinite(loss):
-            raise NumericError(f"training loss became non-finite at batch {batch}")
-        optimizer.step(weights, kernel_grads, bias_grads)
+        loss = _train_step(batch, rng, pools, rows, labels, orbit, weights, optimizer,
+                           class_weights)
 
         if has_val and batch % config.val_interval == 0:
             val_loss = _validation_loss(weights, val_stack, val_labels, class_weights,

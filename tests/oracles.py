@@ -395,3 +395,31 @@ def layer_by_layer_forward_backward(weights, topo, psd, autocorr, targets, class
         for spec in reversed(branch):
             dy = layer_backward(spec, dy)
     return loss, kernel_grads, bias_grads, probs
+
+
+# ------------------------------------------------------------ augmentation
+
+
+def materialized_orbit(topo, psd, autocorr, labels, augment=True):
+    """The augmented training set built whole: (topo, psd, autocorr) as float32, and labels.
+
+    Each array is repeated once per orbit element, element-major, with the
+    topographies mirrored left-right and negated in the input dtype before
+    the float32 cast, the obvious way.
+    """
+    elements = [(False, False), (True, False), (False, True), (True, True)]
+    if not augment:
+        elements = elements[:1]
+    topos = []
+    for mirror, negate in elements:
+        image = np.array(topo, copy=True)
+        if mirror:
+            image = image[..., ::-1]
+        if negate:
+            image = -image
+        topos.append(image)
+    k = len(elements)
+    return (np.concatenate(topos).astype(np.float32),
+            np.concatenate([psd] * k).astype(np.float32),
+            np.concatenate([autocorr] * k).astype(np.float32),
+            np.concatenate([labels] * k))

@@ -26,7 +26,7 @@ from icsort.bundles import (
 )
 from icsort.crowdlabel import VOTES_CSV_HEADER, read_votes_csv
 from icsort.errors import DataError
-from icsort.features import GRID_MASK
+from icsort.features import GRID_MASK, FeatureStack, Recording
 from icsort.network import initialize_weights, load_weights, save_weights
 
 
@@ -482,3 +482,120 @@ def test_readers_raise_only_data_error_on_damaged_bytes(tmp_path_factory, kind, 
         _VALID_FILES[kind][1](path)
     except DataError:
         pass
+
+
+# ------------------------------------------------------ writer round trips
+
+#: Values a writer must store, refuse, or have its reader refuse: NaN and
+#: infinities (passed through to the readers), finite values beyond the f32
+#: range, the f32 maximum, a value that underflows to zero, and -0.
+_SPECIAL = st.sampled_from([np.nan, np.inf, -np.inf, 1e39, -1e300, 3.4028235e38, 1e-46, -0.0])
+
+
+def _floats(data, shape, label):
+    """A seeded float64 array of ``shape`` with a few drawn special values planted in it."""
+    seed = data.draw(st.integers(0, 2**32 - 1), label=f"{label} seed")
+    array = np.random.default_rng(seed).uniform(-1.0, 1.0, size=shape)
+    if array.size:
+        planted = data.draw(st.lists(st.tuples(st.integers(0, array.size - 1), _SPECIAL),
+                                     max_size=2), label=f"{label} specials")
+        for flat, value in planted:
+            array.flat[flat] = value
+    return array
+
+
+def _same(got, expected):
+    """Equal up to f32 rounding, NaN matching NaN, and of the same shape."""
+    with np.errstate(over="ignore"):
+        rounded = np.asarray(expected).astype("<f4").astype(np.float64)
+    return got.shape == rounded.shape and np.array_equal(got, rounded, equal_nan=True)
+
+
+def _write_array_case(data, path):
+    shape = tuple(data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=3), label="shape"))
+    kind = data.draw(st.sampled_from(["float64", "float32", "bool", "uint8"]), label="dtype")
+    values = _floats(data, shape, "array")
+    with np.errstate(over="ignore", invalid="ignore"):
+        array = values > 0 if kind == "bool" else values.astype(kind)
+    if kind in ("bool", "uint8"):
+        expected = array.astype(np.uint8)
+        check = lambda got: got.shape == shape and np.array_equal(got, expected)
+    else:
+        check = lambda got: _same(got, array)
+    return lambda: write_array(path, array), lambda: check(read_array(path))
+
+
+def _recording_bundle_case(data, path):
+    n_channels = data.draw(st.integers(2, 4), label="channels")
+    n_components = data.draw(st.integers(1, 3), label="components")
+    n_samples = data.draw(st.integers(1, 6), label="samples")
+    sample_rate = data.draw(st.floats(1e-300, 1e300), label="sample_rate")
+    recording = Recording(sample_rate, builders.electrode_cap(n_channels),
+                          _floats(data, (n_channels, n_components), "mixing"),
+                          _floats(data, (n_components, n_samples), "activity"))
+
+    def check():
+        loaded, recording_id = read_recording_bundle(path)
+        return (recording_id == "rec" and loaded.sample_rate == sample_rate
+                and all(_same(getattr(loaded, name), getattr(recording, name))
+                        for name in ("electrode_positions", "mixing_matrix",
+                                     "component_activity")))
+
+    return lambda: write_recording_bundle(path, recording, recording_id="rec"), check
+
+
+def _feature_bundle_case(data, path):
+    n = data.draw(st.integers(0, 3), label="rows")
+    width = st.sampled_from([100, 100, 99])
+    topo_shape = (n, *data.draw(st.sampled_from([(32, 32), (32, 32), (32, 31), (16, 16)]),
+                                label="image"))
+    shapes = [topo_shape, (n + data.draw(st.sampled_from([0, 0, 1]), label="extra psd rows"),
+                           data.draw(width, label="psd width")),
+              (n, data.draw(width, label="autocorr width"))]
+    stack = FeatureStack(*(_floats(data, shape, name) for shape, name in
+                           zip(shapes, ("topo", "psd", "autocorr"))))
+    ids = [f"c{i}" for i in range(n)]
+
+    def check():
+        loaded, loaded_ids = read_feature_bundle(path)
+        return loaded_ids == ids and all(_same(getattr(loaded, name), getattr(stack, name))
+                                         for name in ("topo", "psd", "autocorr"))
+
+    return lambda: write_feature_bundle(path, stack, ids), check
+
+
+def _labels_csv_case(data, path):
+    n = data.draw(st.integers(0, 3), label="rows")
+    ids = data.draw(st.lists(st.text(max_size=3), min_size=n, max_size=n), label="ids")
+    labels = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed")) \
+        .dirichlet(np.ones(7), size=n)
+    if n and data.draw(st.booleans(), label="damaged"):
+        labels = _floats(data, (n, 7), "labels")
+
+    def check():
+        loaded_ids, loaded = read_labels_csv(path)
+        return loaded_ids == ids and loaded.shape == labels.shape and np.array_equal(loaded,
+                                                                                     labels)
+
+    return lambda: write_labels_csv(path, ids, labels), check
+
+
+_WRITER_CASES = {"array": _write_array_case, "recording": _recording_bundle_case,
+                 "features": _feature_bundle_case, "labels": _labels_csv_case}
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITER_CASES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_write_reads_back_equal_or_raises_data_error(tmp_path_factory, writer, data):
+    # writers reject what readers reject: a write either reads back equal up
+    # to f32 rounding (exactly for the CSV) or fails with a DataError, from
+    # the writer or, for the NaN and infinities it passes through, the reader
+    directory = tmp_path_factory.mktemp(writer)
+    write, read_back_equal = _WRITER_CASES[writer](data, directory / "out")
+    try:
+        write()
+        same = read_back_equal()
+    except DataError:
+        return
+    assert same

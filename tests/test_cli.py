@@ -630,3 +630,27 @@ def test_usage_and_missing_file_exit_codes(tmp_path, capsys):
         assert "--chains must be at least 1" in capsys.readouterr().err
         assert not out.exists()
     capsys.readouterr()  # drain usage noise
+
+
+def test_main_parses_every_call_with_one_parser(tmp_path, monkeypatch, capsys):
+    parsers = []
+    parse_args = cli._Parser.parse_args
+
+    def recording(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_args", recording)
+    labels = tmp_path / "labels.csv"
+    write_labels_csv(labels, [f"ic{i:03d}" for i in range(14)], np.eye(7)[np.arange(14) % 7])
+    for name in ("a.json", "b.json"):
+        assert cli.main(["evaluate", "--targets", str(labels), "--predictions", str(labels),
+                         "--out", str(tmp_path / name)]) == 0
+    # a usage error after a good call still exits 1, and the next call parses afresh
+    assert cli.main(["evaluate", "--targets", str(labels)]) == 1
+    assert "--predictions" in capsys.readouterr().err
+    assert cli.main(["evaluate", "--targets", str(labels), "--predictions", str(labels),
+                     "--out", str(tmp_path / "c.json"), "--classes", "2"]) == 0
+    assert json.loads((tmp_path / "c.json").read_text()) != json.loads(
+        (tmp_path / "a.json").read_text())
+    assert len(parsers) == 4 and all(parser is parsers[0] for parser in parsers)

@@ -491,14 +491,15 @@ def test_feature_stack_round_trips_components():
 
 def test_feature_stack_mirror_negate_and_subset():
     stack = builders.random_stack(5, seed=14)
-    orbit = stack.orbit()
-    assert len(orbit) == 20
-    rows = lambda q: slice(5 * q, 5 * q + 5)  # orbit element q
+    psd, autocorr = stack.psd.copy(), stack.autocorr.copy()
+    orbit = [orbit_element(stack.topo, mirror, negate) for mirror, negate in TOPOGRAPHY_ORBIT]
+    assert sum(len(element) for element in orbit) == 20
     for q, topo in enumerate([stack.topo, stack.topo[:, :, ::-1],
                               -stack.topo, -stack.topo[:, :, ::-1]]):
-        assert np.array_equal(orbit.topo[rows(q)], topo)
-        assert np.array_equal(orbit.psd[rows(q)], stack.psd)
-        assert np.array_equal(orbit.autocorr[rows(q)], stack.autocorr)
+        assert np.array_equal(orbit[q], topo)
+        # only the topography moves along the orbit
+        assert np.array_equal(stack.psd, psd)
+        assert np.array_equal(stack.autocorr, autocorr)
     sub = stack.subset([3, 0])
     assert len(sub) == 2
     for name in ("topo", "psd", "autocorr"):
@@ -512,7 +513,9 @@ def test_grid_mask_is_the_only_mask():
     assert np.array_equal(GRID_MASK[:, ::-1], GRID_MASK)
     stack = builders.random_stack(2, seed=15)
     ignored = FeatureStack(stack.topo, stack.psd, stack.autocorr, mask=np.zeros((2, 32, 32)))
-    assert np.array_equal(ignored.orbit().topo, stack.orbit().topo)
+    for mirror, negate in TOPOGRAPHY_ORBIT:
+        assert np.array_equal(orbit_element(ignored.topo, mirror, negate),
+                              orbit_element(stack.topo, mirror, negate))
 
 
 # ------------------------------------------------------------- recording

@@ -1,9 +1,14 @@
 """Optimizer arithmetic, batch sampling, and the training loop."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
 import builders
+import oracles
+from icsort.features import TOPOGRAPHY_ORBIT, FeatureStack
 from icsort.errors import ConfigError, NumericError
 from icsort.network import (
     LAYER_ORDER,
@@ -12,7 +17,8 @@ from icsort.network import (
     initialize_weights,
     train,
 )
-from icsort.network.training import _expand_orbit, sample_batch
+from icsort.network import training
+from icsort.network.training import _category_pools, _expand_orbit, sample_batch
 
 
 def _unit_grads(weights, value=1.0):
@@ -168,16 +174,48 @@ def test_sample_batch_balances_present_categories():
 def test_orbit_expansion_quadruples_the_set():
     stack = builders.random_stack(3, seed=4)
     labels = _random_labels(3, seed=4)
-    big, big_labels = _expand_orbit(stack, labels)
-    assert len(big) == 12
+    rows = (stack.topo, stack.psd, stack.autocorr)
+    topo, psd, _, big_labels = _expand_orbit(np.arange(12), rows, labels, TOPOGRAPHY_ORBIT)
+    assert len(topo) == 12
     assert big_labels.shape == (12, 7)
-    assert np.array_equal(big.topo[0:3], stack.topo)
-    assert np.array_equal(big.topo[3:6], stack.topo[:, :, ::-1])
-    assert np.array_equal(big.topo[6:9], -stack.topo)
-    assert np.array_equal(big.topo[9:12], -stack.topo[:, :, ::-1])
-    assert np.array_equal(big.psd[3:6], stack.psd)
+    assert np.array_equal(topo[0:3], stack.topo)
+    assert np.array_equal(topo[3:6], stack.topo[:, :, ::-1])
+    assert np.array_equal(topo[6:9], -stack.topo)
+    assert np.array_equal(topo[9:12], -stack.topo[:, :, ::-1])
+    assert np.array_equal(psd[3:6], stack.psd)
     for q in range(4):
         assert np.array_equal(big_labels[3 * q : 3 * q + 3], labels)
+
+
+@pytest.mark.parametrize("dtype, augment", [(np.float32, True), (np.float64, True),
+                                            (np.float64, False)])
+def test_orbit_gather_has_the_bits_of_the_materialized_orbit(dtype, augment):
+    # the batch rows are gathered from one float32 copy and mirrored and
+    # negated afterwards; both are exact, so they match the whole orbit
+    # built in the input dtype and cast, bit for bit (signed zeros too)
+    stack = builders.random_stack(9, seed=16)
+    topo = stack.topo.astype(dtype) * np.float64(1.0 / 3.0).astype(dtype)
+    topo[:, 0, :] = -0.0
+    psd, acf = (np.asarray(a, dtype=dtype) / 7 for a in (stack.psd, stack.autocorr))
+    labels = _random_labels(9, seed=16)
+    reference = oracles.materialized_orbit(topo, psd, acf, labels, augment)
+    orbit = TOPOGRAPHY_ORBIT if augment else TOPOGRAPHY_ORBIT[:1]
+    rows = tuple(a.astype(np.float32) for a in (topo, psd, acf))
+    idx = np.random.default_rng(16).integers(0, 9 * len(orbit), size=50)
+    for got, want in zip(_expand_orbit(idx, rows, labels, orbit), reference):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want[idx].tobytes()
+
+
+@pytest.mark.parametrize("orbit_size", [1, 4])
+def test_category_pools_index_the_repeated_labels(orbit_size):
+    labels = np.eye(7)[np.random.default_rng(17).choice([0, 2, 3, 6], size=30)]
+    hard = np.argmax(np.concatenate([labels] * orbit_size), axis=1)
+    expected = [np.flatnonzero(hard == k) for k in range(7) if np.any(hard == k)]
+    pools = _category_pools(labels, orbit_size)
+    assert len(pools) == len(expected) == 4
+    for got, want in zip(pools, expected):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------- training
@@ -304,3 +342,46 @@ def test_training_can_resume_from_given_weights():
         not np.array_equal(result.weights.kernels[name], start.kernels[name])
         for name in LAYER_ORDER
     )
+
+
+def _traced_peak(n: int) -> int:
+    stack, labels = builders.toy_dataset(n, seed=18)
+    stack = FeatureStack(*(a.astype(np.float64) for a in (stack.topo, stack.psd, stack.autocorr)))
+    config = TrainConfig(batch_size=8, max_batches=1)
+    tracemalloc.start()
+    try:
+        train(stack, labels, config, seed=18)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_training_memory_grows_with_one_float32_copy_of_the_set():
+    # the orbit is drawn per batch, so a float64 stack costs one float32
+    # copy of its rows, not the four-fold orbit in both dtypes
+    example_bytes = 4 * (32 * 32 + 100 + 100)
+    growth = _traced_peak(3000) - _traced_peak(1000)
+    assert growth <= 2 * example_bytes * 2000
+
+
+def test_training_frees_each_step_before_the_next(monkeypatch):
+    # the second forward_backward must not start while the first step's
+    # gradients are still referenced
+    first, alive_at_second = [], []
+    inner = training.forward_backward
+
+    def recording(*args):
+        if first:
+            alive_at_second.extend(ref() is not None for ref in first)
+        result = inner(*args)
+        if not first:
+            first.extend(weakref.ref(g) for grads in result[1:3] for g in grads.values())
+            first.append(weakref.ref(result[3]))
+            first.extend(weakref.ref(a) for a in args[1:5])
+        return result
+
+    monkeypatch.setattr(training, "forward_backward", recording)
+    stack = builders.random_stack(8, seed=19)
+    train(stack, _random_labels(8, seed=19), _tiny_config(max_batches=2), seed=19)
+    assert first and len(alive_at_second) == len(first)
+    assert not any(alive_at_second)

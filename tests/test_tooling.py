@@ -132,3 +132,26 @@ def test_perfbench_traced_extract_interpolates_once_per_recording(monkeypatch, t
                              "--out", str(tmp_path / f"features{index}")]) == 0
             assert len(tracer.durations("features.topography")) == index + 1
     assert len(tracer.durations("features.psd")) == 21
+
+
+def test_perfbench_traced_train_keeps_the_augmentation_span(monkeypatch, tmp_path):
+    # the orbit rows are drawn per batch, so a traced train run opens
+    # network.augment once for the category pools and once per batch
+    monkeypatch.syspath_prepend(ROOT)
+    trace = importlib.import_module("perfbench.trace")
+    train = importlib.import_module("perfbench.train")
+    inputs = importlib.import_module("perfbench.inputs")
+    from icsort import cli
+
+    features, labels = inputs.write_feature_set(
+        str(tmp_path), *inputs.feature_set(np.random.default_rng(0), 24), prefix="tr")
+    config = tmp_path / "train.cfg"
+    config.write_text("batch_size = 8\n")
+    tracer = trace.Tracer()
+    with trace.instrument(tracer, train.SPANS, train.Train.outer_only):
+        assert cli.main(["train", "--features", features, "--labels", labels,
+                         "--config", str(config), "--max-batches", "2", "--holdout", "4",
+                         "--out", str(tmp_path / "weights.iclw")]) == 0
+    assert len(tracer.durations("network.sample_batch")) == 2
+    assert len(tracer.durations("network.augment")) == 3
+    assert len(tracer.durations("network.forward_backward")) == 2
