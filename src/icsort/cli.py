@@ -320,7 +320,8 @@ def _run_chains(fit, seeds: list) -> list:
     This process runs the first chain itself, so a profiler or tracer here
     sees it; the others go to at most one worker process per further core.
     The workers are forked: they inherit ``fit``, and with it the votes and
-    priors, instead of receiving it pickled, and they import nothing again.
+    priors, instead of receiving it pickled.  A worker forked before this
+    process has run a chain loads ``scipy.special`` itself, once.
     With one chain, one core or no ``fork``, every chain runs here.  Each
     chain's result depends only on its seed, never on the process count.
     """

@@ -17,6 +17,9 @@ per labeler, category, and response, and both counts exclude the vote
 being resampled.  After a burn-in period, the per-epoch normalized
 (alpha + n) rows and (B + m) matrices are averaged to produce the final
 labels and confusion estimates.
+
+``scipy.special`` (for the log joint) is imported on first use, not with
+this module, so commands that never aggregate start without it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .bundles import read_csv_rows
 from .categories import (
@@ -232,6 +234,9 @@ def cllda_fit(
     The lists become arrays only once per sampling epoch, for the running
     averages and the log joint.
     """
+    # imported here so that commands which never aggregate do not load it
+    from scipy.special import gammaln
+
     votes = list(votes)
     if not votes:
         raise DataError("no votes to aggregate")

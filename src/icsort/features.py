@@ -13,6 +13,9 @@ references the mixing matrix once per recording and interpolates every
 component's topography with one thin-plate-spline operator for the montage
 (the spline is linear in the electrode values), applied to each component
 on its own.
+
+SciPy (the spline and the inverse FFT) is imported on first use, not with
+this module, so commands that never extract features start without it.
 """
 
 from __future__ import annotations
@@ -21,9 +24,6 @@ import math
 from dataclasses import InitVar, dataclass
 
 import numpy as np
-import scipy.fft
-from scipy.interpolate import RBFInterpolator
-from scipy.spatial.distance import pdist
 
 from .errors import DataError, IcsortError
 
@@ -141,6 +141,10 @@ def _interpolation_operator(planar: np.ndarray) -> np.ndarray:
     so interpolating the identity gives, column by column, the spline of each
     unit vector; a projection's pixels are then ``operator @ values``.
     """
+    # imported here so that commands which never interpolate do not load them
+    from scipy.interpolate import RBFInterpolator
+    from scipy.spatial.distance import pdist
+
     if planar.shape[0] < 3:
         raise DataError("scalp interpolation needs at least 3 usable electrodes")
     centered = planar - planar.mean(axis=0)
@@ -284,6 +288,8 @@ def autocorrelation(activity: np.ndarray, sample_rate: float) -> np.ndarray:
     x -= x.mean()
     if not x.any():  # a non-constant signal keeps a nonzero residual
         raise DataError("autocorrelation is undefined for a constant signal")
+
+    import scipy.fft  # imported here so that commands which never extract do not load it
 
     max_lag = int(np.ceil(sample_rate))
     nfft = scipy.fft.next_fast_len(n + max_lag + 1)

@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 import xml.etree.ElementTree as ElementTree
 
@@ -654,3 +658,76 @@ def test_main_parses_every_call_with_one_parser(tmp_path, monkeypatch, capsys):
     assert json.loads((tmp_path / "c.json").read_text()) != json.loads(
         (tmp_path / "a.json").read_text())
     assert len(parsers) == 4 and all(parser is parsers[0] for parser in parsers)
+
+
+# ---------------------------------------------------------------- imports
+
+
+def _scipy_after(statement):
+    """The ``scipy`` modules a fresh interpreter holds after running ``statement``."""
+    env = dict(os.environ)
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (f"{statement}\nimport sys\n"
+              "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True)
+    assert run.returncode == 0, run.stderr
+    return set(run.stdout.splitlines()[-1].split())
+
+
+def _scipy_loaded_by(argv):
+    return _scipy_after(f"import icsort.cli\nif icsort.cli.main({argv!r}):\n"
+                        "    raise SystemExit('command failed')")
+
+
+def _command_argv(tmp_path, command):
+    """One run of ``command`` on small inputs in ``tmp_path``."""
+    out = str(tmp_path / "out")
+    if command == "classify":
+        features, _ = _feature_bundle(tmp_path, n=5)
+        return ["classify", "--weights", str(_weights_file(tmp_path)),
+                "--features", str(features), "--out", out + ".json"]
+    if command == "train":
+        features, ids = _feature_bundle(tmp_path, n=10)
+        labels, _ = _labels_file(tmp_path, ids)
+        config = tmp_path / "train.cfg"
+        config.write_text("batch_size = 8\nval_interval = 2\n")
+        return ["train", "--features", str(features), "--labels", str(labels),
+                "--config", str(config), "--max-batches", "2", "--out", out + ".iclw"]
+    if command == "evaluate":
+        labels = tmp_path / "labels.csv"
+        write_labels_csv(labels, [f"ic{i:03d}" for i in range(14)],
+                         np.eye(7)[np.arange(14) % 7])
+        return ["evaluate", "--targets", str(labels), "--predictions", str(labels),
+                "--out", out + ".json", "--plot", out + ".svg"]
+    assert command == "aggregate"
+    return ["aggregate", "--votes", str(_votes_csv(tmp_path)), "--out", out + ".json",
+            "--burn-in", "5", "--epochs", "10", "--chains", "2"]
+
+
+@pytest.mark.parametrize("statement", ["import icsort", "import icsort.cli"])
+def test_importing_icsort_loads_no_scipy(statement):
+    assert _scipy_after(statement) == set()
+
+
+@pytest.mark.parametrize("command", ["classify", "train", "evaluate"])
+def test_commands_that_need_no_scipy_load_none(tmp_path, command):
+    assert _scipy_loaded_by(_command_argv(tmp_path, command)) == set()
+
+
+def test_aggregate_loads_scipy_special_but_not_interpolation_or_fft(tmp_path):
+    loaded = _scipy_loaded_by(_command_argv(tmp_path, "aggregate"))
+    assert "scipy.special" in loaded
+    assert not {"scipy.interpolate", "scipy.fft"} & loaded
+
+
+def test_extract_in_a_fresh_process_loads_its_scipy_and_matches_one_run_here(tmp_path):
+    recording = builders.make_recording(seed=1)
+    rec_dir = tmp_path / "rec"
+    write_recording_bundle(rec_dir, recording, recording_id="rec")
+    fresh, here = tmp_path / "fresh", tmp_path / "here"
+    loaded = _scipy_loaded_by(["extract", "--recording", str(rec_dir), "--out", str(fresh)])
+    assert {"scipy.interpolate", "scipy.fft"} <= loaded
+    assert cli.main(["extract", "--recording", str(rec_dir), "--out", str(here)]) == 0
+    assert _bundle_bytes(fresh) == _bundle_bytes(here)
