@@ -97,21 +97,34 @@ def read_array(path) -> np.ndarray:
     )
 
 
+#: The errors of a path that cannot be written as given, not of a write that failed.
+_PATH_ERRORS = (FileNotFoundError, NotADirectoryError, IsADirectoryError, PermissionError)
+
+
 def atomic_write_bytes(path, data: bytes) -> None:
     """Write bytes to path via a unique temporary file in the same directory
     and an atomic rename; on any failure the temporary file is removed and
     an existing file at path is left as it was.  The file gets the mode a
-    plain ``open`` would give it, not ``mkstemp``'s 0600."""
+    plain ``open`` would give it, not ``mkstemp``'s 0600.  A path that
+    cannot be written as given (a missing or unwritable directory, or a
+    directory in the way) is a ``DataError`` naming ``path``; any other
+    ``OSError``, such as a full disk, propagates."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+    except _PATH_ERRORS as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror}") from exc
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except _PATH_ERRORS as exc:
+            raise DataError(f"cannot write {path}: {exc.strerror}") from exc
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

@@ -320,8 +320,7 @@ def _run_chains(fit, seeds: list) -> list:
     This process runs the first chain itself, so a profiler or tracer here
     sees it; the others go to at most one worker process per further core.
     The workers are forked: they inherit ``fit``, and with it the votes and
-    priors, instead of receiving it pickled.  A worker forked before this
-    process has run a chain loads ``scipy.special`` itself, once.
+    priors, instead of receiving it pickled.
     With one chain, one core or no ``fork``, every chain runs here.  Each
     chain's result depends only on its seed, never on the process count.
     """
@@ -647,7 +646,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,13 +17,11 @@ per labeler, category, and response, and both counts exclude the vote
 being resampled.  After a burn-in period, the per-epoch normalized
 (alpha + n) rows and (B + m) matrices are averaged to produce the final
 labels and confusion estimates.
-
-``scipy.special`` (for the log joint) is imported on first use, not with
-this module, so commands that never aggregate start without it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,6 +198,17 @@ def validate_schedule(burn_in: int, sampling_epochs: int) -> None:
         raise ConfigError("burn_in must be >= 0 and sampling_epochs >= 1")
 
 
+def _log_gamma_sum(values) -> float:
+    """The sum of ``math.lgamma`` over the entries, one call per distinct value.
+
+    Counts repeat across components and labelers (a 4000-component log
+    holds about 120 distinct values among 28 000 component counts), so each
+    distinct value's log-gamma is weighted by how often it occurs.
+    """
+    distinct, counts = np.unique(values, return_counts=True)
+    return float(np.array([math.lgamma(v) for v in distinct.tolist()]) @ counts)
+
+
 def cllda_fit(
     votes,
     labeler_priors: dict,
@@ -234,9 +243,6 @@ def cllda_fit(
     The lists become arrays only once per sampling epoch, for the running
     averages and the log joint.
     """
-    # imported here so that commands which never aggregate do not load it
-    from scipy.special import gammaln
-
     votes = list(votes)
     if not votes:
         raise DataError("no votes to aggregate")
@@ -289,9 +295,9 @@ def cllda_fit(
     confusion_sum = np.zeros((n_lab, N_CATEGORIES, N_RESPONSES))
     log_joint = []
     # the Dirichlet normalizers of the priors, constant over the chain
-    prior_log_norm = float(
-        n_comp * (gammaln(alpha.sum()) - gammaln(alpha).sum())
-        + gammaln(prior_b_rowsum).sum() - gammaln(prior_b).sum()
+    prior_log_norm = (
+        n_comp * (_log_gamma_sum(alpha.sum()) - _log_gamma_sum(alpha))
+        + _log_gamma_sum(prior_b_rowsum) - _log_gamma_sum(prior_b)
     )
 
     # Each vote's three count rows, resolved once (the lists are mutated in
@@ -345,9 +351,9 @@ def cllda_fit(
             comp_totals = comp_array.sum(axis=1, keepdims=True)
             label_sum += comp_array / comp_totals
             confusion_sum += np.swapaxes(lab_array / rowsum_array[:, None, :], 1, 2)
-            log_joint.append(prior_log_norm + float(
-                gammaln(comp_array).sum() - gammaln(comp_totals).sum()
-                + gammaln(lab_array).sum() - gammaln(rowsum_array).sum()
+            log_joint.append(prior_log_norm + (
+                _log_gamma_sum(comp_array) - _log_gamma_sum(comp_totals)
+                + _log_gamma_sum(lab_array) - _log_gamma_sum(rowsum_array)
             ))
 
     labels = label_sum / sampling_epochs

@@ -13,9 +13,6 @@ references the mixing matrix once per recording and interpolates every
 component's topography with one thin-plate-spline operator for the montage
 (the spline is linear in the electrode values), applied to each component
 on its own.
-
-SciPy (the spline and the inverse FFT) is imported on first use, not with
-this module, so commands that never extract features start without it.
 """
 
 from __future__ import annotations
@@ -134,34 +131,58 @@ def project_to_plane(positions: np.ndarray) -> np.ndarray:
     return np.column_stack([radius * np.cos(azimuth), radius * np.sin(azimuth)])
 
 
+def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each row of ``a`` to each row of ``b``."""
+    return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
+
+
+def _thin_plate(r: np.ndarray) -> np.ndarray:
+    """The thin-plate-spline kernel r² log r, with its limit 0 at r = 0."""
+    return r**2 * np.log(r, out=np.zeros_like(r), where=r > 0)
+
+
 def _interpolation_operator(planar: np.ndarray) -> np.ndarray:
     """The (740, n_electrodes) matrix taking electrode values to the masked grid pixels.
 
     A thin-plate spline with a linear tail is linear in the values it fits,
     so interpolating the identity gives, column by column, the spline of each
-    unit vector; a projection's pixels are then ``operator @ values``.
+    unit vector; a projection's pixels are then ``operator @ values``.  The
+    spline is the one SciPy's ``RBFInterpolator(kernel="thin_plate_spline",
+    degree=1)`` fits: kernel weights w and tail coefficients c solve
+    ``[[K, P], [Pᵀ, 0]] [w; c] = [I; 0]``, where ``K`` holds the kernel of
+    the electrode distances and ``P`` the tail ``[1, x, y]`` over coordinates
+    centred and scaled to [-1, 1] per axis.
     """
-    # imported here so that commands which never interpolate do not load them
-    from scipy.interpolate import RBFInterpolator
-    from scipy.spatial.distance import pdist
-
-    if planar.shape[0] < 3:
+    n = planar.shape[0]
+    if n < 3:
         raise DataError("scalp interpolation needs at least 3 usable electrodes")
     centered = planar - planar.mean(axis=0)
     singular = np.linalg.svd(centered, compute_uv=False)
     if singular[1] <= 1e-9 * max(1.0, singular[0]):
         raise DataError("electrodes are collinear after projection; interpolation is rank-deficient")
+    distances = _pairwise_distances(planar, planar)
     # the spline system of two coincident electrodes is singular, yet its LU
     # solve need not raise: it returns images of ~1e17
-    if np.min(pdist(planar)) <= 1e-9:
+    if np.min(distances[np.triu_indices(n, 1)]) <= 1e-9:
         raise DataError("scalp interpolation is rank-deficient: two electrodes share a position")
+    low, high = planar.min(axis=0), planar.max(axis=0)
+    shift, scale = (high + low) / 2, (high - low) / 2
+    scale[scale == 0.0] = 1.0
+
+    def tail(points):
+        return np.column_stack([np.ones(len(points)), (points - shift) / scale])
+
+    system = np.zeros((n + 3, n + 3))
+    system[:n, :n] = _thin_plate(distances)
+    system[:n, n:] = tail(planar)
+    system[n:, :n] = system[:n, n:].T
     try:
-        interp = RBFInterpolator(planar, np.eye(planar.shape[0]),
-                                 kernel="thin_plate_spline", degree=1)
+        coefficients = np.linalg.solve(system, np.eye(n + 3, n))
     except np.linalg.LinAlgError as exc:
         raise DataError(f"scalp interpolation is rank-deficient: {exc}") from exc
     xx, yy = np.meshgrid(_GRID_X, _GRID_Y)
-    return interp(np.column_stack([xx[GRID_MASK], yy[GRID_MASK]]))
+    pixels = np.column_stack([xx[GRID_MASK], yy[GRID_MASK]])
+    return np.hstack([_thin_plate(_pairwise_distances(pixels, planar)), tail(pixels)]) @ coefficients
 
 
 def scalp_topography(projection: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -266,6 +287,34 @@ def median_welch_psd(activity: np.ndarray, sample_rate: float) -> np.ndarray:
     return db[_psd_bins(nperseg, sample_rate)]
 
 
+def _next_fast_len(target: int) -> int:
+    """The least integer at or above ``target`` whose prime factors are all
+    in 2, 3, 5, 7 and 11: the lengths the FFT transforms fastest, and the
+    answer of SciPy's ``next_fast_len``.
+
+    Each odd 3·5·7·11-smooth ``p`` below the best length so far gives one
+    candidate, the least ``p * 2**k`` at or above ``target``.
+    """
+    rest = target - 1
+    best = 1 << rest.bit_length()
+    p11 = 1
+    while p11 < best:
+        p7 = p11
+        while p7 < best:
+            p5 = p7
+            while p5 < best:
+                p = p5
+                while p < best:
+                    candidate = p << (rest // p).bit_length()
+                    if candidate < best:
+                        best = candidate
+                    p *= 3
+                p5 *= 5
+            p7 *= 7
+        p11 *= 11
+    return best
+
+
 def autocorrelation(activity: np.ndarray, sample_rate: float) -> np.ndarray:
     """Autocorrelation at 100 evenly spaced lags over (0, 1 s].
 
@@ -289,12 +338,10 @@ def autocorrelation(activity: np.ndarray, sample_rate: float) -> np.ndarray:
     if not x.any():  # a non-constant signal keeps a nonzero residual
         raise DataError("autocorrelation is undefined for a constant signal")
 
-    import scipy.fft  # imported here so that commands which never extract do not load it
-
     max_lag = int(np.ceil(sample_rate))
-    nfft = scipy.fft.next_fast_len(n + max_lag + 1)
+    nfft = _next_fast_len(n + max_lag + 1)
     spectrum = np.abs(np.fft.rfft(x, nfft)) ** 2
-    acov = scipy.fft.irfft(spectrum, nfft)[: max_lag + 1] / n  # faster than numpy's inverse
+    acov = np.fft.irfft(spectrum, nfft)[: max_lag + 1] / n
 
     lag_samples = np.linspace(0.0, 1.0, N_AUTOCORR_LAGS + 1) * sample_rate
     resampled = np.interp(lag_samples, np.arange(max_lag + 1, dtype=np.float64), acov)

@@ -636,6 +636,28 @@ def test_usage_and_missing_file_exit_codes(tmp_path, capsys):
     capsys.readouterr()  # drain usage noise
 
 
+@pytest.mark.parametrize("case", ["weights-is-a-directory", "out-is-a-directory",
+                                  "out-in-a-missing-directory"])
+def test_classify_names_a_path_it_cannot_use_in_one_error_line(tmp_path, capsys, case):
+    weights = _weights_file(tmp_path)
+    features, _ = _feature_bundle(tmp_path, n=3)
+    out = tmp_path / "report.json"
+    if case == "weights-is-a-directory":
+        weights = tmp_path / "weights-dir"
+        weights.mkdir()
+        named = weights
+    elif case == "out-is-a-directory":
+        out.mkdir()
+        named = out
+    else:
+        out = named = tmp_path / "missing" / "report.json"
+    assert cli.main(["classify", "--weights", str(weights), "--features", str(features),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(named) in err[0]
+    assert list(tmp_path.glob("**/.tmp-*")) == []
+
+
 def test_main_parses_every_call_with_one_parser(tmp_path, monkeypatch, capsys):
     parsers = []
     parse_args = cli._Parser.parse_args
@@ -701,6 +723,11 @@ def _command_argv(tmp_path, command):
                          np.eye(7)[np.arange(14) % 7])
         return ["evaluate", "--targets", str(labels), "--predictions", str(labels),
                 "--out", out + ".json", "--plot", out + ".svg"]
+    if command == "bench":
+        rec_dir = tmp_path / "rec"
+        write_recording_bundle(rec_dir, builders.make_recording(seed=11), recording_id="rec")
+        return ["bench", str(rec_dir), "--weights", str(_weights_file(tmp_path)),
+                "--out", out + ".json"]
     assert command == "aggregate"
     return ["aggregate", "--votes", str(_votes_csv(tmp_path)), "--out", out + ".json",
             "--burn-in", "5", "--epochs", "10", "--chains", "2"]
@@ -711,23 +738,17 @@ def test_importing_icsort_loads_no_scipy(statement):
     assert _scipy_after(statement) == set()
 
 
-@pytest.mark.parametrize("command", ["classify", "train", "evaluate"])
+@pytest.mark.parametrize("command", ["classify", "train", "evaluate", "aggregate", "bench"])
 def test_commands_that_need_no_scipy_load_none(tmp_path, command):
     assert _scipy_loaded_by(_command_argv(tmp_path, command)) == set()
 
 
-def test_aggregate_loads_scipy_special_but_not_interpolation_or_fft(tmp_path):
-    loaded = _scipy_loaded_by(_command_argv(tmp_path, "aggregate"))
-    assert "scipy.special" in loaded
-    assert not {"scipy.interpolate", "scipy.fft"} & loaded
-
-
-def test_extract_in_a_fresh_process_loads_its_scipy_and_matches_one_run_here(tmp_path):
+def test_extract_in_a_fresh_process_loads_no_scipy_and_matches_one_run_here(tmp_path):
     recording = builders.make_recording(seed=1)
     rec_dir = tmp_path / "rec"
     write_recording_bundle(rec_dir, recording, recording_id="rec")
     fresh, here = tmp_path / "fresh", tmp_path / "here"
     loaded = _scipy_loaded_by(["extract", "--recording", str(rec_dir), "--out", str(fresh)])
-    assert {"scipy.interpolate", "scipy.fft"} <= loaded
+    assert loaded == set()
     assert cli.main(["extract", "--recording", str(rec_dir), "--out", str(here)]) == 0
     assert _bundle_bytes(fresh) == _bundle_bytes(here)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from icsort import crowdlabel
 from icsort.categories import N_CATEGORIES, N_RESPONSES, RESPONSES
 from icsort.crowdlabel import (
     TRAINING_CLASS_PRIOR,
@@ -289,6 +290,27 @@ def test_log_joint_is_the_collapsed_joint_of_the_current_state():
     for value in result.log_joint:
         assert min(abs(value - state) for state in states) < 1e-9
     assert len(set(result.log_joint)) > 1  # the chain moves between states
+
+
+def test_log_joint_agrees_with_scipy_gammaln(monkeypatch):
+    # math.lgamma and gammaln differ by a few units in the last place of
+    # max(1, |value|) (under 2e-15 of it over 4e5 arguments in (0.01, 1e5));
+    # the log joint's terms sum in magnitude to about ten times the log joint
+    # here, so their difference stays near 1e-14 relative and 1e-12 leaves room
+    gammaln = pytest.importorskip("scipy.special").gammaln
+    votes, priors = _pinned_instance()
+
+    def fit():
+        return cllda_fit(votes, priors, ClassPrior(TRAINING_CLASS_PRIOR), burn_in=5,
+                         sampling_epochs=10, seed=3)
+
+    result = fit()
+    monkeypatch.setattr(crowdlabel, "_log_gamma_sum",
+                        lambda values: float(gammaln(values).sum()))
+    reference = fit()
+    np.testing.assert_allclose(result.log_joint, reference.log_joint, rtol=1e-12, atol=0)
+    for component in result.labels:
+        assert np.array_equal(result.labels[component], reference.labels[component])
 
 
 def test_gelman_rubin_separates_agreeing_from_disagreeing_chains():

@@ -273,6 +273,12 @@ def test_median_welch_shrugs_off_one_huge_window():
 # ---------------------------------------------------------- autocorrelation
 
 
+def test_fast_fft_length_is_scipys_for_every_target_to_2e5():
+    next_fast_len = pytest.importorskip("scipy.fft").next_fast_len
+    targets = range(1, 200_001)
+    assert [features._next_fast_len(t) for t in targets] == [next_fast_len(t) for t in targets]
+
+
 def test_autocorrelation_matches_time_domain_oracle():
     rng = np.random.default_rng(4)
     fs = 37.5  # non-integer rate exercises the lag resampling

@@ -2,8 +2,10 @@
 
 import importlib
 import os
+import re
 
 import numpy as np
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -155,3 +157,12 @@ def test_perfbench_traced_train_keeps_the_augmentation_span(monkeypatch, tmp_pat
     assert len(tracer.durations("network.sample_batch")) == 2
     assert len(tracer.durations("network.augment")) == 3
     assert len(tracer.durations("network.forward_backward")) == 2
+
+
+def test_the_program_depends_on_numpy_alone():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    names = {re.split(r"[\s<>=!~;\[]", requirement, maxsplit=1)[0].lower()
+             for requirement in project["dependencies"]}
+    assert names == {"numpy"}
