@@ -14,12 +14,14 @@ feature bundles (stacked per-component topography, power spectrum, and
 autocorrelation arrays).  Every topography's mask is the constant
 ``GRID_MASK``, so masks are no longer written; the byte-valued ``mask`` an
 older feature bundle lists is read and must equal ``GRID_MASK`` in every
-row.  Writers stage everything in a temporary location and rename into
-place, so a failed write never leaves a partial bundle at the destination.
+row.  Every output, a single file or a bundle directory, is written through
+one staging helper, ``_staged``, whose docstring states the write policy;
+reports and manifests share one JSON encoding (``json_text``) and reader.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
@@ -101,34 +103,59 @@ def read_array(path) -> np.ndarray:
 _PATH_ERRORS = (FileNotFoundError, NotADirectoryError, IsADirectoryError, PermissionError)
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write bytes to path via a unique temporary file in the same directory
-    and an atomic rename; on any failure the temporary file is removed and
-    an existing file at path is left as it was.  The file gets the mode a
-    plain ``open`` would give it, not ``mkstemp``'s 0600.  A path that
-    cannot be written as given (a missing or unwritable directory, or a
-    directory in the way) is a ``DataError`` naming ``path``; any other
-    ``OSError``, such as a full disk, propagates."""
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
+def _remove(path) -> None:
+    if os.path.isdir(path) and not os.path.islink(path):
+        shutil.rmtree(path)
+    else:
+        os.unlink(path)
+
+
+@contextlib.contextmanager
+def _staged(target, directory: bool = False, force: bool = False):
+    """Yield an empty temporary file (``.tmp-*``) or, with ``directory``, an
+    empty directory (``.staging-*``) beside ``target`` to be filled; then give
+    it the mode a plain ``open`` or ``mkdir`` would and move it onto ``target``.
+
+    A file replaces a file; a directory replaces whatever is at ``target``
+    only with ``force``, and is otherwise a ``DataError``.  On any failure
+    the temporary is removed.  A path that cannot be written as given (a
+    missing or unwritable parent, a directory in a file's way) is a
+    ``DataError`` naming ``target``; other ``OSError``s, such as a full
+    disk, propagate.
+    """
+    target = os.fspath(target)
+    parent = os.path.dirname(os.path.abspath(target))
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+        if directory:
+            tmp = tempfile.mkdtemp(dir=parent, prefix=".staging-")
+        else:
+            fd, tmp = tempfile.mkstemp(dir=parent, prefix=".tmp-")
+            os.close(fd)
     except _PATH_ERRORS as exc:
-        raise DataError(f"cannot write {path}: {exc.strerror}") from exc
+        raise DataError(f"cannot write {target}: {exc.strerror}") from exc
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+        yield tmp
         umask = os.umask(0)
         os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
+        os.chmod(tmp, (0o777 if directory else 0o666) & ~umask)
+        if directory and os.path.lexists(target):
+            if not force:
+                raise DataError(f"output {target!r} already exists (use force to replace)")
+            _remove(target)
         try:
-            os.replace(tmp, path)
+            os.replace(tmp, target)
         except _PATH_ERRORS as exc:
-            raise DataError(f"cannot write {path}: {exc.strerror}") from exc
+            raise DataError(f"cannot write {target}: {exc.strerror}") from exc
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        if os.path.lexists(tmp):
+            _remove(tmp)
         raise
+
+
+def atomic_write_bytes(path, data: bytes) -> None:
+    """Write bytes to ``path`` through one staged temporary file (``_staged``)."""
+    with _staged(path) as tmp, open(tmp, "wb") as fh:
+        fh.write(data)
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -136,45 +163,37 @@ def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-class _StagedDirectory:
-    """Build a directory next to its destination, then rename into place."""
-
-    def __init__(self, target, force: bool = False):
-        self.target = os.fspath(target)
-        self.force = force
-        parent = os.path.dirname(os.path.abspath(self.target)) or "."
-        os.makedirs(parent, exist_ok=True)
-        self.staging = tempfile.mkdtemp(dir=parent, prefix=".staging-")
-
-    def __enter__(self):
-        return self.staging
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc_type is not None:
-            shutil.rmtree(self.staging, ignore_errors=True)
-            return False
-        if os.path.exists(self.target):
-            if not self.force:
-                shutil.rmtree(self.staging, ignore_errors=True)
-                raise DataError(f"output {self.target!r} already exists (use force to replace)")
-            shutil.rmtree(self.target)
-        os.rename(self.staging, self.target)
-        return False
-
-
-def _dump_manifest(payload: dict) -> str:
+def json_text(payload: dict) -> str:
+    """The one JSON encoding of every report and manifest: indented, keys sorted."""
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def read_json(path):
+    """The JSON value of a UTF-8 file; one that does not parse is a ``DataError``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise DataError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def _write_bundle(directory, kind: str, fields: dict, arrays: dict, force: bool) -> None:
+    """Stage ``arrays`` as records with a ``kind`` manifest of ``fields`` at ``directory``."""
+    with _staged(directory, directory=True, force=force) as staging:
+        for name, array in arrays.items():
+            write_array(os.path.join(staging, f"{name}.bin"), array,
+                        shown_as=os.path.join(directory, f"{name}.bin"))
+        manifest = {"format": kind, "version": 1, **fields,
+                    "arrays": {name: f"{name}.bin" for name in arrays}}
+        with open(os.path.join(staging, MANIFEST_NAME), "w", encoding="utf-8") as fh:
+            fh.write(json_text(manifest))
 
 
 def _load_manifest(directory, expected_format: str) -> dict:
     path = os.path.join(os.fspath(directory), MANIFEST_NAME)
     if not os.path.isdir(directory) or not os.path.isfile(path):
         raise DataError(f"{directory}: not a bundle directory (missing {MANIFEST_NAME})")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (ValueError, RecursionError) as exc:  # bad JSON, non-UTF-8 bytes, deep nesting
-        raise DataError(f"{path}: invalid JSON manifest: {exc}") from exc
+    manifest = read_json(path)
     if not isinstance(manifest, dict):
         raise DataError(f"{path}: manifest must be a JSON object")
     if manifest.get("format") != expected_format:
@@ -209,19 +228,12 @@ def _read_arrays(directory, manifest: dict, names) -> dict:
 def write_recording_bundle(directory, recording: Recording, recording_id: str = "",
                            force: bool = False) -> None:
     """Write a recording as a bundle directory."""
-    with _StagedDirectory(directory, force=force) as staging:
-        for name in _RECORDING_ARRAYS:
-            write_array(os.path.join(staging, f"{name}.bin"), getattr(recording, name),
-                        shown_as=os.path.join(directory, f"{name}.bin"))
-        manifest = {
-            "format": RECORDING_FORMAT,
-            "version": 1,
-            "recording_id": recording_id or os.path.basename(os.fspath(directory)),
-            "sample_rate": float(recording.sample_rate),
-            "arrays": {name: f"{name}.bin" for name in _RECORDING_ARRAYS},
-        }
-        with open(os.path.join(staging, MANIFEST_NAME), "w", encoding="utf-8") as fh:
-            fh.write(_dump_manifest(manifest))
+    fields = {
+        "recording_id": recording_id or os.path.basename(os.fspath(directory)),
+        "sample_rate": float(recording.sample_rate),
+    }
+    _write_bundle(directory, RECORDING_FORMAT, fields,
+                  {name: getattr(recording, name) for name in _RECORDING_ARRAYS}, force)
 
 
 def read_recording_bundle(directory) -> tuple:
@@ -261,20 +273,12 @@ def write_feature_bundle(directory, stack: FeatureStack, component_ids,
         if np.shape(array) != (n, _FEATURE_WIDTHS[name]):
             raise DataError(f"{name} array must be ({n}, {_FEATURE_WIDTHS[name]}), "
                             f"got {np.shape(array)}")
-    with _StagedDirectory(directory, force=force) as staging:
-        for name in _FEATURE_ARRAYS:
-            write_array(os.path.join(staging, f"{name}.bin"), arrays[name],
-                        shown_as=os.path.join(directory, f"{name}.bin"))
-        manifest = {
-            "format": FEATURES_FORMAT,
-            "version": 1,
-            "source_recording": source_recording,
-            "sample_rate": float(sample_rate),
-            "component_ids": component_ids,
-            "arrays": {name: f"{name}.bin" for name in _FEATURE_ARRAYS},
-        }
-        with open(os.path.join(staging, MANIFEST_NAME), "w", encoding="utf-8") as fh:
-            fh.write(_dump_manifest(manifest))
+    fields = {
+        "source_recording": source_recording,
+        "sample_rate": float(sample_rate),
+        "component_ids": component_ids,
+    }
+    _write_bundle(directory, FEATURES_FORMAT, fields, arrays, force)
 
 
 def read_feature_bundle(directory) -> tuple:

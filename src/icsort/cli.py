@@ -2,7 +2,9 @@
 
 One binary with subcommands; all randomness sits behind explicit ``--seed``
 flags (default 0), so every command is deterministic for fixed inputs.
-Outputs are staged and atomically renamed, never partially overwritten.
+Each output is staged beside its target and renamed into place, so none is
+ever half-written; but a command with two outputs (``classify --csv``,
+``train --log``, ``evaluate --plot``) can leave the first if the second fails.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 3 numeric failure.
@@ -13,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import multiprocessing
 import os
 import sys
@@ -48,8 +49,8 @@ BENCH_CEILING_SECONDS = 2.0
 DEFAULT_HOLDOUT = 400
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+#: The bundles encoder under the name perfbench's ``cli.json_text`` span wraps.
+_json_text = bundles.json_text
 
 
 def _write_json(path, payload: dict) -> None:
@@ -91,11 +92,7 @@ def _load_thresholds(path, n_expected: int) -> np.ndarray:
     """The ``(n_expected,)`` threshold vector of a JSON file (a list, or an
     object with a ``thresholds`` list); each value must be finite and in
     [0, 1].  Any other content is a ``DataError``."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (ValueError, RecursionError) as exc:  # bad JSON, non-UTF-8 bytes, deep nesting
-        raise DataError(f"{path}: invalid JSON: {exc}") from exc
+    payload = bundles.read_json(path)
     values = payload.get("thresholds") if isinstance(payload, dict) else payload
     try:
         thresholds = np.asarray(values, dtype=np.float64)
@@ -425,13 +422,13 @@ def evaluation_report(targets, predictions, names) -> dict:
     for cat in range(k):
         try:
             curve = metrics.roc_curve(targets, predictions, cat)
+            points = metrics.soc_from_confusions(confusions, cat)
         except DataError as exc:
             skipped[names[cat]] = str(exc)
             continue
         roc[names[cat]] = [[t, f, p] for t, f, p in curve.points]
         auc[names[cat]] = curve.auc()
-        soc[names[cat]] = [list(point) for point in
-                           metrics.soc_from_confusions(confusions, cat)]
+        soc[names[cat]] = [list(point) for point in points]
     report["roc"] = roc
     report["soc"] = soc
     report["auc"] = auc
@@ -637,15 +634,9 @@ def main(argv=None) -> int:
             print(exc.code, file=sys.stderr)
             return 1
         return 1 if exc.code == 2 else (exc.code or 0)
-    except ConfigError as exc:
+    except (ConfigError, DataError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
     except OSError as exc:  # a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2

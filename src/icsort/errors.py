@@ -1,7 +1,7 @@
 """Exception types shared across the toolkit.
 
-The CLI maps these onto exit codes: usage problems exit 1, ``DataError``
-exits 2, ``NumericError`` exits 3.
+Each kind carries the exit code the CLI returns for it: ``ConfigError``
+exits 1 (as usage problems do), ``DataError`` 2, ``NumericError`` 3.
 """
 
 
@@ -11,11 +11,14 @@ class IcsortError(Exception):
 
 class ConfigError(IcsortError):
     """Invalid configuration, flags, or run setup."""
+    exit_code = 1
 
 
 class DataError(IcsortError):
     """Malformed, inconsistent, or insufficient input data."""
+    exit_code = 2
 
 
 class NumericError(IcsortError):
     """Numeric failure: non-finite values, divergence, degenerate systems."""
+    exit_code = 3

@@ -172,6 +172,19 @@ def test_bundle_writes_refuse_to_clobber_without_force(tmp_path):
     assert [n for n in os.listdir(tmp_path) if n.startswith(".staging")] == []
 
 
+def test_bundle_directories_get_the_mode_of_a_plain_mkdir(tmp_path):
+    umask = os.umask(0o022)  # a umask that leaves group and other bits to compare
+    try:
+        (tmp_path / "plain").mkdir()
+        write_recording_bundle(tmp_path / "rec", builders.make_recording(seed=4))
+        write_feature_bundle(tmp_path / "feats", builders.random_stack(2, seed=4), ["a", "b"])
+    finally:
+        os.umask(umask)
+    plain = (tmp_path / "plain").stat().st_mode
+    assert (tmp_path / "rec").stat().st_mode == plain  # not mkdtemp's 0700
+    assert (tmp_path / "feats").stat().st_mode == plain
+
+
 def test_read_recording_bundle_rejects_broken_manifests(tmp_path):
     with pytest.raises(DataError, match="manifest"):
         read_recording_bundle(tmp_path / "missing")

@@ -79,6 +79,28 @@ def test_extract_writes_a_deterministic_feature_bundle(tmp_path, capsys):
                      "--force"]) == 0
 
 
+def test_extract_refuses_an_output_in_a_missing_directory(tmp_path, capsys):
+    rec_dir = tmp_path / "rec"
+    write_recording_bundle(rec_dir, builders.make_recording(seed=1), recording_id="rec")
+    out = tmp_path / "missing" / "features"
+    assert cli.main(["extract", "--recording", str(rec_dir), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(out) in err[0]
+    assert not (tmp_path / "missing").exists()
+
+
+def test_extract_force_replaces_a_file_at_the_output(tmp_path, capsys):
+    rec_dir = tmp_path / "rec"
+    write_recording_bundle(rec_dir, builders.make_recording(seed=1), recording_id="rec")
+    out = tmp_path / "features"
+    out.write_text("not a bundle\n")
+    assert cli.main(["extract", "--recording", str(rec_dir), "--out", str(out),
+                     "--force"]) == 0
+    _, ids = read_feature_bundle(out)
+    assert ids == ["ic000", "ic001", "ic002", "ic003"]
+    assert list(tmp_path.glob(".staging-*")) == []
+
+
 def test_extract_reports_failed_components_but_keeps_the_rest(tmp_path, capsys):
     base = builders.make_recording(seed=2)
     activity = base.component_activity.copy()
@@ -558,6 +580,26 @@ def test_evaluate_merged_classes_and_skipped_categories(tmp_path):
     # categories without positives cannot have a ROC and are reported as skipped
     assert set(report["skipped_categories"]) == {"Line Noise", "Channel Noise", "Other"}
     assert "optimal_thresholds" not in report
+
+
+def test_evaluate_skips_a_category_whose_soc_point_is_undefined(tmp_path):
+    # soft labels can leave one category's soft confusion row empty under the
+    # 'strong' AND while its ROC is defined; that category is skipped, not fatal
+    ids = [f"ic{i:03d}" for i in range(40)]
+    rng = np.random.default_rng(0)
+    targets_csv, predictions_csv = tmp_path / "t.csv", tmp_path / "p.csv"
+    write_labels_csv(targets_csv, ids, rng.dirichlet(np.ones(7), size=40))
+    write_labels_csv(predictions_csv, ids, rng.dirichlet(np.ones(7), size=40))
+    out = tmp_path / "eval.json"
+    with pytest.warns(UserWarning):
+        assert cli.main(["evaluate", "--targets", str(targets_csv),
+                         "--predictions", str(predictions_csv), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["skipped_categories"]["Brain"] == (
+        "SOC point for category 0 undefined under 'strong': zero confusion mass")
+    for name in report["skipped_categories"]:
+        assert name not in report["roc"] and name not in report["soc"]
+    assert set(report["roc"]) == set(report["soc"]) == set(report["auc"]) != set()
 
 
 def test_evaluate_rejects_mismatched_component_ids(tmp_path, capsys):
