@@ -103,11 +103,10 @@ def read_array(path) -> np.ndarray:
 _PATH_ERRORS = (FileNotFoundError, NotADirectoryError, IsADirectoryError, PermissionError)
 
 
-def _remove(path) -> None:
-    if os.path.isdir(path) and not os.path.islink(path):
-        shutil.rmtree(path)
-    else:
-        os.unlink(path)
+def check_output(target, force: bool) -> None:
+    """Refuse an existing ``target`` (``DataError``) unless ``force`` is set."""
+    if not force and os.path.lexists(target):
+        raise DataError(f"output {os.fspath(target)!r} already exists (use force to replace)")
 
 
 @contextlib.contextmanager
@@ -117,11 +116,12 @@ def _staged(target, directory: bool = False, force: bool = False):
     it the mode a plain ``open`` or ``mkdir`` would and move it onto ``target``.
 
     A file replaces a file; a directory replaces whatever is at ``target``
-    only with ``force``, and is otherwise a ``DataError``.  On any failure
-    the temporary is removed.  A path that cannot be written as given (a
-    missing or unwritable parent, a directory in a file's way) is a
-    ``DataError`` naming ``target``; other ``OSError``s, such as a full
-    disk, propagate.
+    only with ``force``, and is otherwise a ``DataError``; the old target is
+    renamed aside (``.old-*``) and removed only once the new one is in place.
+    On any failure the temporary is removed and the old target kept.  A path
+    that cannot be written as given (a missing or unwritable parent, a
+    directory in a file's way) is a ``DataError`` naming ``target``; other
+    ``OSError``s, such as a full disk, propagate.
     """
     target = os.fspath(target)
     parent = os.path.dirname(os.path.abspath(target))
@@ -133,23 +133,30 @@ def _staged(target, directory: bool = False, force: bool = False):
             os.close(fd)
     except _PATH_ERRORS as exc:
         raise DataError(f"cannot write {target}: {exc.strerror}") from exc
+    aside = None
     try:
         yield tmp
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, (0o777 if directory else 0o666) & ~umask)
         if directory and os.path.lexists(target):
-            if not force:
-                raise DataError(f"output {target!r} already exists (use force to replace)")
-            _remove(target)
+            check_output(target, force)
+            aside = tempfile.mkdtemp(dir=parent, prefix=".old-")
+            os.replace(target, os.path.join(aside, "old"))
         try:
             os.replace(tmp, target)
         except _PATH_ERRORS as exc:
             raise DataError(f"cannot write {target}: {exc.strerror}") from exc
     except BaseException:
         if os.path.lexists(tmp):
-            _remove(tmp)
+            (shutil.rmtree if directory else os.unlink)(tmp)
+        if aside is not None:
+            if os.path.lexists(os.path.join(aside, "old")):
+                os.replace(os.path.join(aside, "old"), target)
+            os.rmdir(aside)
         raise
+    if aside is not None:
+        shutil.rmtree(aside)
 
 
 def atomic_write_bytes(path, data: bytes) -> None:

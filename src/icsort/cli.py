@@ -61,6 +61,7 @@ def _write_json(path, payload: dict) -> None:
 
 
 def cmd_extract(args) -> int:
+    bundles.check_output(args.out, args.force)  # refuse before reading or computing anything
     recording, recording_id = bundles.read_recording_bundle(args.recording)
     component_ids = [f"ic{i:03d}" for i in range(recording.n_components)]
     stack, failures = extract_recording(recording)

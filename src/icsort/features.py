@@ -6,7 +6,8 @@ the classifier:
 * a 32x32 interpolated scalp topography of its channel projection,
 * a 100-bin log power spectrum (1..100 Hz) from a median-variant of
   Welch's method, and
-* a 100-lag autocorrelation function spanning (0, 1 s].
+* a 100-lag autocorrelation function spanning (0, 1 s], from overlapped
+  power-of-two blocks (``_autocovariance``), not one whole-length transform.
 
 All operations are pure functions of their inputs.  ``extract_recording``
 references the mixing matrix once per recording and interpolates every
@@ -279,58 +280,52 @@ def median_welch_psd(activity: np.ndarray, sample_rate: float) -> np.ndarray:
     if not np.isfinite(spectra).all():
         raise DataError("power spectrum is not finite: the activity has non-finite or "
                         "overflowing samples")
-    # the median by selection: np.median's bits without its NaN sentinel partition
-    middle = len(spectra) // 2
-    middles = [middle] if len(spectra) % 2 else [middle - 1, middle]
-    median_power = np.mean(np.partition(spectra, middles, axis=0)[middles[0]:middle + 1], axis=0)
-    db = 10.0 * np.log10(median_power + 1e-12)
-    return db[_psd_bins(nperseg, sample_rate)]
+    # np.median's bits by selection (no NaN sentinel), over columns up to the highest output bin
+    bins = _psd_bins(nperseg, sample_rate)
+    powers = spectra[:, : bins[-1] + 1]
+    middles = sorted({(len(powers) - 1) // 2, len(powers) // 2})
+    median_power = np.mean(np.partition(powers, middles, axis=0)[middles], axis=0)
+    return (10.0 * np.log10(median_power + 1e-12))[bins]
 
 
-def _next_fast_len(target: int) -> int:
-    """The least integer at or above ``target`` whose prime factors are all
-    in 2, 3, 5, 7 and 11: the lengths the FFT transforms fastest, and the
-    answer of SciPy's ``next_fast_len``.
+def _autocovariance(x: np.ndarray, max_lag: int) -> np.ndarray:
+    """The biased autocovariance ``sum(x[t] * x[t + k]) / n`` of ``x`` at lags 0..max_lag.
 
-    Each odd 3·5·7·11-smooth ``p`` below the best length so far gives one
-    candidate, the least ``p * 2**k`` at or above ``target``.
+    Blocks of B samples, B the least power of two >= 2 * max_lag (>= max_lag
+    suffices; twice ran fastest), are zero-padded to 2B.  A lag k <= B from
+    block b reaches only blocks b and b + 1, and a shift by B in a 2B-point
+    transform is a factor (-1)^k, so the lag sums are the inverse transform
+    of ``sum_b |X_b|^2 + (-1)^k sum_b conj(X_b) X_{b+1}``.  Plain sums, no
+    BLAS call, keep the bits independent of the thread count.
     """
-    rest = target - 1
-    best = 1 << rest.bit_length()
-    p11 = 1
-    while p11 < best:
-        p7 = p11
-        while p7 < best:
-            p5 = p7
-            while p5 < best:
-                p = p5
-                while p < best:
-                    candidate = p << (rest // p).bit_length()
-                    if candidate < best:
-                        best = candidate
-                    p *= 3
-                p5 *= 5
-            p7 *= 7
-        p11 *= 11
-    return best
+    n = x.shape[0]
+    block = 1 << (2 * max_lag - 1).bit_length()
+    n_blocks = -(-n // block)
+    padded = np.zeros(n_blocks * block)
+    padded[:n] = x
+    spectra = np.fft.rfft(padded.reshape(n_blocks, block), 2 * block, axis=1)
+    cross = np.sum(spectra[:-1].conj() * spectra[1:], axis=0)
+    cross[1::2] *= -1
+    lag_sums = np.fft.irfft(np.sum(spectra.real**2 + spectra.imag**2, axis=0) + cross, 2 * block)
+    return lag_sums[: max_lag + 1] / n
 
 
 def autocorrelation(activity: np.ndarray, sample_rate: float) -> np.ndarray:
     """Autocorrelation at 100 evenly spaced lags over (0, 1 s].
 
-    The biased sample autocorrelation of the demeaned signal is computed
-    for lags up to 1 s, linearly resampled onto 101 lags spanning [0, 1 s],
-    scaled so the zero-lag value is 0.99, and returned with the zero-lag
-    entry dropped.  The result is invariant to amplitude scaling and to the
-    sample rate of the input: the signal is first scaled by the power of two
-    that brings its peak into [0.5, 1), which is exact, so every amplitude
-    gives the bits of that one and none overflows or underflows.
+    The biased sample autocorrelation of the demeaned signal at lags up to
+    1 s, from blocks of the least power of two >= 2 * ceil(sample_rate)
+    (``_autocovariance``), is linearly resampled onto 101 lags spanning
+    [0, 1 s], scaled so the zero-lag value is 0.99, and returned with the
+    zero-lag entry dropped.  The result is invariant to amplitude scaling and
+    to the sample rate of the input: the signal is first scaled by the power
+    of two that brings its peak into [0.5, 1), which is exact, so every
+    amplitude gives the bits of that one and none overflows or underflows.
     """
     x = np.asarray(activity, dtype=np.float64).ravel()
     if not sample_rate > 0:
         raise DataError(f"sample rate must be positive, got {sample_rate}")
-    n = x.shape[0]
-    if n < 2 * sample_rate:
+    if x.shape[0] < 2 * sample_rate:
         raise DataError("need at least 2 seconds of samples to estimate lags up to 1 s")
     _, exponent = math.frexp(max(x.max(), -x.min()))
     x = np.ldexp(x, -exponent)
@@ -339,12 +334,8 @@ def autocorrelation(activity: np.ndarray, sample_rate: float) -> np.ndarray:
         raise DataError("autocorrelation is undefined for a constant signal")
 
     max_lag = int(np.ceil(sample_rate))
-    nfft = _next_fast_len(n + max_lag + 1)
-    spectrum = np.abs(np.fft.rfft(x, nfft)) ** 2
-    acov = np.fft.irfft(spectrum, nfft)[: max_lag + 1] / n
-
     lag_samples = np.linspace(0.0, 1.0, N_AUTOCORR_LAGS + 1) * sample_rate
-    resampled = np.interp(lag_samples, np.arange(max_lag + 1, dtype=np.float64), acov)
+    resampled = np.interp(lag_samples, np.arange(max_lag + 1.0), _autocovariance(x, max_lag))
     resampled *= FEATURE_SCALE / resampled[0]
     return resampled[1:]
 

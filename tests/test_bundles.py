@@ -1,5 +1,6 @@
 """Array records, bundle directories, and label CSV files."""
 
+import errno
 import functools
 import json
 import os
@@ -170,6 +171,32 @@ def test_bundle_writes_refuse_to_clobber_without_force(tmp_path):
     assert recording_id == "second"
     # staging directories are cleaned up in every case
     assert [n for n in os.listdir(tmp_path) if n.startswith(".staging")] == []
+
+
+@pytest.mark.parametrize("error, raised", [
+    (OSError(errno.EIO, "I/O error"), OSError),
+    (PermissionError(errno.EACCES, "Permission denied"), DataError),
+])
+def test_a_forced_bundle_write_that_fails_to_commit_keeps_the_old_bundle(tmp_path, monkeypatch,
+                                                                         error, raised):
+    recording = builders.make_recording(seed=4)
+    target = tmp_path / "rec"
+    write_recording_bundle(target, recording, recording_id="first")
+    before = {p.name: p.read_bytes() for p in target.iterdir()}
+    replace = os.replace
+
+    def failing_replace(src, dst):
+        if os.path.basename(src).startswith(".staging-"):  # the new bundle onto the target
+            raise error
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(raised):
+        write_recording_bundle(target, recording, recording_id="second", force=True)
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in target.iterdir()} == before
+    assert read_recording_bundle(target)[1] == "first"
+    assert os.listdir(tmp_path) == ["rec"]  # no .staging-* or .old-* left
 
 
 def test_bundle_directories_get_the_mode_of_a_plain_mkdir(tmp_path):

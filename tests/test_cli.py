@@ -79,6 +79,24 @@ def test_extract_writes_a_deterministic_feature_bundle(tmp_path, capsys):
                      "--force"]) == 0
 
 
+@pytest.mark.parametrize("existing", ["directory", "file"])
+def test_extract_refuses_an_existing_output_before_extracting(tmp_path, monkeypatch, capsys,
+                                                               existing):
+    rec_dir = tmp_path / "rec"
+    write_recording_bundle(rec_dir, builders.make_recording(seed=1), recording_id="rec")
+    out = tmp_path / "features"
+    out.mkdir() if existing == "directory" else out.write_text("kept\n")
+
+    def extract_recording(recording):
+        raise AssertionError("extract_recording ran for an output that is refused")
+
+    monkeypatch.setattr(cli, "extract_recording", extract_recording)
+    assert cli.main(["extract", "--recording", str(rec_dir), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "already exists" in err[0] and str(out) in err[0]
+    assert sorted(os.listdir(tmp_path)) == ["features", "rec"]  # nothing staged
+
+
 def test_extract_refuses_an_output_in_a_missing_directory(tmp_path, capsys):
     rec_dir = tmp_path / "rec"
     write_recording_bundle(rec_dir, builders.make_recording(seed=1), recording_id="rec")
@@ -794,3 +812,57 @@ def test_extract_in_a_fresh_process_loads_no_scipy_and_matches_one_run_here(tmp_
     assert loaded == set()
     assert cli.main(["extract", "--recording", str(rec_dir), "--out", str(here)]) == 0
     assert _bundle_bytes(fresh) == _bundle_bytes(here)
+
+
+# ------------------------------------------------------------ BLAS threads
+
+_THREAD_RUN = """
+import sys
+import numpy as np
+import icsort.cli
+from icsort.features import autocorrelation, median_welch_psd
+inputs, out = sys.argv[1:]
+for n in (1, 16):
+    assert icsort.cli.main(["classify", "--weights", f"{inputs}/weights.iclw",
+                            "--features", f"{inputs}/features{n}", "--out", f"{out}/c{n}.json",
+                            "--csv", f"{out}/c{n}.csv"]) == 0
+assert icsort.cli.main(["train", "--features", f"{inputs}/train", "--labels",
+                        f"{inputs}/labels.csv", "--config", f"{inputs}/train.cfg",
+                        "--max-batches", "2", "--seed", "3", "--out", f"{out}/w.iclw",
+                        "--log", f"{out}/train.log"]) == 0
+rng = np.random.default_rng(0)
+for rate, seconds in ((128.0, 30), (512.0, 300)):
+    x = rng.standard_normal((3, int(rate * seconds))).cumsum(axis=1)
+    rows = [f(row, rate) for row in x for f in (median_welch_psd, autocorrelation)]
+    np.save(f"{out}/rows{int(rate)}.npy", np.array(rows))
+from perfbench.machine import blas_threads
+print(sorted(set(blas_threads().values())))
+"""
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # extract is left out: its 128-channel spline solve differs in the last bits
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("a second BLAS thread needs a second CPU")
+    _weights_file(tmp_path)
+    for n in (1, 16):
+        _feature_bundle(tmp_path, name=f"features{n}", n=n, seed=n)
+    _, ids = _feature_bundle(tmp_path, name="train", n=160, seed=2)
+    _labels_file(tmp_path, ids)
+    (tmp_path / "train.cfg").write_text("batch_size = 128\nval_interval = 2\n")
+    src = pathlib.Path(cli.__file__).parents[1]
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        out.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), str(src.parent), env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", _THREAD_RUN, str(tmp_path), str(out)],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == f"[{threads}]"  # every loaded BLAS took the count
+        outputs[threads] = _bundle_bytes(out)
+    assert sorted(outputs["1"]) == ["c1.csv", "c1.json", "c16.csv", "c16.json", "rows128.npy",
+                                    "rows512.npy", "train.log", "w.iclw"]
+    assert outputs["1"] == outputs["2"]

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import RBFInterpolator
 
 import builders
@@ -273,10 +275,25 @@ def test_median_welch_shrugs_off_one_huge_window():
 # ---------------------------------------------------------- autocorrelation
 
 
-def test_fast_fft_length_is_scipys_for_every_target_to_2e5():
-    next_fast_len = pytest.importorskip("scipy.fft").next_fast_len
-    targets = range(1, 200_001)
-    assert [features._next_fast_len(t) for t in targets] == [next_fast_len(t) for t in targets]
+@settings(max_examples=80, deadline=None)
+@given(rate=st.sampled_from([2.0, 3.3, 37.5, 128.0, 200.5, 512.0, 513.0]),
+       length=st.sampled_from(["below one block", "whole blocks", "whole blocks + 1"]),
+       blocks=st.integers(1, 3), walk=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_block_autocovariance_matches_the_direct_sum(rate, length, blocks, walk, seed):
+    max_lag = int(np.ceil(rate))
+    block = 1 << (2 * max_lag - 1).bit_length()  # the least power of two >= 2 * max_lag
+    rng = np.random.default_rng(seed)
+    n = {"below one block": int(rng.integers(max_lag + 1, block)),
+         "whole blocks": blocks * block, "whole blocks + 1": blocks * block + 1}[length]
+    x = rng.standard_normal(n)
+    x = (x.cumsum() if walk else x) + rng.uniform(-5, 5)  # an offset for the demeaning
+    centred = x - x.mean()
+    direct = np.array([np.dot(centred[: n - k], centred[k:]) for k in range(max_lag + 1)]) / n
+    assert np.all(np.abs(features._autocovariance(centred, max_lag) - direct)
+                  <= 1e-12 * direct[0])
+    if n >= 2 * rate:  # the lengths autocorrelation accepts
+        assert np.allclose(autocorrelation(x, rate), oracles.time_domain_autocorr(x, rate),
+                           atol=1e-9)
 
 
 def test_autocorrelation_matches_time_domain_oracle():
