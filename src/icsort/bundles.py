@@ -51,9 +51,9 @@ _FEATURE_ARRAYS = ("topo", "psd", "autocorr")
 def write_array(path, array: np.ndarray, shown_as=None) -> None:
     """Write a 2-D array record; float arrays as f32, boolean/uint8 as bytes.
 
-    A finite value beyond the f32 range is a ``DataError`` naming
-    ``shown_as`` (default ``path``), not a stored infinity.  NaN and
-    infinities are written as they are.
+    A float record holds finite values only: the first NaN, infinity or
+    finite value beyond the f32 range is a ``DataError`` naming ``shown_as``
+    (default ``path``), its row and its column.
     """
     array = np.asarray(array)
     if array.ndim != 2:
@@ -64,11 +64,11 @@ def write_array(path, array: np.ndarray, shown_as=None) -> None:
         with np.errstate(over="ignore"):  # an overflow is reported below
             payload = np.ascontiguousarray(array, dtype="<f4")
         if not (np.isfinite(payload.min(initial=0.0)) and np.isfinite(payload.max(initial=0.0))):
-            overflow = np.argwhere(np.isinf(payload) & np.isfinite(array))
-            if len(overflow):
-                row, col = overflow[0]
-                raise DataError(f"{shown_as or path}: value {float(array[row, col])!r} at "
-                                f"row {row}, column {col} is beyond the float32 range")
+            row, col = np.argwhere(~np.isfinite(payload))[0]
+            value = float(array[row, col])
+            problem = "beyond the float32 range" if np.isfinite(value) else "not finite"
+            raise DataError(f"{shown_as or path}: value {value!r} at "
+                            f"row {row}, column {col} is {problem}")
     header = ARRAY_MAGIC + struct.pack("<III", ARRAY_VERSION, *array.shape)
     with open(path, "wb") as fh:
         fh.write(header)
@@ -368,8 +368,8 @@ def write_labels_csv(path, component_ids, labels: np.ndarray,
 def read_labels_csv(path, n_categories: int = N_CATEGORIES) -> tuple:
     """Read a label CSV; returns (component_ids, (n, k) label array).
 
-    Every row must hold a valid probability vector; the header's category
-    count fixes k.
+    Every row must hold a valid probability vector, and the header must
+    name ``n_categories`` categories.
     """
     rows = read_csv_rows(path)
     header = next(rows, None)
@@ -403,6 +403,6 @@ def read_labels_csv(path, n_categories: int = N_CATEGORIES) -> tuple:
         raise DataError(f"{path}:{line_numbers[row]}: {reason}")
     if len(set(component_ids)) != len(component_ids):
         raise DataError(f"{path}: duplicate component ids")
-    if n_categories is not None and k != n_categories:
+    if k != n_categories:
         raise DataError(f"{path}: expected {n_categories} category columns, found {k}")
     return component_ids, labels

@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import multiprocessing
 import os
@@ -157,20 +156,15 @@ def cmd_classify(args) -> int:
 
 def _option_types() -> dict:
     """Each ``TrainConfig`` field's value type, ``int | None`` read as ``int``."""
-    hints = typing.get_type_hints(TrainConfig)
-    types = {}
-    for field in dataclasses.fields(TrainConfig):
-        hint = hints[field.name]
-        types[field.name] = next(
-            (t for t in typing.get_args(hint) if t is not type(None)), hint)
-    return types
+    return {name: next((t for t in typing.get_args(hint) if t is not type(None)), hint)
+            for name, hint in typing.get_type_hints(TrainConfig).items()}
 
 
 def parse_config_file(path) -> dict:
     """Parse a ``key = value`` training-config file into TrainConfig kwargs.
 
-    Keys are the ``TrainConfig`` field names.  Booleans are ``true`` or
-    ``false``, tuples comma-separated numbers; ``#`` starts a comment.
+    Keys are the ``TrainConfig`` field names.  Tuples are comma-separated
+    numbers; ``#`` starts a comment.
     """
     option_types = _option_types()
     options: dict = {}
@@ -187,11 +181,7 @@ def parse_config_file(path) -> dict:
                 raise ConfigError(f"{path}:{line_no}: unknown option {key!r}")
             kind = option_types[key]
             try:
-                if kind is bool:
-                    if value.lower() not in ("true", "false"):
-                        raise ValueError("expected true or false")
-                    options[key] = value.lower() == "true"
-                elif kind is tuple:
+                if kind is tuple:
                     options[key] = tuple(float(v) for v in value.split(","))
                 else:
                     options[key] = kind(value)
@@ -255,15 +245,10 @@ def cmd_train(args) -> int:
         val_stack, val_labels = stack.subset(val_idx), labels[val_idx]
         stack, labels = stack.subset(train_idx), labels[train_idx]
 
-    log_lines = []
-    result = train(
-        stack, labels, config,
-        val_stack=val_stack, val_labels=val_labels,
-        seed=args.seed, log=log_lines.append if args.verbose else None,
-    )
+    result = train(stack, labels, config, val_stack, val_labels, seed=args.seed)
     if args.verbose:
-        for line in log_lines:
-            print(line)
+        for batch, train_loss, val_loss in result.history[1:]:
+            print(f"batch {batch}: train loss {train_loss:.4f}, validation loss {val_loss:.4f}")
 
     save_weights(args.out, result.weights)
     if args.log:

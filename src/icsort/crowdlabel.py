@@ -121,8 +121,6 @@ class CrowdResult:
 
     labels: dict  # component_id -> (7,) label vector
     labeler_confusions: dict  # labeler_id -> (7, 8) row-stochastic matrix
-    epochs: int
-    burn_in: int
     seed: int
     diagnostics: dict = field(default_factory=dict)
     #: collapsed log joint of votes and latent categories, priors included,
@@ -361,8 +359,6 @@ def cllda_fit(
     return CrowdResult(
         labels={c: labels[i] for c, i in comp_index.items()},
         labeler_confusions={l: confusions[i] for l, i in lab_index.items()},
-        epochs=sampling_epochs,
-        burn_in=burn_in,
         seed=seed,
         diagnostics={"n_votes": n_votes, "n_components": n_comp, "n_labelers": n_lab},
         log_joint=log_joint,

@@ -352,8 +352,8 @@ def normalize_features(values: np.ndarray) -> np.ndarray:
 
 #: The symmetry orbit of a scalp topography, identity first, as (mirror, negate)
 #: pairs: mirroring reflects the image left-right (about the sagittal plane).
-#: ``classify`` averages its output over this orbit and training augments
-#: with it; PSD, autocorrelation and labels are the same for every element.
+#: ``classify`` averages its output over this orbit and training draws its
+#: batches from it; PSD, autocorrelation and labels are the same for every element.
 TOPOGRAPHY_ORBIT = ((False, False), (True, False), (False, True), (True, True))
 
 
@@ -393,6 +393,11 @@ class FeatureStack:
     def subset(self, indices) -> "FeatureStack":
         idx = np.asarray(indices)
         return FeatureStack(self.topo[idx], self.psd[idx], self.autocorr[idx])
+
+
+# An InitVar's default is left behind as a class attribute; without it,
+# reading a dropped argument raises AttributeError instead of giving None.
+del Recording.channel_data, FeatureStack.mask
 
 
 def extract_component_features(projection: np.ndarray, positions: np.ndarray,

@@ -168,7 +168,13 @@ def _scatter_by_phase(dcols: np.ndarray, lowered: Lowered) -> np.ndarray:
 def conv2d_forward(
     x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, padding: str
 ) -> np.ndarray:
-    """2-D convolution of x (n, h, w, c_in) with w (kh, kw, c_in, c_out)."""
+    """2-D convolution of x (n, h, w, c_in) with w (kh, kw, c_in, c_out).
+
+    This and the other ``conv*d_*`` functions are the plain reference: each
+    lowers its input afresh, then runs the pass.  The model reuses one
+    lowering per layer instead; the test oracle
+    ``layer_by_layer_forward_backward`` calls these.
+    """
     return forward_lowered(lower_2d(x, w.shape, stride, padding), w, b)
 
 
@@ -176,14 +182,14 @@ def conv2d_backward(
     x: np.ndarray, w: np.ndarray, stride: int, padding: str, dy: np.ndarray,
     input_grad: bool = True,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """Gradients (dx, dw, db) of a 2-D convolution given upstream dy; see ``backward_lowered``."""
+    """Reference gradients (dx, dw, db) of a 2-D convolution; see ``backward_lowered``."""
     return backward_lowered(lower_2d(x, w.shape, stride, padding), w, dy, input_grad)
 
 
 def conv1d_forward(
     x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, padding: str
 ) -> np.ndarray:
-    """1-D convolution of x (n, length, c_in) with w (k, c_in, c_out)."""
+    """Reference 1-D convolution of x (n, length, c_in) with w (k, c_in, c_out)."""
     return forward_lowered(lower_1d(x, w.shape, stride, padding), w, b)
 
 
@@ -191,7 +197,7 @@ def conv1d_backward(
     x: np.ndarray, w: np.ndarray, stride: int, padding: str, dy: np.ndarray,
     input_grad: bool = True,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """Gradients (dx, dw, db) of a 1-D convolution given upstream dy; see ``backward_lowered``."""
+    """Reference gradients (dx, dw, db) of a 1-D convolution; see ``backward_lowered``."""
     return backward_lowered(lower_1d(x, w.shape, stride, padding), w, dy, input_grad)
 
 

@@ -105,7 +105,6 @@ class NetworkWeights:
 
     kernels: dict = field(default_factory=dict)
     biases: dict = field(default_factory=dict)
-    version: int = 1
 
     def validate(self) -> None:
         for spec in ARCHITECTURE:
@@ -127,14 +126,12 @@ class NetworkWeights:
         return NetworkWeights(
             kernels={n: k.astype(dtype) for n, k in self.kernels.items()},
             biases={n: b.astype(dtype) for n, b in self.biases.items()},
-            version=self.version,
         )
 
     def copy(self) -> "NetworkWeights":
         return NetworkWeights(
             kernels={n: k.copy() for n, k in self.kernels.items()},
             biases={n: b.copy() for n, b in self.biases.items()},
-            version=self.version,
         )
 
     @property
@@ -153,14 +150,15 @@ def _truncated_normal(rng: np.random.Generator, shape, sigma: float) -> np.ndarr
     return out
 
 
-def initialize_weights(seed: int = 0, dtype=np.float32) -> NetworkWeights:
-    """Fresh weights: truncated-normal kernels with sigma = sqrt(2 / fan_in), zero biases."""
+def initialize_weights(seed: int = 0) -> NetworkWeights:
+    """Fresh float32 weights: truncated-normal kernels (sigma = sqrt(2 / fan_in)), zero biases."""
     rng = np.random.default_rng(seed)
     weights = NetworkWeights()
     for spec in ARCHITECTURE:
         sigma = np.sqrt(2.0 / spec.fan_in)
-        weights.kernels[spec.name] = _truncated_normal(rng, spec.weight_shape, sigma).astype(dtype)
-        weights.biases[spec.name] = np.zeros(spec.out_channels, dtype=dtype)
+        kernel = _truncated_normal(rng, spec.weight_shape, sigma)
+        weights.kernels[spec.name] = kernel.astype(np.float32)
+        weights.biases[spec.name] = np.zeros(spec.out_channels, dtype=np.float32)
     return weights
 
 

@@ -1,23 +1,22 @@
 """Training loop for the component classifier.
 
 Batches are drawn class-balanced: a category is chosen uniformly among the
-categories present in the (augmented) training set, then an example of
-that category uniformly.  The augmented set is the topography symmetry
-orbit of every example, but it is never built: a drawn orbit index names
-an orbit element and an example, and each batch's rows are mirrored and
-negated as they are gathered.  Training therefore holds one float32 copy
-of the set beside the caller's stack (none if the stack is float32) and
-one step's gradients at a time.  Inputs are perturbed with Gaussian noise
-each time they are drawn.  Validation loss is measured on a held-out set
-at a fixed cadence and training stops once it has not improved for a
-configurable number of batches; the weights from the best validation
-point are returned.
+categories present in the training set, then an orbit row of that category
+uniformly.  The orbit rows are the ``TOPOGRAPHY_ORBIT`` of every example,
+but they are never built: a drawn orbit index names an orbit element
+and an example, and each batch's rows are mirrored and negated as they are
+gathered.  Training therefore holds one float32 copy of the set beside the
+caller's stack (none if the stack is float32) and one step's gradients at a
+time.  Inputs are perturbed with Gaussian noise each time they are drawn.
+Validation loss is measured on the caller's held-out set at batch 0 and at
+a fixed cadence, each into ``TrainResult.history``; training stops once it
+has not improved for a configurable number of batches (or at
+``max_batches``) and returns the weights of the best validation point.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +32,8 @@ class TrainConfig:
     """Hyperparameters for ``train``.
 
     ``max_batches`` bounds the run regardless of the early-stopping state;
-    ``None`` lets early stopping alone decide.
+    ``None`` lets early stopping alone decide.  ``clip_norm = inf`` turns
+    the gradient clip off.
     """
 
     batch_size: int = 128
@@ -47,7 +47,6 @@ class TrainConfig:
     val_interval: int = 100
     early_stop_window: int = 5000
     max_batches: int | None = None
-    augment: bool = True
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -61,7 +60,7 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if not self.epsilon > 0:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
-        if self.clip_norm is not None and not self.clip_norm >= 0:
+        if not self.clip_norm >= 0:
             raise ConfigError(f"clip_norm must be non-negative, got {self.clip_norm}")
         if not 0 <= self.noise_sigma < np.inf:
             raise ConfigError(f"noise_sigma must be finite and non-negative, "
@@ -77,17 +76,16 @@ class TrainConfig:
 class TrainResult:
     """Outcome of a training run."""
 
-    weights: NetworkWeights  # best-validation weights (final weights if no validation)
+    weights: NetworkWeights  # best-validation weights
     batches_run: int
     best_batch: int
     best_val_loss: float
-    history: list = field(default_factory=list)  # (batch, train_loss or nan, val_loss)
-    stopped_early: bool = False
-    seconds: float = 0.0
+    history: list  # (batch, train_loss or nan, val_loss) per validation
+    stopped_early: bool
 
 
 class Adam:
-    """Adam with an optional global-norm gradient clip applied first."""
+    """Adam with a global-norm gradient clip applied first."""
 
     def __init__(self, config: TrainConfig):
         self.config = config
@@ -104,7 +102,7 @@ class Adam:
             raise NumericError("gradients are non-finite; update rejected")
         norm = np.sqrt(total)
         limit = self.config.clip_norm
-        if limit is not None and norm > limit:
+        if norm > limit:
             scale = limit / norm
             for name in LAYER_ORDER:
                 kernel_grads[name] = kernel_grads[name] * scale
@@ -135,8 +133,8 @@ class Adam:
                 v *= cfg.beta2
                 v += (1.0 - cfg.beta2) * np.square(g)
                 if not np.all(np.isfinite(v)):
-                    # second moments overflowed (possible only without a
-                    # clip ceiling); a silent m/sqrt(inf) = 0 update would
+                    # second moments overflowed (clip_norm = inf, or one whose
+                    # square overflows); a silent m/sqrt(inf) = 0 update would
                     # freeze training instead of failing
                     raise NumericError(
                         f"optimizer state for {name!r} overflowed; "
@@ -148,24 +146,24 @@ class Adam:
                 store[name] -= update
 
 
-def _expand_orbit(idx: np.ndarray, rows: tuple, labels: np.ndarray, orbit) -> tuple:
+def _expand_orbit(idx: np.ndarray, rows: tuple, labels: np.ndarray) -> tuple:
     """The (topo, psd, autocorr, labels) rows of orbit indices ``idx``.
 
-    Orbit index i is element ``i // n`` of ``orbit`` applied to example
-    ``i % n`` of the n-row float32 arrays ``rows``, the layout of the set
-    repeated once per orbit element.  Mirroring and negation are exact, so
-    the rows have the bits of gathering from that repeated set.
+    Orbit index i is element ``i // n`` of ``TOPOGRAPHY_ORBIT`` applied to
+    example ``i % n`` of the n-row float32 arrays ``rows``, the layout of the
+    set repeated once per orbit element.  Mirroring and negation are exact,
+    so the rows have the bits of gathering from that repeated set.
     """
     element, example = np.divmod(idx, len(labels))
     topo, psd, acf = (array[example] for array in rows)
-    for j, (mirror, negate) in enumerate(orbit):
+    for j, (mirror, negate) in enumerate(TOPOGRAPHY_ORBIT):
         picked = element == j
         if (mirror or negate) and picked.any():
             topo[picked] = orbit_element(topo[picked], mirror, negate)
     return topo, psd, acf, labels[example]
 
 
-def _category_pools(labels: np.ndarray, orbit_size: int):
+def _category_pools(labels: np.ndarray):
     """Orbit indices grouped by argmax category, for categories present.
 
     Each pool lists its examples once per orbit element, shifted by n per
@@ -173,7 +171,7 @@ def _category_pools(labels: np.ndarray, orbit_size: int):
     """
     hard = np.argmax(labels, axis=1)
     n = len(labels)
-    return [np.concatenate([members + j * n for j in range(orbit_size)])
+    return [np.concatenate([members + j * n for j in range(len(TOPOGRAPHY_ORBIT))])
             for members in (np.flatnonzero(hard == k) for k in range(N_CATEGORIES))
             if members.size]
 
@@ -184,8 +182,7 @@ def sample_batch(rng: np.random.Generator, pools: list, batch_size: int) -> np.n
     return np.array([pools[c][rng.integers(0, pools[c].shape[0])] for c in picks])
 
 
-def _train_step(batch: int, rng, pools, rows, labels, orbit, weights, optimizer: Adam,
-                class_weights):
+def _train_step(batch: int, rng, pools, rows, labels, weights, optimizer: Adam, class_weights):
     """Draw, perturb and learn from one batch; returns its loss.
 
     The batch and its gradients live only in this call, so the next step's
@@ -193,7 +190,7 @@ def _train_step(batch: int, rng, pools, rows, labels, orbit, weights, optimizer:
     """
     config = optimizer.config
     topo, psd, acf, targets = _expand_orbit(sample_batch(rng, pools, config.batch_size),
-                                            rows, labels, orbit)
+                                            rows, labels)
     if config.noise_sigma > 0:
         topo = topo + rng.normal(0.0, config.noise_sigma, topo.shape).astype(np.float32)
         topo *= GRID_MASK
@@ -225,51 +222,38 @@ def _validation_loss(weights, stack: FeatureStack, labels, class_weights, batch_
 def train(
     stack: FeatureStack,
     labels: np.ndarray,
-    config: TrainConfig | None = None,
-    val_stack: FeatureStack | None = None,
-    val_labels: np.ndarray | None = None,
+    config: TrainConfig,
+    val_stack: FeatureStack,
+    val_labels: np.ndarray,
     seed: int = 0,
-    initial_weights: NetworkWeights | None = None,
-    log=None,
 ) -> TrainResult:
     """Train the classifier and return the best weights found.
 
     Besides the caller's stack, training holds one float32 copy of its rows
-    (none if they already are float32), never the augmented orbit, and one
+    (none if they already are float32), never the four-fold orbit, and one
     step's batch and gradients at a time, with the optimizer's moments.
 
     Parameters
     ----------
     stack, labels : training feature stack and (n, 7) soft labels.
-    config : hyperparameters; defaults to ``TrainConfig()``.
-    val_stack, val_labels : held-out set used for early stopping.  Without
-        one, ``config.max_batches`` must be set and the final weights are
-        returned.
+    config : hyperparameters.
+    val_stack, val_labels : held-out set used for early stopping.
     seed : seeds both weight initialization and batch sampling.
-    initial_weights : resume from these instead of a fresh initialization.
-    log : optional callable receiving progress lines.
 
     Raises
     ------
-    DataError
-        If ``initial_weights`` do not fit the architecture.
+    ConfigError
+        If ``labels`` do not have one row of 7 per example.
     NumericError
-        If the initial weights or the training loss are non-finite.
+        If the training or validation loss becomes non-finite.
     """
-    config = config or TrainConfig()
-    has_val = val_stack is not None and val_labels is not None
-    if not has_val and config.max_batches is None:
-        raise ConfigError("training without a validation set requires max_batches")
-
     labels = np.asarray(labels, dtype=np.float64)
     if labels.shape != (len(stack), N_CATEGORIES):
         raise ConfigError(f"labels must be ({len(stack)}, {N_CATEGORIES}), got {labels.shape}")
-    orbit = TOPOGRAPHY_ORBIT if config.augment else TOPOGRAPHY_ORBIT[:1]
-    pools = _category_pools(labels, len(orbit))
+    pools = _category_pools(labels)
 
     rng = np.random.default_rng(seed)
-    weights = (initial_weights or initialize_weights(seed=seed)).copy()
-    weights.validate()
+    weights = initialize_weights(seed=seed)
     optimizer = Adam(config)
     class_weights = np.asarray(config.class_weights, dtype=np.float64)
 
@@ -277,24 +261,18 @@ def train(
                  for array in (stack.topo, stack.psd, stack.autocorr))
 
     best = weights.copy()
-    best_loss = np.inf
+    best_loss = _validation_loss(weights, val_stack, val_labels, class_weights,
+                                 config.batch_size)
     best_batch = 0
-    history: list = []
+    history: list = [(0, float("nan"), best_loss)]
     stopped_early = False
-    started = time.monotonic()
-
-    if has_val:
-        best_loss = _validation_loss(weights, val_stack, val_labels, class_weights,
-                                     config.batch_size)
-        history.append((0, float("nan"), best_loss))
 
     batch = 0
     while config.max_batches is None or batch < config.max_batches:
         batch += 1
-        loss = _train_step(batch, rng, pools, rows, labels, orbit, weights, optimizer,
-                           class_weights)
+        loss = _train_step(batch, rng, pools, rows, labels, weights, optimizer, class_weights)
 
-        if has_val and batch % config.val_interval == 0:
+        if batch % config.val_interval == 0:
             val_loss = _validation_loss(weights, val_stack, val_labels, class_weights,
                                         config.batch_size)
             if not np.isfinite(val_loss):
@@ -303,8 +281,6 @@ def train(
                     f"(best so far {best_loss:.6f} at batch {best_batch})"
                 )
             history.append((batch, loss, val_loss))
-            if log is not None:
-                log(f"batch {batch}: train loss {loss:.4f}, validation loss {val_loss:.4f}")
             if val_loss < best_loss:
                 best_loss = val_loss
                 best_batch = batch
@@ -313,10 +289,6 @@ def train(
                 stopped_early = True
                 break
 
-    if not has_val:
-        best = weights
-        best_batch = batch
-        best_loss = float("nan")
     return TrainResult(
         weights=best,
         batches_run=batch,
@@ -324,5 +296,4 @@ def train(
         best_val_loss=best_loss,
         history=history,
         stopped_early=stopped_early,
-        seconds=time.monotonic() - started,
     )

@@ -100,5 +100,4 @@ def load_weights(path) -> NetworkWeights:
         weights.biases[name] = bias.astype(np.float32)
     if reader.offset != len(reader.data):
         raise DataError(f"{path}: trailing bytes after the last layer")
-    weights.version = version
     return weights

@@ -1,7 +1,10 @@
 """Synthetic data builders shared across the test suite."""
 
+import struct
+
 import numpy as np
 
+from icsort.bundles import ARRAY_MAGIC, ARRAY_VERSION
 from icsort.features import GRID_MASK, FeatureStack, Recording
 
 
@@ -93,3 +96,15 @@ def random_label_pairs(seed: int, n: int = 500, k: int = 7):
     targets = rng.dirichlet(np.ones(k) * 0.7, size=n)
     predictions = rng.dirichlet(np.ones(k) * 0.7, size=n)
     return targets, predictions
+
+
+def write_damaged_array(path, values) -> None:
+    """Write a 2-D float record from raw bytes, NaN and infinities included.
+
+    ``write_array`` refuses non-finite values, so a damaged record that a
+    reader must reject is built here: the header, then ``values`` as f32.
+    """
+    values = np.asarray(values, dtype="<f4")
+    with open(path, "wb") as fh:
+        fh.write(ARRAY_MAGIC + struct.pack("<III", ARRAY_VERSION, *values.shape))
+        fh.write(values.tobytes())

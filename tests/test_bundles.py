@@ -71,6 +71,17 @@ def test_write_array_requires_two_dimensions(tmp_path):
         write_array(tmp_path / "x.bin", np.zeros((2, 2, 2)))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_write_array_refuses_non_finite_values_by_row_and_column(tmp_path, value):
+    array = np.zeros((3, 4))
+    array[2, 1] = value
+    array[2, 3] = 1e39  # later in row order: the first bad value is the one named
+    with pytest.raises(DataError,
+                       match=rf"x\.bin: value {value!r} at row 2, column 1 is not finite$"):
+        write_array(tmp_path / "x.bin", array)
+    assert not (tmp_path / "x.bin").exists()
+
+
 def test_read_array_rejects_corrupt_records(tmp_path):
     path = tmp_path / "block.bin"
     write_array(path, np.ones((3, 3)))
@@ -357,7 +368,7 @@ def test_read_feature_bundle_checks_array_shapes(tmp_path):
         write_feature_bundle(target, stack, ["a", "b"])
         values = read_array(target / f"{name}.bin")
         values[1, 7] = np.nan if name == "psd" else np.inf
-        write_array(target / f"{name}.bin", values)
+        builders.write_damaged_array(target / f"{name}.bin", values)
         with pytest.raises(DataError, match=f"component b: {name} has non-finite"):
             read_feature_bundle(target)
 
@@ -527,8 +538,9 @@ def test_readers_raise_only_data_error_on_damaged_bytes(tmp_path_factory, kind, 
 # ------------------------------------------------------ writer round trips
 
 #: Values a writer must store, refuse, or have its reader refuse: NaN and
-#: infinities (passed through to the readers), finite values beyond the f32
-#: range, the f32 maximum, a value that underflows to zero, and -0.
+#: infinities (refused by the array writer, passed by the label CSV writer to
+#: its reader), finite values beyond the f32 range, the f32 maximum, a value
+#: that underflows to zero, and -0.
 _SPECIAL = st.sampled_from([np.nan, np.inf, -np.inf, 1e39, -1e300, 3.4028235e38, 1e-46, -0.0])
 
 
@@ -630,7 +642,8 @@ _WRITER_CASES = {"array": _write_array_case, "recording": _recording_bundle_case
 def test_a_write_reads_back_equal_or_raises_data_error(tmp_path_factory, writer, data):
     # writers reject what readers reject: a write either reads back equal up
     # to f32 rounding (exactly for the CSV) or fails with a DataError, from
-    # the writer or, for the NaN and infinities it passes through, the reader
+    # the writer (a non-finite or out-of-range float in an array record) or,
+    # for the NaN and infinities the CSV writer passes through, the reader
     directory = tmp_path_factory.mktemp(writer)
     write, read_back_equal = _WRITER_CASES[writer](data, directory / "out")
     try:

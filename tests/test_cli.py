@@ -149,14 +149,10 @@ def test_extract_names_the_array_holding_non_finite_component_data(tmp_path, cap
     activity[1, 100] = np.nan
     mixing = base.mixing_matrix.copy()
     mixing[5, 2] = np.inf
-    recording = Recording(
-        sample_rate=base.sample_rate,
-        electrode_positions=base.electrode_positions,
-        mixing_matrix=mixing,
-        component_activity=activity,
-    )
     rec_dir = tmp_path / "rec"
-    write_recording_bundle(rec_dir, recording, recording_id="rec")
+    write_recording_bundle(rec_dir, base, recording_id="rec")
+    builders.write_damaged_array(rec_dir / "component_activity.bin", activity)
+    builders.write_damaged_array(rec_dir / "mixing_matrix.bin", mixing)
     out = tmp_path / "features"
     assert cli.main(["extract", "--recording", str(rec_dir), "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -354,6 +350,29 @@ def test_train_with_explicit_validation_files(tmp_path):
     assert not (tmp_path / "w2.iclw").exists()
 
 
+def test_train_verbose_prints_each_validation_then_the_summary(tmp_path, capsys):
+    features, ids = _feature_bundle(tmp_path, "train-f", n=10, seed=7)
+    labels, _ = _labels_file(tmp_path, ids, "train-l.csv", seed=7)
+    val_features, val_ids = _feature_bundle(tmp_path, "val-f", n=4, seed=8)
+    val_labels, _ = _labels_file(tmp_path, val_ids, "val-l.csv", seed=8)
+    config = tmp_path / "train.cfg"
+    config.write_text("batch_size = 8\nval_interval = 2\n")
+    out, log = tmp_path / "w.iclw", tmp_path / "train.log"
+
+    assert cli.main(["train", "--features", str(features), "--labels", str(labels),
+                     "--val-features", str(val_features), "--val-labels", str(val_labels),
+                     "--config", str(config), "--max-batches", "4", "--seed", "2",
+                     "--out", str(out), "--log", str(log), "--verbose"]) == 0
+    rows = [(int(b), float(t), float(v))
+            for b, t, v in (line.split() for line in log.read_text().splitlines())]
+    assert [row[0] for row in rows] == [0, 2, 4]
+    best_loss, best_batch = min((v, b) for b, _, v in rows)
+    assert capsys.readouterr().out.splitlines() == [
+        f"batch {b}: train loss {t:.4f}, validation loss {v:.4f}" for b, t, v in rows[1:]
+    ] + [f"trained 4 batches (batch limit); best validation loss {best_loss:.6f} "
+         f"at batch {best_batch}; weights in {out}"]
+
+
 def test_train_rejects_mismatched_label_files(tmp_path, capsys):
     features, ids = _feature_bundle(tmp_path, n=8, seed=9)
     labels, _ = _labels_file(tmp_path, ids[1:] + ["other"], seed=9)
@@ -416,7 +435,6 @@ def test_parse_config_file_accepts_the_documented_grammar(tmp_path):
         "val_interval = 7\n"
         "early_stop_window = 30\n"
         "max_batches = 12\n"
-        "augment = False\n"
     )
     options = cli.parse_config_file(path)
     assert options == {
@@ -431,7 +449,6 @@ def test_parse_config_file_accepts_the_documented_grammar(tmp_path):
         "val_interval": 7,
         "early_stop_window": 30,
         "max_batches": 12,
-        "augment": False,
     }
     assert set(options) == {field.name for field in dataclasses.fields(TrainConfig)}
     assert all(type(options[name]) is type(getattr(TrainConfig(), name))
@@ -439,7 +456,7 @@ def test_parse_config_file_accepts_the_documented_grammar(tmp_path):
     assert type(options["max_batches"]) is int
     TrainConfig(**options)
 
-    for bad in ("mystery = 1\n", "batch_size 8\n", "augment = maybe\n", "batch_size = 1.5\n",
+    for bad in ("mystery = 1\n", "batch_size 8\n", "augment = true\n", "batch_size = 1.5\n",
                 "max_batches = none\n", "class_weights = 1,x\n"):
         path.write_text(bad)
         with pytest.raises(cli.ConfigError):

@@ -536,6 +536,13 @@ def test_grid_mask_is_the_only_mask():
     assert np.array_equal(GRID_MASK[:, ::-1], GRID_MASK)
     stack = builders.random_stack(2, seed=15)
     ignored = FeatureStack(stack.topo, stack.psd, stack.autocorr, mask=np.zeros((2, 32, 32)))
+    assert not hasattr(stack, "mask") and not hasattr(ignored, "mask")
+    # the raw recording is accepted and dropped the same way
+    recording = builders.make_recording(seed=15)
+    given = Recording(recording.sample_rate, recording.electrode_positions,
+                      recording.mixing_matrix, recording.component_activity,
+                      channel_data=np.ones((3, 3)))
+    assert not hasattr(recording, "channel_data") and not hasattr(given, "channel_data")
     for mirror, negate in TOPOGRAPHY_ORBIT:
         assert np.array_equal(orbit_element(ignored.topo, mirror, negate),
                               orbit_element(stack.topo, mirror, negate))

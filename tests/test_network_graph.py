@@ -545,7 +545,6 @@ def test_weights_round_trip_is_bitwise(tmp_path):
         assert np.array_equal(loaded.kernels[name], weights.kernels[name])
         assert np.array_equal(loaded.biases[name], weights.biases[name])
         assert loaded.kernels[name].dtype == np.float32
-    assert loaded.version == 1
 
 
 def test_failed_weights_write_keeps_the_old_file_and_no_temporary(tmp_path, monkeypatch):

@@ -175,7 +175,7 @@ def test_orbit_expansion_quadruples_the_set():
     stack = builders.random_stack(3, seed=4)
     labels = _random_labels(3, seed=4)
     rows = (stack.topo, stack.psd, stack.autocorr)
-    topo, psd, _, big_labels = _expand_orbit(np.arange(12), rows, labels, TOPOGRAPHY_ORBIT)
+    topo, psd, _, big_labels = _expand_orbit(np.arange(12), rows, labels)
     assert len(topo) == 12
     assert big_labels.shape == (12, 7)
     assert np.array_equal(topo[0:3], stack.topo)
@@ -187,9 +187,8 @@ def test_orbit_expansion_quadruples_the_set():
         assert np.array_equal(big_labels[3 * q : 3 * q + 3], labels)
 
 
-@pytest.mark.parametrize("dtype, augment", [(np.float32, True), (np.float64, True),
-                                            (np.float64, False)])
-def test_orbit_gather_has_the_bits_of_the_materialized_orbit(dtype, augment):
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_orbit_gather_has_the_bits_of_the_materialized_orbit(dtype):
     # the batch rows are gathered from one float32 copy and mirrored and
     # negated afterwards; both are exact, so they match the whole orbit
     # built in the input dtype and cast, bit for bit (signed zeros too)
@@ -198,21 +197,19 @@ def test_orbit_gather_has_the_bits_of_the_materialized_orbit(dtype, augment):
     topo[:, 0, :] = -0.0
     psd, acf = (np.asarray(a, dtype=dtype) / 7 for a in (stack.psd, stack.autocorr))
     labels = _random_labels(9, seed=16)
-    reference = oracles.materialized_orbit(topo, psd, acf, labels, augment)
-    orbit = TOPOGRAPHY_ORBIT if augment else TOPOGRAPHY_ORBIT[:1]
+    reference = oracles.materialized_orbit(topo, psd, acf, labels)
     rows = tuple(a.astype(np.float32) for a in (topo, psd, acf))
-    idx = np.random.default_rng(16).integers(0, 9 * len(orbit), size=50)
-    for got, want in zip(_expand_orbit(idx, rows, labels, orbit), reference):
+    idx = np.random.default_rng(16).integers(0, 9 * len(TOPOGRAPHY_ORBIT), size=50)
+    for got, want in zip(_expand_orbit(idx, rows, labels), reference):
         assert got.dtype == want.dtype
         assert got.tobytes() == want[idx].tobytes()
 
 
-@pytest.mark.parametrize("orbit_size", [1, 4])
-def test_category_pools_index_the_repeated_labels(orbit_size):
+def test_category_pools_index_the_repeated_labels():
     labels = np.eye(7)[np.random.default_rng(17).choice([0, 2, 3, 6], size=30)]
-    hard = np.argmax(np.concatenate([labels] * orbit_size), axis=1)
+    hard = np.argmax(np.concatenate([labels] * len(TOPOGRAPHY_ORBIT)), axis=1)
     expected = [np.flatnonzero(hard == k) for k in range(7) if np.any(hard == k)]
-    pools = _category_pools(labels, orbit_size)
+    pools = _category_pools(labels)
     assert len(pools) == len(expected) == 4
     for got, want in zip(pools, expected):
         assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -264,19 +261,13 @@ def test_training_history_follows_the_validation_cadence():
     val_stack = builders.random_stack(6, seed=8)
     val_labels = _random_labels(6, seed=8)
 
-    lines = []
-    result = train(
-        stack, labels, _tiny_config(max_batches=6), val_stack, val_labels,
-        seed=7, log=lines.append,
-    )
+    result = train(stack, labels, _tiny_config(max_batches=6), val_stack, val_labels, seed=7)
     assert [entry[0] for entry in result.history] == [0, 2, 4, 6]
     assert np.isnan(result.history[0][1])  # no train loss before batch 1
     assert all(np.isfinite(entry[2]) for entry in result.history)
     assert result.batches_run == 6
     assert not result.stopped_early
-    assert len(lines) == 3 and all("validation loss" in line for line in lines)
     assert result.best_batch in (0, 2, 4, 6)
-    assert result.seconds > 0
 
 
 def test_early_stopping_fires_when_validation_stalls():
@@ -299,58 +290,36 @@ def test_early_stopping_fires_when_validation_stalls():
         assert np.array_equal(result.weights.kernels[name], fresh.kernels[name])
 
 
+def _val_set(seed):
+    """A small held-out set for runs that do not look at validation."""
+    return builders.random_stack(4, seed=seed), _random_labels(4, seed=seed)
+
+
 def test_training_diverges_loudly_without_clipping():
     stack = builders.random_stack(12, seed=11)
     labels = _random_labels(12, seed=11)
     config = _tiny_config(
-        learning_rate=1e5, clip_norm=None, max_batches=30, noise_sigma=0.0
+        learning_rate=1e5, clip_norm=np.inf, max_batches=30, noise_sigma=0.0
     )
     # the runaway step overflows float32 on purpose; that is the signal
     with np.errstate(over="ignore"), pytest.raises(NumericError):
-        train(stack, labels, config, seed=11)
-
-
-def test_training_without_validation_needs_a_batch_limit():
-    stack = builders.random_stack(8, seed=12)
-    labels = _random_labels(8, seed=12)
-    with pytest.raises(ConfigError):
-        train(stack, labels, TrainConfig(), seed=12)
-    result = train(stack, labels, _tiny_config(max_batches=2), seed=12)
-    assert result.batches_run == 2
-    assert np.isnan(result.best_val_loss)
+        train(stack, labels, config, *_val_set(11), seed=11)
 
 
 def test_training_rejects_mismatched_labels():
     stack = builders.random_stack(8, seed=13)
     with pytest.raises(ConfigError):
-        train(stack, _random_labels(5, seed=13), _tiny_config(), seed=13)
-
-
-def test_training_can_resume_from_given_weights():
-    stack = builders.random_stack(8, seed=14)
-    labels = _random_labels(8, seed=14)
-    start = initialize_weights(seed=99)
-    result = train(
-        stack, labels, _tiny_config(max_batches=1), seed=14, initial_weights=start
-    )
-    # the starting point was used (not a fresh seed-14 initialization) and
-    # the caller's copy was not mutated
-    fresh = initialize_weights(seed=99)
-    for name in LAYER_ORDER:
-        assert np.array_equal(start.kernels[name], fresh.kernels[name])
-    assert any(
-        not np.array_equal(result.weights.kernels[name], start.kernels[name])
-        for name in LAYER_ORDER
-    )
+        train(stack, _random_labels(5, seed=13), _tiny_config(), *_val_set(13), seed=13)
 
 
 def _traced_peak(n: int) -> int:
     stack, labels = builders.toy_dataset(n, seed=18)
     stack = FeatureStack(*(a.astype(np.float64) for a in (stack.topo, stack.psd, stack.autocorr)))
     config = TrainConfig(batch_size=8, max_batches=1)
+    val_stack, val_labels = _val_set(18)
     tracemalloc.start()
     try:
-        train(stack, labels, config, seed=18)
+        train(stack, labels, config, val_stack, val_labels, seed=18)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -382,6 +351,7 @@ def test_training_frees_each_step_before_the_next(monkeypatch):
 
     monkeypatch.setattr(training, "forward_backward", recording)
     stack = builders.random_stack(8, seed=19)
-    train(stack, _random_labels(8, seed=19), _tiny_config(max_batches=2), seed=19)
+    train(stack, _random_labels(8, seed=19), _tiny_config(max_batches=2), *_val_set(19),
+          seed=19)
     assert first and len(alive_at_second) == len(first)
     assert not any(alive_at_second)
