@@ -3,8 +3,10 @@
 One binary with subcommands; all randomness sits behind explicit ``--seed``
 flags (default 0), so every command is deterministic for fixed inputs.
 Each output is staged beside its target and renamed into place, so none is
-ever half-written; but a command with two outputs (``classify --csv``,
-``train --log``, ``evaluate --plot``) can leave the first if the second fails.
+ever half-written.  Every file output's path is checked before a command does
+any work (``bundles.check_file_outputs``), so a command with two outputs
+(``classify --csv``, ``train --log``, ``evaluate --plot``) does not write the
+first when the second's path is unusable.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 3 numeric failure.
@@ -108,6 +110,7 @@ def _load_thresholds(path, n_expected: int) -> np.ndarray:
 
 
 def cmd_classify(args) -> int:
+    bundles.check_file_outputs(args.out, args.csv)
     weights = load_weights(args.weights)
     stack, component_ids = bundles.read_feature_bundle(args.features)
     probs = classify(weights, stack.topo, stack.psd, stack.autocorr,
@@ -217,6 +220,7 @@ def _align_labels(component_ids, label_ids, labels, ids_file, labels_file):
 
 
 def cmd_train(args) -> int:
+    bundles.check_file_outputs(args.out, args.log)
     options = parse_config_file(args.config) if args.config else {}
     if args.max_batches is not None:
         options["max_batches"] = args.max_batches
@@ -236,6 +240,11 @@ def cmd_train(args) -> int:
     else:
         n = len(stack)
         holdout = args.holdout if args.holdout is not None else min(DEFAULT_HOLDOUT, n // 5)
+        if args.holdout is None and holdout == 0:
+            raise ConfigError(
+                f"{n} examples are too few for the default holdout of n/5 (0 rows); "
+                "give --holdout or --val-features and --val-labels"
+            )
         if not 0 < holdout < n:
             raise ConfigError(
                 f"holdout must be between 1 and {n - 1} for {n} examples, got {holdout}"
@@ -322,6 +331,7 @@ def _run_chains(fit, seeds: list) -> list:
 
 
 def cmd_aggregate(args) -> int:
+    bundles.check_file_outputs(args.out)
     if args.chains < 1:
         raise ConfigError(f"--chains must be at least 1, got {args.chains}")
     crowdlabel.validate_schedule(args.burn_in, args.epochs)
@@ -434,6 +444,7 @@ def evaluation_report(targets, predictions, names) -> dict:
 
 
 def cmd_evaluate(args) -> int:
+    bundles.check_file_outputs(args.out, args.plot)
     target_ids, targets = bundles.read_labels_csv(args.targets)
     pred_ids, predictions = bundles.read_labels_csv(args.predictions)
     predictions = _align_labels(target_ids, pred_ids, predictions,
@@ -510,6 +521,7 @@ def bench_recordings(weights, recordings, repetitions: int = 1) -> dict:
 
 
 def cmd_bench(args) -> int:
+    bundles.check_file_outputs(args.out)
     weights = load_weights(args.weights)
     recordings = []
     for path in args.recordings:

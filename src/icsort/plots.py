@@ -3,7 +3,9 @@
 One panel per category: the ROC polyline, the three SOC points (strong,
 product, weak, connected in that order), and dashed F1 isometric curves
 at fixed levels.  No plotting library is used; the output is a plain SVG
-string, deterministic for fixed input.
+string, deterministic for fixed input.  A polyline's pixels are computed for
+all its points in one NumPy pass and written with one ``%`` format; the text
+is that of one ``f"{x0 + f*200:.2f},{y0 + (1 - t)*200:.2f}"`` per point.
 """
 
 from __future__ import annotations
@@ -35,9 +37,12 @@ class _Panel:
         return self.y0 + (1.0 - tpr) * _PANEL
 
     def polyline(self, fprs, tprs, style: str) -> str:
-        points = " ".join(
-            f"{self.px(f):.2f},{self.py(t):.2f}" for f, t in zip(fprs, tprs)
-        )
+        """One polyline: every point's pixels in one NumPy pass, in ``px`` and
+        ``py``'s operation order, and its text in one ``%`` format."""
+        xy = np.empty((len(fprs), 2))
+        xy[:, 0] = self.x0 + np.asarray(fprs, dtype=np.float64) * _PANEL
+        xy[:, 1] = self.y0 + (1.0 - np.asarray(tprs, dtype=np.float64)) * _PANEL
+        points = " ".join(("%.2f,%.2f",) * len(xy)) % tuple(xy.ravel().tolist())
         return f'<polyline fill="none" {style} points="{points}"/>'
 
 

@@ -16,6 +16,7 @@ import builders
 from icsort.bundles import (
     ARRAY_MAGIC,
     atomic_write_text,
+    json_text,
     read_array,
     read_feature_bundle,
     read_labels_csv,
@@ -652,3 +653,61 @@ def test_a_write_reads_back_equal_or_raises_data_error(tmp_path_factory, writer,
     except DataError:
         return
     assert same
+
+
+# ------------------------------------------------------------- JSON reports
+
+_JSON_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308, 0.1, 1e-7, 1e16]),
+)
+_JSON_NUMBERS = st.one_of(_JSON_FLOATS, _JSON_FLOATS.map(np.float64), st.integers())
+#: Text that looks like the structure a re-indent keys on, quotes, NUL and non-ASCII.
+_JSON_STRINGS = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(["[", "]", ", ", ",", ":", '"', '\\"', "\x00", "[1, 2]", "{}", "Gehirn ✓"]),
+)
+_FLAT = st.lists(_JSON_NUMBERS, max_size=5)
+_ROWS = st.lists(_FLAT, max_size=4)
+_JSON_LEAVES = st.one_of(
+    _JSON_NUMBERS, _JSON_STRINGS, st.booleans(), st.none(),
+    _FLAT, _FLAT.map(tuple), _ROWS, st.dictionaries(_JSON_STRINGS, _FLAT, max_size=4),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.dictionaries(_JSON_STRINGS, children, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(payload=st.one_of(_JSON_VALUES, st.dictionaries(_JSON_STRINGS, _JSON_VALUES, max_size=5)))
+def test_json_text_is_json_dumps_indented_with_sorted_keys(payload):
+    # flat number lists, lists of them and dicts of them take the C encoder and
+    # are re-indented; mixed, ragged and string-holding containers are walked
+    assert json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("payload", [
+    {"a": [[]]}, {"a": [[], [1.0]]}, {"a": [[1.0], []]}, {"a": [[1.0], 2.0]},
+    {"a": [1.0, [2.0]]}, {"a": [[1.0], 2.0, [3.0]]}, {"a": [[[1.0]]]}, {"a": [True, 0.5, None]},
+    {"m": {"x": [1.0], "y": [2, 3]}}, {"m": {"x": [1.0], "y": 2.0}}, {"m": {"x": [1.0], "y": []}},
+    {"m": {"x": [1.0], "y": [[2.0]]}}, {"m": {"x": [1.0], "y": ["s"]}}, {"m": {"x:[": [1.0]}},
+    {"m": {"x": [1.0], "y": [{"z": 1}]}}, {"m": {"x": [1.0], "y": 2.0, "z": [[3.0]]}},
+    {"m": {"x": [1.0], "y": [{}]}}, {"a": [[1.0], [{}, 2]]}, {"a": [[1.0], {}]},
+    {2: [1.0], 10: "x"}, {"e": {}, "l": [], "s": ""},
+])
+def test_json_text_matches_json_dumps_on_shapes_near_the_fast_paths(payload):
+    assert json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("payload", [
+    {"a": object()}, {"a": {1, 2}}, {"a": [1.0, {1, 2}]}, {"a": [[1.0], [object()]]},
+    {"a": {"b": [1, object()]}}, {"a": {"b": [1.0], "c": [object()]}}, {"a": [np.float32(1)]},
+])
+def test_json_text_refuses_what_json_dumps_refuses(payload):
+    with pytest.raises(TypeError):
+        json.dumps(payload, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        json_text(payload)

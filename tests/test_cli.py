@@ -384,6 +384,26 @@ def test_train_rejects_mismatched_label_files(tmp_path, capsys):
     assert not (tmp_path / "w.iclw").exists()
 
 
+def test_train_names_the_options_when_the_default_holdout_is_empty(tmp_path, capsys):
+    # n/5 rounds to 0 below 5 examples: the message says so instead of
+    # blaming a holdout of 0 that was never given
+    features, ids = _feature_bundle(tmp_path, n=4, seed=9)
+    labels, _ = _labels_file(tmp_path, ids, seed=9)
+    train = ["train", "--features", str(features), "--labels", str(labels),
+             "--max-batches", "1", "--out", str(tmp_path / "w.iclw")]
+    assert cli.main(train) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: 4 examples are too few for the default")
+    assert "--holdout" in err[0] and "--val-features" in err[0] and "--val-labels" in err[0]
+    assert "got 0" not in err[0]
+
+    # a holdout given explicitly keeps its own message
+    assert cli.main(train + ["--holdout", "0"]) == 1
+    assert capsys.readouterr().err == (
+        "error: holdout must be between 1 and 3 for 4 examples, got 0\n")
+    assert not (tmp_path / "w.iclw").exists()
+
+
 def test_align_labels_is_linear_in_the_number_of_ids():
     # 20 000 ids, about three times the paper's labelled set; a set rebuilt
     # per id makes this take tens of seconds
@@ -647,6 +667,35 @@ def test_evaluate_rejects_mismatched_component_ids(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: component id mismatch: only in {targets}: ['b'], only in {predictions}: ['c']\n")
     assert not (tmp_path / "e.json").exists()
+
+
+@pytest.mark.parametrize("command", ["classify", "train", "evaluate"])
+def test_a_directory_at_the_second_output_stops_the_command_before_the_first(
+        tmp_path, capsys, command):
+    # every output path is checked before any work, so the first output is
+    # not written when the second cannot be
+    features, ids = _feature_bundle(tmp_path, n=12, seed=11)
+    labels, _ = _labels_file(tmp_path, ids, seed=11)
+    first, second = tmp_path / "first.out", tmp_path / "second"
+    second.mkdir()
+    if command == "classify":
+        argv = ["classify", "--weights", str(_weights_file(tmp_path)),
+                "--features", str(features), "--out", str(first), "--csv", str(second)]
+    elif command == "train":
+        config = tmp_path / "train.cfg"
+        config.write_text("batch_size = 8\nval_interval = 1\n")
+        argv = ["train", "--features", str(features), "--labels", str(labels),
+                "--config", str(config), "--max-batches", "1", "--holdout", "4",
+                "--out", str(first), "--log", str(second)]
+    else:
+        predictions, _ = _labels_file(tmp_path, ids, "predictions.csv", seed=12)
+        argv = ["evaluate", "--targets", str(labels), "--predictions", str(predictions),
+                "--out", str(first), "--plot", str(second)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0] == f"error: cannot write {second}: Is a directory"
+    assert not first.exists()
+    assert list(tmp_path.glob("**/.tmp-*")) == []
 
 
 # ------------------------------------------------------------------- bench

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import builders
 import oracles
+from icsort import plots
 from icsort.categories import LABEL_SUM_TOL, first_invalid_label
 from icsort.cli import MERGE_SCHEMES, MERGED_NAMES, evaluation_report
 from icsort.errors import ConfigError, DataError
@@ -560,3 +561,46 @@ def test_merge_conserves_each_rows_mass(seed, n, classes, concentration):
     assert merged.shape == (n, int(classes))
     assert np.all(merged >= 0)
     np.testing.assert_allclose(merged.sum(axis=1), stack.sum(axis=1), rtol=0, atol=1e-15)
+
+
+# ------------------------------------------------------------------- plots
+
+
+def _reference_polyline(panel, fprs, tprs, style):
+    """The plot's polyline written one f-string per point."""
+    points = " ".join(f"{panel.x0 + f*200:.2f},{panel.y0 + (1 - t)*200:.2f}"
+                      for f, t in zip(fprs, tprs))
+    return f'<polyline fill="none" {style} points="{points}"/>'
+
+
+def _curve_maps(seed):
+    """Random ROC and SOC maps with an empty curve, a one-point curve, points
+    whose pixels end in .xx5 and curves given as NumPy arrays."""
+    rng = np.random.default_rng(seed)
+    # fractions whose pixels end in .xx5: exactly for k / 1600, to the nearest
+    # double for (k + 0.5) / 20000
+    halves = np.concatenate([np.arange(1601) / 1600, (np.arange(20000) + 0.5) / 20000])
+    roc, soc = {}, {}
+    for index, name in enumerate(MERGED_NAMES["7"]):
+        n = int(rng.integers(2, 40))
+        points = np.column_stack([rng.random(n), rng.random(n), rng.random(n)])
+        if index == 0:
+            points = points[:0]
+        elif index == 1:
+            points = points[:1]
+        elif index == 2:
+            points[:, 1:] = rng.choice(halves, size=(n, 2))
+        roc[name] = points if index in (3, 4) else points.tolist()
+        triple = rng.choice(halves, size=(3, 2)) if index == 5 else rng.random((3, 2))
+        soc[name] = triple if index == 4 else triple.tolist()
+    del roc[MERGED_NAMES["7"][6]]  # a category with SOC points only
+    return roc, soc
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_evaluation_svg_matches_one_f_string_per_point(monkeypatch, seed):
+    roc, soc = _curve_maps(seed)
+    svg = plots.evaluation_svg(roc, soc, title="7-class evaluation")
+    monkeypatch.setattr(plots._Panel, "polyline", _reference_polyline)
+    assert svg == plots.evaluation_svg(roc, soc, title="7-class evaluation")
+    assert "points=\"\"" in svg  # the empty curve

@@ -1,5 +1,6 @@
 """Tooling outside the package that depends on the program's names."""
 
+import ast
 import importlib
 import os
 import re
@@ -166,3 +167,26 @@ def test_the_program_depends_on_numpy_alone():
     names = {re.split(r"[\s<>=!~;\[]", requirement, maxsplit=1)[0].lower()
              for requirement in project["dependencies"]}
     assert names == {"numpy"}
+
+
+def test_only_bundles_imports_json():
+    # one JSON encoder (bundles.json_text) and one reader (bundles.read_json)
+    package = os.path.join(ROOT, "src", "icsort")
+    importers = set()
+    for directory, _, files in os.walk(package):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(directory, name)
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    modules = [node.module or ""]
+                else:
+                    continue
+                if any(module.split(".")[0] == "json" for module in modules):
+                    importers.add(os.path.relpath(path, package))
+    assert importers == {"bundles.py"}
