@@ -19,8 +19,9 @@ one staging helper, ``_staged``, whose docstring states the write policy,
 and a command checks its file outputs' paths before any work
 (``check_file_outputs``).  Reports and manifests share one JSON encoding
 (``json_text``, byte-identical to ``json.dumps(indent=2, sort_keys=True)``
-with numeric arrays through json's C encoder) and one reader; this is the
-only module that imports ``json``.
+of the payload with each NumPy array as its ``tolist()``, numeric arrays
+through json's C encoder) and one reader; this is the only module that
+imports ``json``.
 """
 
 from __future__ import annotations
@@ -197,12 +198,18 @@ _INDENT = "  "
 def json_text(payload: dict) -> str:
     """The one JSON encoding of every report and manifest: indented, keys sorted.
 
-    The text is ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``,
-    byte for byte, and an unsupported value is the same ``TypeError``; a
-    cyclic payload fails too, though it may be a ``RecursionError`` where
-    json's is a ``ValueError``.  ``json.dumps`` runs its pure-Python encoder
-    whenever ``indent`` is set, so numeric arrays go through json's C encoder
-    instead and are re-indented (``_numeric_list``, ``_numeric_dict``).
+    The text is ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"`` of
+    the payload with each NumPy array replaced by its ``tolist()``, byte for
+    byte, and an unsupported value is the same ``TypeError``.  A cyclic
+    payload fails too, though it may be a ``RecursionError`` where json's is
+    a ``ValueError``; a dict with a non-string key goes to ``json.dumps``
+    whole, which refuses an array in it.
+
+    ``json.dumps`` runs its pure-Python encoder whenever ``indent`` is set,
+    so a non-empty 1-D or 2-D array of booleans, integers or floats goes
+    through json's C encoder instead and is re-indented: its type fixes its
+    shape, and a number's text holds no ``[``, ``]`` or ``,``.  Lists are
+    walked item by item, so a large table belongs in an array.
     """
     return _indented(payload, "\n") + "\n"
 
@@ -211,82 +218,26 @@ def _indented(value, newline: str) -> str:
     """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it
     at the depth whose lines start with ``newline`` (a line break and indent)."""
     inner = newline + _INDENT
+    if isinstance(value, np.ndarray):
+        if not (value.size and value.ndim in (1, 2) and value.dtype.kind in "biuf"):
+            return _indented(value.tolist(), newline)
+        body, deeper = _COMPACT.encode(value.tolist())[1:-1], inner + _INDENT
+        if value.ndim == 1:
+            return "[" + inner + body.replace(",", "," + inner) + newline + "]"
+        body = body.replace(",", "," + deeper).replace("]," + deeper, "]," + inner)
+        body = body.replace("[", "[" + deeper).replace("]", inner + "]")
+        return "[" + inner + body + newline + "]"
     if isinstance(value, (list, tuple)) and value:
-        text = _numeric_list(value, newline)
-        if text is None:
-            text = "[" + inner + ("," + inner).join(
-                [_indented(item, inner) for item in value]) + newline + "]"
-        return text
+        return "[" + inner + ("," + inner).join(
+            [_indented(item, inner) for item in value]) + newline + "]"
     if isinstance(value, dict) and value:
-        text = _numeric_dict(value, newline)
-        if text is None:
-            items = sorted(value.items())
-            if not all(isinstance(key, str) for key, _ in items):
-                return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
-            text = "{" + inner + ("," + inner).join(
-                [json.encoder.encode_basestring_ascii(key) + ": " + _indented(item, inner)
-                 for key, item in items]) + newline + "}"
-        return text
+        items = sorted(value.items())
+        if not all(isinstance(key, str) for key, _ in items):
+            return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
+        return "{" + inner + ("," + inner).join(
+            [json.encoder.encode_basestring_ascii(key) + ": " + _indented(item, inner)
+             for key, item in items]) + newline + "}"
     return _COMPACT.encode(value)  # a scalar or an empty container has no indent
-
-
-def _numeric_list(value, newline: str):
-    """A non-empty list of numbers, or of non-empty lists of numbers, through
-    the C encoder and re-indented; ``None`` for any other list.
-
-    The compact text decides: with no string (``"``) in it, each ``[``, ``]``
-    and ``,`` is structure, since no number, ``true``, ``false``, ``null`` or
-    empty object contains one (any other object holds a quoted key).  Its body
-    is flat when it holds no ``[``; it is a list of non-empty flat rows when
-    every ``[`` after the first follows ``],`` and the body starts and ends a
-    row.
-    """
-    probe = value[0]
-    if isinstance(probe, (list, tuple)) and probe:
-        probe = probe[0]
-    if not isinstance(probe, (int, float)):
-        return None
-    text = _COMPACT.encode(value)
-    if '"' in text:
-        return None
-    body, inner = text[1:-1], newline + _INDENT
-    if "[" not in body:
-        return "[" + inner + body.replace(",", "," + inner) + newline + "]"
-    deeper = inner + _INDENT
-    if (body[0] != "[" or body[-1] != "]" or "[]" in body
-            or body.count("[") != body.count("],[") + 1):
-        return None
-    body = body.replace(",", "," + deeper).replace("]," + deeper, "]," + inner)
-    body = body.replace("[", "[" + deeper).replace("]", inner + "]")
-    return "[" + inner + body + newline + "]"
-
-
-def _numeric_dict(value: dict, newline: str):
-    """A dict of non-empty flat number lists under plain string keys, such as
-    an aggregate's labels, through one C encoder call and re-indented;
-    ``None`` for any other dict.
-
-    The keys hold none of ``"[],:``, so in the compact text the ``:`` and
-    ``[`` counts show every value to be one flat list, and the quote count
-    that no value holds a string or a non-empty object.
-    """
-    probe = next(iter(value.values()))
-    if not (isinstance(probe, (list, tuple)) and probe and isinstance(probe[0], (int, float))):
-        return None
-    if not all(isinstance(key, str) for key in value):
-        return None
-    keys = "".join(value)
-    if any(mark in keys for mark in '"[],:'):
-        return None
-    text, n = _COMPACT.encode(value), len(value)
-    if (text.count('"') != 2 * n or text.count(":[") != n
-            or text.count("[") != n or "[]" in text):
-        return None
-    inner = newline + _INDENT
-    deeper = inner + _INDENT
-    body = text[1:-1].replace(",", "," + deeper).replace("]," + deeper, "]," + inner)
-    body = body.replace(":[", ": [" + deeper).replace("]", inner + "]")
-    return "{" + inner + body + newline + "}"
 
 
 def read_json(path):

@@ -33,14 +33,19 @@ from .network import TrainConfig, classify, load_weights, save_weights, train
 
 #: Category names at each ``--merge`` / ``--classes`` count, and the groups of
 #: the seven categories summed into each merged category, in output order:
-#: 5 keeps Brain, Muscle, Eye and Heart and pools the rest into Other; 2 keeps
-#: Brain against everything else.
+#: 7 keeps every category (a one-index group sums exactly), 5 keeps Brain,
+#: Muscle, Eye and Heart and pools the rest into Other, 2 keeps Brain against
+#: everything else.
 MERGED_NAMES = {
     "7": CATEGORIES,
     "5": ("Brain", "Muscle", "Eye", "Heart", "Other"),
     "2": ("Brain", "Other"),
 }
-MERGE_SCHEMES = {"5": ((0,), (1,), (2,), (3,), (4, 5, 6)), "2": ((0,), (1, 2, 3, 4, 5, 6))}
+MERGE_SCHEMES = {
+    "7": tuple((i,) for i in range(7)),
+    "5": ((0,), (1,), (2,), (3,), (4, 5, 6)),
+    "2": ((0,), (1, 2, 3, 4, 5, 6)),
+}
 
 #: Published median per-component classification time used as an
 #: informational reference point in bench reports (seconds).
@@ -117,8 +122,7 @@ def cmd_classify(args) -> int:
                      batch_size=args.batch_size, tta=args.tta)
 
     names = MERGED_NAMES[args.merge]
-    if args.merge != "7":
-        probs = metrics.merge_classes(probs, MERGE_SCHEMES[args.merge])
+    probs = metrics.merge_classes(probs, MERGE_SCHEMES[args.merge])
 
     thresholds = None
     if args.thresholds:
@@ -129,7 +133,7 @@ def cmd_classify(args) -> int:
         top = int(np.argmax(row))
         entry = {
             "component_id": cid,
-            "label": [float(v) for v in row],
+            "label": row,
             "argmax": names[top],
             "confidence": float(row[top]),
         }
@@ -277,20 +281,30 @@ def cmd_train(args) -> int:
 
 
 def _chain_entry(fit, seed: int) -> tuple:
-    """Run one chain; returns its JSON entry and its wall seconds."""
+    """Run one chain; returns its JSON entry and its wall seconds.
+
+    The entry holds the labels and the labeler confusions each as their ids
+    and one array of their rows in id order, for ``_mapped_rows`` to pair up
+    in this process: a worker's result is pickled, and one array pickles far
+    faster than one per component.
+    """
     started = time.perf_counter()
     result = fit(seed=seed)
     entry = {
         "seed": result.seed,
-        "labels": {c: [float(v) for v in vec] for c, vec in result.labels.items()},
-        "labeler_confusions": {
-            l: [[float(v) for v in row] for row in mat]
-            for l, mat in result.labeler_confusions.items()
-        },
+        "labels": (list(result.labels), np.array(list(result.labels.values()))),
+        "labeler_confusions": (list(result.labeler_confusions),
+                               np.array(list(result.labeler_confusions.values()))),
         "diagnostics": result.diagnostics,
         "log_joint": result.log_joint,
     }
     return entry, time.perf_counter() - started
+
+
+def _mapped_rows(entry: dict) -> dict:
+    """A chain entry with each id of its labels and labeler confusions mapped to its row."""
+    labels, confusions = (dict(zip(*entry[table])) for table in ("labels", "labeler_confusions"))
+    return {**entry, "labels": labels, "labeler_confusions": confusions}
 
 
 #: The chain function of a worker process, set there by the pool's initializer.
@@ -359,7 +373,7 @@ def cmd_aggregate(args) -> int:
     fit = functools.partial(crowdlabel.cllda_fit, votes, priors, alpha,
                             burn_in=args.burn_in, sampling_epochs=args.epochs)
     runs = _run_chains(fit, [args.seed + chain for chain in range(args.chains)])
-    chains = [entry for entry, _ in runs]
+    chains = [_mapped_rows(entry) for entry, _ in runs]
     payload = {
         "format": "icsort-crowd",
         "version": 1,
@@ -385,8 +399,6 @@ def cmd_aggregate(args) -> int:
 
 
 def _merged_pairs(targets, predictions, classes: str):
-    if classes == "7":
-        return targets, predictions, MERGED_NAMES["7"]
     scheme = MERGE_SCHEMES[classes]
     return (metrics.merge_classes(targets, scheme), metrics.merge_classes(predictions, scheme),
             MERGED_NAMES[classes])
@@ -403,14 +415,12 @@ def evaluation_report(targets, predictions, names) -> dict:
                                     "floored at 1e-12",
         "balanced_accuracy": metrics.balanced_accuracy(targets, predictions),
         "cross_entropy": metrics.cross_entropy(targets, predictions),
-        "confusion": metrics.confusion_matrix(targets, predictions).tolist(),
-        "confusion_normalized": metrics.confusion_matrix(
-            targets, predictions, normalized=True
-        ).tolist(),
+        "confusion": metrics.confusion_matrix(targets, predictions),
+        "confusion_normalized": metrics.confusion_matrix(targets, predictions, normalized=True),
     }
     confusions = [metrics.soft_confusion(targets, predictions, mode)
                   for mode in metrics.SOFT_AND_MODES]
-    report["soft_confusions"] = {c.and_mode: c.matrix.tolist() for c in confusions}
+    report["soft_confusions"] = {c.and_mode: c.matrix for c in confusions}
     roc = {}
     soc = {}
     auc = {}
@@ -422,7 +432,7 @@ def evaluation_report(targets, predictions, names) -> dict:
         except DataError as exc:
             skipped[names[cat]] = str(exc)
             continue
-        roc[names[cat]] = [[t, f, p] for t, f, p in curve.points]
+        roc[names[cat]] = np.array(curve.points)
         auc[names[cat]] = curve.auc()
         soc[names[cat]] = [list(point) for point in points]
     report["roc"] = roc
@@ -569,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tta", dest="tta", action="store_true", default=True,
                    help="average over topography symmetries (default)")
     p.add_argument("--no-tta", dest="tta", action="store_false")
-    p.add_argument("--merge", choices=("7", "5", "2"), default="7",
+    p.add_argument("--merge", choices=tuple(MERGE_SCHEMES), default="7",
                    help="merge categories before reporting")
     p.add_argument("--thresholds", help="JSON file with per-category detection thresholds")
     p.add_argument("--batch-size", type=int, default=128)
@@ -608,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", required=True, help="reference label CSV")
     p.add_argument("--predictions", required=True, help="predicted label CSV")
     p.add_argument("--out", required=True, help="JSON report path")
-    p.add_argument("--classes", choices=("7", "5", "2"), default="7")
+    p.add_argument("--classes", choices=tuple(MERGE_SCHEMES), default="7")
     p.add_argument("--plot", help="also write an SVG of ROC curves and SOC points")
     p.set_defaults(func=cmd_evaluate)
 

@@ -343,11 +343,17 @@ def autocorrelation(activity: np.ndarray, sample_rate: float) -> np.ndarray:
 def normalize_features(values: np.ndarray) -> np.ndarray:
     """Scale a feature set (topography or PSD) so it peaks at 0.99 in absolute value.
 
-    An identically-zero feature set passes through unchanged; the
+    The values are first scaled by the power of two that brings the peak
+    into [0.5, 1), which is exact: a normal peak gives the bits of
+    ``values * (0.99 / peak)``, and a subnormal one no infinite factor.  An
+    identically-zero feature set passes through unchanged; the
     autocorrelation is already normalized by construction.
     """
     peak = float(np.max(np.abs(values)))
-    return values * (FEATURE_SCALE / peak) if peak > 0 else values
+    if not peak > 0:
+        return values
+    mantissa, exponent = math.frexp(peak)
+    return np.ldexp(values, -exponent) * (FEATURE_SCALE / mantissa)
 
 
 #: The symmetry orbit of a scalp topography, identity first, as (mirror, negate)

@@ -11,7 +11,8 @@ ROC points and optimal thresholds share one sorted sweep of the detection
 counts (Fawcett, 2006, Alg. 1), O(n log n) per category; thresholds tied on
 F1 or accuracy resolve to the larger one.  Thresholds are plain (k,)
 vectors.  ``merge_classes`` sums categories by explicit index groups; the
-7-to-5 and 7-to-2 groups the command line uses live in ``cli.MERGE_SCHEMES``.
+7-to-7, 7-to-5 and 7-to-2 groups the command line uses live in
+``cli.MERGE_SCHEMES``.
 """
 
 from __future__ import annotations
@@ -167,8 +168,8 @@ class RocCurve:
 
     def auc(self) -> float:
         """Trapezoidal area under the (FPR, TPR) curve."""
-        fpr = np.array([p[1] for p in self.points])[::-1]  # ascending FPR
-        tpr = np.array([p[2] for p in self.points])[::-1]
+        points = np.asarray(self.points)[::-1]  # ascending FPR
+        fpr, tpr = points[:, 1], points[:, 2]
         return float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0))
 
 
@@ -337,8 +338,8 @@ def merge_classes(label: np.ndarray, groups) -> np.ndarray:
     ``label`` is a (k,) vector or an (n, k) stack, summed over its last
     axis.  ``groups`` is a sequence of index groups partitioning 0..k-1;
     output category i holds the summed mass of ``groups[i]``.  Mass is
-    conserved exactly.  ``cli.MERGE_SCHEMES`` holds the 7-to-5 and 7-to-2
-    groups.
+    conserved exactly.  ``cli.MERGE_SCHEMES`` holds the 7-to-7 (identity),
+    7-to-5 and 7-to-2 groups.
     """
     label = np.asarray(label, dtype=np.float64)
     if label.ndim not in (1, 2):

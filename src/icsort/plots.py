@@ -63,7 +63,8 @@ def evaluation_svg(roc: dict, soc: dict, title: str = "") -> str:
 
     Parameters
     ----------
-    roc : mapping from category name to a list of (threshold, fpr, tpr).
+    roc : mapping from category name to (threshold, fpr, tpr) rows, a list or
+        an (m, 3) array.
     soc : mapping from category name to [(fpr, tpr)] triples in strong,
         product, weak order.  Categories appear if present in either map.
     """
@@ -102,10 +103,10 @@ def evaluation_svg(roc: dict, soc: dict, title: str = "") -> str:
             if path:
                 parts.append(path)
         if name in roc:
-            points = sorted(roc[name], key=lambda p: p[1])  # ascending FPR
+            table = np.asarray(roc[name], dtype=np.float64).reshape(-1, 3)
+            table = table[np.argsort(table[:, 1], kind="stable")]  # ascending FPR
             parts.append(panel.polyline(
-                [p[1] for p in points], [p[2] for p in points],
-                'stroke="#c62828" stroke-width="1.5"',
+                table[:, 1], table[:, 2], 'stroke="#c62828" stroke-width="1.5"',
             ))
         if name in soc:
             triple = soc[name]

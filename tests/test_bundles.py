@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import builders
 from icsort.bundles import (
@@ -711,3 +712,45 @@ def test_json_text_refuses_what_json_dumps_refuses(payload):
         json.dumps(payload, indent=2, sort_keys=True)
     with pytest.raises(TypeError):
         json_text(payload)
+
+
+#: Array elements per dtype: NaN, infinities, -0.0 and the least subnormal of each float width.
+_ARRAY_ELEMENTS = {
+    "float64": st.one_of(st.floats(), st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 5e-324])),
+    "float32": st.one_of(st.floats(width=32), st.sampled_from(
+        [np.nan, np.inf, -np.inf, -0.0, float(np.float32(1e-45))])),
+    "int64": st.integers(-2**63, 2**63 - 1),
+    "uint64": st.integers(0, 2**64 - 1),
+    "uint8": st.integers(0, 255),
+    "bool": st.booleans(),
+}
+#: 0-d to 3-d arrays of every dtype above, empty ones included.
+_ARRAYS = st.sampled_from(sorted(_ARRAY_ELEMENTS)).flatmap(lambda dtype: hnp.arrays(
+    dtype, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+    elements=_ARRAY_ELEMENTS[dtype]))
+_ARRAY_VALUES = st.recursive(
+    st.one_of(_ARRAYS, _JSON_LEAVES),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.dictionaries(_JSON_STRINGS, children, max_size=4)),
+    max_leaves=12,
+)
+
+
+def _as_lists(value):
+    """``value`` with each NumPy array replaced by its ``tolist()``."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: _as_lists(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_as_lists(item) for item in value]
+    return value
+
+
+@settings(max_examples=400, deadline=None)
+@given(payload=st.dictionaries(_JSON_STRINGS, _ARRAY_VALUES, max_size=5))
+def test_json_text_writes_each_array_as_its_tolist(payload):
+    # non-empty 1-D and 2-D boolean, integer and float arrays take the C
+    # encoder and are re-indented; other arrays are walked as their lists
+    expected = json.dumps(_as_lists(payload), indent=2, sort_keys=True) + "\n"
+    assert json_text(payload) == expected

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: commands, outputs, exit codes."""
 
 import dataclasses
+import functools
 import json
 import os
 import pathlib
@@ -529,6 +530,26 @@ def test_aggregate_writes_per_chain_results(tmp_path, capsys):
     assert json.loads(rerun.read_text())["chains"] == report["chains"]
 
 
+def test_a_chain_entry_holds_one_array_per_table(tmp_path):
+    # a worker's entry is pickled back to the command, and one stacked array
+    # pickles far faster than one small array per component
+    submissions, _ = crowdlabel.read_votes_csv(_votes_csv(tmp_path))
+    votes = crowdlabel.expand_submissions(submissions)
+    prior = crowdlabel.default_priors("training-unknown")
+    fit = functools.partial(crowdlabel.cllda_fit, votes, {v.labeler_id: prior for v in votes},
+                            crowdlabel.ClassPrior(crowdlabel.TRAINING_CLASS_PRIOR),
+                            burn_in=2, sampling_epochs=3)
+    entry, _ = cli._chain_entry(fit, seed=0)
+    ids, labels = entry["labels"]
+    labelers, confusions = entry["labeler_confusions"]
+    assert ids == [f"c{i:02d}" for i in range(12)] and labels.shape == (12, 7)
+    assert labelers == ["ann", "bob", "cyd"] and confusions.shape == (3, 7, 8)
+    result = fit(seed=0)
+    assert all(np.array_equal(result.labels[c], row) for c, row in zip(ids, labels))
+    assert all(np.array_equal(result.labeler_confusions[l], matrix)
+               for l, matrix in zip(labelers, confusions))
+
+
 @pytest.mark.parametrize("cores", [1, 4])
 def test_aggregate_chains_do_not_depend_on_the_process_count(tmp_path, monkeypatch, capsys,
                                                              cores):
@@ -849,14 +870,26 @@ def _command_argv(tmp_path, command):
                          np.eye(7)[np.arange(14) % 7])
         return ["evaluate", "--targets", str(labels), "--predictions", str(labels),
                 "--out", out + ".json", "--plot", out + ".svg"]
-    if command == "bench":
+    if command in ("bench", "extract"):
         rec_dir = tmp_path / "rec"
         write_recording_bundle(rec_dir, builders.make_recording(seed=11), recording_id="rec")
+        if command == "extract":
+            return ["extract", "--recording", str(rec_dir), "--out", out]
         return ["bench", str(rec_dir), "--weights", str(_weights_file(tmp_path)),
                 "--out", out + ".json"]
     assert command == "aggregate"
     return ["aggregate", "--votes", str(_votes_csv(tmp_path)), "--out", out + ".json",
             "--burn-in", "5", "--epochs", "10", "--chains", "2"]
+
+
+@pytest.mark.parametrize("command", ["classify", "aggregate", "evaluate", "extract"])
+def test_each_json_output_is_json_dumps_of_its_own_parse(tmp_path, command):
+    # the reports hold arrays that json_text re-indents from json's compact text
+    assert cli.main(_command_argv(tmp_path, command)) == 0
+    (path,) = [p for p in (tmp_path / "out.json", tmp_path / "out" / "manifest.json")
+               if p.exists()]
+    text = path.read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("statement", ["import icsort", "import icsort.cli"])

@@ -348,6 +348,19 @@ def test_normalize_scales_topo_and_psd_peaks_to_099():
         assert np.array_equal(normalized, values * (FEATURE_SCALE / np.max(np.abs(values))))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("peak", [5e-324, 1e-320, 1e-310, 1.0, 1e300])
+def test_normalize_scales_any_peak_to_099(peak):
+    # 0.99 / peak overflows to inf for a subnormal peak, which gave inf and NaN rows
+    rng = np.random.default_rng(9)
+    for shape in ((32, 32), (100,)):
+        values = rng.uniform(-1.0, 1.0, size=shape) * peak
+        values.flat[7] = -peak
+        normalized = normalize_features(values)
+        assert np.all(np.isfinite(normalized))
+        assert abs(np.max(np.abs(normalized)) - FEATURE_SCALE) <= np.spacing(FEATURE_SCALE)
+
+
 def test_normalize_passes_all_zero_features_through():
     for values in (np.zeros((32, 32)), np.zeros(100)):
         assert np.all(normalize_features(values) == 0.0)

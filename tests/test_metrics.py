@@ -604,3 +604,14 @@ def test_evaluation_svg_matches_one_f_string_per_point(monkeypatch, seed):
     monkeypatch.setattr(plots._Panel, "polyline", _reference_polyline)
     assert svg == plots.evaluation_svg(roc, soc, title="7-class evaluation")
     assert "points=\"\"" in svg  # the empty curve
+
+
+def test_evaluation_svg_draws_tied_fprs_in_table_order():
+    # the ROC table is ordered by a stable argsort of its FPR column, which
+    # keeps the order sorted(rows, key=fpr) gives rows with equal FPRs
+    rng = np.random.default_rng(3)
+    table = np.column_stack([rng.random(200), rng.integers(0, 5, 200) / 4, rng.random(200)])
+    rows = sorted(table.tolist(), key=lambda p: p[1])
+    expected = _reference_polyline(plots._Panel(46, 46), [p[1] for p in rows],
+                                   [p[2] for p in rows], 'stroke="#c62828" stroke-width="1.5"')
+    assert expected in plots.evaluation_svg({"Brain": table}, {})

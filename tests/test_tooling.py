@@ -190,3 +190,46 @@ def test_only_bundles_imports_json():
                 if any(module.split(".")[0] == "json" for module in modules):
                     importers.add(os.path.relpath(path, package))
     assert importers == {"bundles.py"}
+
+
+def test_commands_hand_the_json_encoder_arrays_for_their_large_tables(monkeypatch, tmp_path):
+    # json_text sends only NumPy arrays through json's C encoder, and the
+    # cli.json_text span times it, so a table built as a list again would
+    # silently take the slow walk
+    monkeypatch.syspath_prepend(ROOT)
+    inputs = importlib.import_module("perfbench.inputs")
+    import builders
+    from icsort import bundles, cli
+    from icsort.network import initialize_weights, save_weights
+
+    payloads = []
+    monkeypatch.setattr(cli, "_json_text",
+                        lambda payload: payloads.append(payload) or bundles.json_text(payload))
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    rng = np.random.default_rng(0)
+    ids = [f"ic{i:03d}" for i in range(28)]
+    bundles.write_feature_bundle(tmp_path / "features", builders.random_stack(28, seed=0), ids,
+                                 source_recording="rec", sample_rate=128.0)
+    save_weights(tmp_path / "weights.iclw", initialize_weights(seed=0))
+    hard = np.eye(7)[np.arange(28) % 7]  # every category has targets
+    for name in ("targets.csv", "predictions.csv"):
+        labels = 0.5 * hard + 0.5 * rng.dirichlet(np.ones(7), size=28)
+        bundles.write_labels_csv(tmp_path / name, ids, labels)
+    inputs.vote_log(rng, 200, str(tmp_path / "votes.csv"))
+
+    assert cli.main(["classify", "--weights", str(tmp_path / "weights.iclw"),
+                     "--features", str(tmp_path / "features"),
+                     "--out", str(tmp_path / "labels.json")]) == 0
+    assert cli.main(["aggregate", "--votes", str(tmp_path / "votes.csv"), "--chains", "2",
+                     "--burn-in", "2", "--epochs", "3", "--out", str(tmp_path / "crowd.json")]) == 0
+    assert cli.main(["evaluate", "--targets", str(tmp_path / "targets.csv"),
+                     "--predictions", str(tmp_path / "predictions.csv"),
+                     "--out", str(tmp_path / "eval.json")]) == 0
+    labels, crowd, evaluation = payloads
+    tables = [entry["label"] for entry in labels["components"]]
+    for chain in crowd["chains"]:
+        tables += [*chain["labels"].values(), *chain["labeler_confusions"].values()]
+    tables += [*evaluation["roc"].values(), *evaluation["soft_confusions"].values(),
+               evaluation["confusion"], evaluation["confusion_normalized"]]
+    assert len(tables) > 28 + 2 * 100 and len(evaluation["roc"]) == 7
+    assert all(isinstance(table, np.ndarray) for table in tables)
