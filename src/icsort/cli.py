@@ -420,7 +420,7 @@ def evaluation_report(targets, predictions, names) -> dict:
     }
     confusions = [metrics.soft_confusion(targets, predictions, mode)
                   for mode in metrics.SOFT_AND_MODES]
-    report["soft_confusions"] = {c.and_mode: c.matrix for c in confusions}
+    report["soft_confusions"] = dict(zip(metrics.SOFT_AND_MODES, confusions))
     roc = {}
     soc = {}
     auc = {}
@@ -428,24 +428,21 @@ def evaluation_report(targets, predictions, names) -> dict:
     for cat in range(k):
         try:
             curve = metrics.roc_curve(targets, predictions, cat)
-            points = metrics.soc_from_confusions(confusions, cat)
+            soc[names[cat]] = metrics.soc_from_confusions(confusions, cat)
         except DataError as exc:
             skipped[names[cat]] = str(exc)
             continue
-        roc[names[cat]] = np.array(curve.points)
+        roc[names[cat]] = curve.points
         auc[names[cat]] = curve.auc()
-        soc[names[cat]] = [list(point) for point in points]
     report["roc"] = roc
     report["soc"] = soc
     report["auc"] = auc
     if skipped:
         report["skipped_categories"] = skipped
-    if not skipped:
+    else:
         report["optimal_thresholds"] = {
             criterion: {
-                "thresholds": metrics.optimal_thresholds(
-                    targets, predictions, criterion
-                ).tolist(),
+                "thresholds": metrics.optimal_thresholds(targets, predictions, criterion),
                 "provenance": f"optimized:{criterion}",
             }
             for criterion in ("f1", "accuracy")

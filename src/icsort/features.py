@@ -432,13 +432,16 @@ def extract_recording(recording: Recording) -> tuple:
     Returns ``(stack, failures)``: the ``FeatureStack`` of the components
     that succeeded, in component order (``None`` if none did), and a dict
     from the index of each failed component to its error.  A component
-    whose mixing-matrix column or activity holds a non-finite value fails
-    with a ``DataError`` naming the array; a montage the topography rejects
-    fails every component.
+    whose mixing-matrix column or activity holds a non-finite value, or
+    whose mixing-matrix column is constant, fails with a ``DataError``
+    naming the array; a montage the topography rejects fails every component.
     """
     with np.errstate(invalid="ignore", over="ignore"):  # such columns are rejected below
         referenced = common_average_reference(recording.mixing_matrix)
     finite = np.all(np.isfinite(referenced), axis=0)
+    # a constant column references to zero or to residue within n_channels ulps of its peak
+    flat = np.abs(referenced).max(axis=0) <= (
+        len(referenced) * np.finfo(np.float64).eps * np.abs(recording.mixing_matrix).max(axis=0))
     column = np.cumsum(finite) - 1  # component index -> its image among the finite columns
     try:
         images = scalp_topography(referenced[:, finite], recording.electrode_positions)
@@ -455,6 +458,9 @@ def extract_recording(recording: Recording) -> tuple:
             if not finite[index]:
                 raise DataError(f"mixing_matrix column {index} overflows the common average "
                                 "reference")
+            if flat[index]:
+                raise DataError(f"mixing_matrix column {index} is constant across channels, "
+                                "so it has no scalp pattern")
             if not np.all(np.isfinite(activity)):
                 raise DataError(f"component_activity row {index} has non-finite samples")
             if montage_error is not None:

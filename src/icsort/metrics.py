@@ -9,9 +9,10 @@ preserving the information a hard argmax discards.
 
 ROC points and optimal thresholds share one sorted sweep of the detection
 counts (Fawcett, 2006, Alg. 1), O(n log n) per category; thresholds tied on
-F1 or accuracy resolve to the larger one.  Thresholds are plain (k,)
-vectors.  ``merge_classes`` sums categories by explicit index groups; the
-7-to-7, 7-to-5 and 7-to-2 groups the command line uses live in
+F1 or accuracy resolve to the larger one.  Every table is a float64 array:
+a soft confusion is (k, k), ROC points (m, 3), SOC points (3, 2) and
+thresholds (k,).  ``merge_classes`` sums categories by explicit index
+groups; the 7-to-7, 7-to-5 and 7-to-2 groups the command line uses live in
 ``cli.MERGE_SCHEMES``.
 """
 
@@ -40,7 +41,9 @@ def validate_pairs(targets: np.ndarray, predictions: np.ndarray):
     label vectors and return them as float64 arrays.
 
     Rows are checked by ``first_invalid_label``, targets first; a bad row
-    raises a ``DataError`` naming the array, the row and the reason.
+    raises a ``DataError`` naming the array, the row and the reason.  A valid
+    entry may lie just above 1 (within ``LABEL_SUM_TOL``, or a merged sum
+    rounding up), so the arrays are returned clamped to at most 1.
     """
     targets = np.asarray(targets, dtype=np.float64)
     predictions = np.asarray(predictions, dtype=np.float64)
@@ -57,7 +60,7 @@ def validate_pairs(targets: np.ndarray, predictions: np.ndarray):
         if problem:
             row, reason = problem
             raise DataError(f"{name} row {row}: {reason}")
-    return targets, predictions
+    return np.minimum(targets, 1.0), np.minimum(predictions, 1.0)
 
 
 def balanced_accuracy(targets: np.ndarray, predictions: np.ndarray) -> float:
@@ -144,19 +147,10 @@ def soft_and(x, y, mode: str):
     raise ConfigError(f"unknown soft-AND mode {mode!r}; expected one of {SOFT_AND_MODES}")
 
 
-@dataclass
-class SoftConfusion:
-    """Soft confusion matrix together with the fuzzy-AND mode that built it."""
-
-    matrix: np.ndarray  # (k, k), entry (i, j) sums soft_and(t_i, p_j)
-    and_mode: str
-
-
-def soft_confusion(targets: np.ndarray, predictions: np.ndarray, mode: str) -> SoftConfusion:
-    """Accumulate soft_and(t_i, p_j) over examples into a k-by-k matrix."""
+def soft_confusion(targets: np.ndarray, predictions: np.ndarray, mode: str) -> np.ndarray:
+    """The (k, k) matrix whose entry (i, j) sums soft_and(t_i, p_j) over examples."""
     targets, predictions = validate_pairs(targets, predictions)
-    matrix = soft_and(targets[:, :, None], predictions[:, None, :], mode).sum(axis=0)
-    return SoftConfusion(matrix=matrix, and_mode=mode)
+    return soft_and(targets[:, :, None], predictions[:, None, :], mode).sum(axis=0)
 
 
 @dataclass
@@ -164,12 +158,11 @@ class RocCurve:
     """Detection operating points for one category as the threshold sweeps up."""
 
     category: int
-    points: list  # ordered (threshold, fpr, tpr), threshold ascending
+    points: np.ndarray  # (m, 3) float64 rows (threshold, fpr, tpr), threshold ascending
 
     def auc(self) -> float:
         """Trapezoidal area under the (FPR, TPR) curve."""
-        points = np.asarray(self.points)[::-1]  # ascending FPR
-        fpr, tpr = points[:, 1], points[:, 2]
+        fpr, tpr = self.points[::-1, 1], self.points[::-1, 2]  # ascending FPR
         return float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0))
 
 
@@ -217,17 +210,17 @@ def roc_curve(targets: np.ndarray, predictions: np.ndarray, category: int) -> Ro
     positive = _positives(targets, category)
     thresholds, tp, fp = _detection_counts(predictions[:, category], positive)
     n_pos, n_neg = tp[0], fp[0]  # the 0 threshold detects every example
-    points = list(zip(thresholds.tolist(), (fp / n_neg).tolist(), (tp / n_pos).tolist()))
-    return RocCurve(category=category, points=points)
+    return RocCurve(category=category,
+                    points=np.column_stack([thresholds, fp / n_neg, tp / n_pos]))
 
 
-def soc_points(targets: np.ndarray, predictions: np.ndarray, category: int) -> list:
+def soc_points(targets: np.ndarray, predictions: np.ndarray, category: int) -> np.ndarray:
     """Soft operating characteristic points (strong, product, weak order).
 
     Each point applies the TPR and FPR formulas to the corresponding soft
     confusion matrix: soft-TPR is the diagonal entry over its row sum, and
     soft-FPR is the column mass from other rows over those rows' total
-    mass.  Returned as (soft_fpr, soft_tpr) tuples.
+    mass.  Returned as a (3, 2) float64 array of (soft_fpr, soft_tpr) rows.
     """
     targets, predictions = validate_pairs(targets, predictions)
     if not 0 <= category < targets.shape[1]:
@@ -236,26 +229,22 @@ def soc_points(targets: np.ndarray, predictions: np.ndarray, category: int) -> l
         [soft_confusion(targets, predictions, mode) for mode in SOFT_AND_MODES], category)
 
 
-def soc_from_confusions(confusions, category: int) -> list:
-    """``soc_points`` for one category from soft confusions already built.
+def soc_from_confusions(confusions, category: int) -> np.ndarray:
+    """``soc_points`` for one category from soft confusion matrices already built.
 
-    ``confusions`` holds one ``SoftConfusion`` per mode, in the order the
-    points are returned; a report builds them once for all its categories.
+    ``confusions`` holds one matrix per mode, in ``SOFT_AND_MODES`` order; a
+    report builds them once for all its categories.
     """
-    points = []
-    for confusion in confusions:
-        matrix = confusion.matrix
+    points = np.empty((len(SOFT_AND_MODES), 2))
+    for point, mode, matrix in zip(points, SOFT_AND_MODES, confusions, strict=True):
         row_mass = matrix[category].sum()
         others = np.delete(np.arange(matrix.shape[0]), category)
         other_mass = matrix[others].sum()
         if row_mass == 0 or other_mass == 0:
-            raise DataError(
-                f"SOC point for category {category} undefined under "
-                f"{confusion.and_mode!r}: zero confusion mass"
-            )
-        tpr = matrix[category, category] / row_mass
-        fpr = matrix[others, category].sum() / other_mass
-        points.append((float(fpr), float(tpr)))
+            raise DataError(f"SOC point for category {category} undefined under {mode!r}: "
+                            "zero confusion mass")
+        point[:] = (matrix[others, category].sum() / other_mass,  # (fpr, tpr)
+                    matrix[category, category] / row_mass)
     return points
 
 

@@ -63,10 +63,11 @@ def evaluation_svg(roc: dict, soc: dict, title: str = "") -> str:
 
     Parameters
     ----------
-    roc : mapping from category name to (threshold, fpr, tpr) rows, a list or
-        an (m, 3) array.
-    soc : mapping from category name to [(fpr, tpr)] triples in strong,
-        product, weak order.  Categories appear if present in either map.
+    roc : mapping from category name to (threshold, fpr, tpr) rows, an (m, 3)
+        array (``RocCurve.points``) or a list.
+    soc : mapping from category name to (fpr, tpr) rows in strong, product,
+        weak order, a (3, 2) array (``soc_points``) or a list.  Categories
+        appear if present in either map.
     """
     names = sorted(set(roc) | set(soc))
     columns = min(_COLUMNS, max(1, len(names)))

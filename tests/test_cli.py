@@ -8,6 +8,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import warnings
 import xml.etree.ElementTree as ElementTree
 
 import numpy as np
@@ -170,6 +171,28 @@ def test_extract_names_the_array_holding_non_finite_component_data(tmp_path, cap
     clean_stack, _ = read_feature_bundle(clean)
     for name in ("topo", "psd", "autocorr"):
         assert np.array_equal(getattr(stack, name), getattr(clean_stack, name)[[0, 3]])
+
+
+def test_extract_fails_every_component_of_a_mixing_matrix_stored_as_zeros(tmp_path, capsys):
+    # recording bundles hold float32, so a mixing matrix scaled to 1e-320
+    # arrives as zeros: no component has a scalp pattern, and no bundle is written
+    base = builders.make_recording(seed=4)
+    recording = Recording(
+        sample_rate=base.sample_rate,
+        electrode_positions=base.electrode_positions,
+        mixing_matrix=base.mixing_matrix * 1e-320,
+        component_activity=base.component_activity,
+    )
+    rec_dir = tmp_path / "rec"
+    write_recording_bundle(rec_dir, recording, recording_id="rec")
+    out = tmp_path / "features"
+    assert cli.main(["extract", "--recording", str(rec_dir), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    for index in range(4):
+        assert (f"error: component ic{index:03d}: mixing_matrix column {index} is constant "
+                "across channels") in err
+    assert err.endswith("error: 4 component(s) failed extraction: ic000, ic001, ic002, ic003\n")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- classify
@@ -676,6 +699,28 @@ def test_evaluate_skips_a_category_whose_soc_point_is_undefined(tmp_path):
     for name in report["skipped_categories"]:
         assert name not in report["roc"] and name not in report["soc"]
     assert set(report["roc"]) == set(report["soc"]) == set(report["auc"]) != set()
+
+
+@pytest.mark.parametrize("classes", ["7", "5", "2"])
+def test_evaluate_takes_a_row_whose_merged_mass_rounds_above_one(tmp_path, classes):
+    # the six non-Brain entries sum to 1 + 2.2e-16, so the merged "Other"
+    # membership lies just above 1; the label is valid at every class count
+    rows = np.array([
+        [0.0, 0.1742571420150498, 0.2613086338075328, 0.005076173651329373,
+         0.0005815970385578541, 0.14104526579005514, 0.4177311876974752],
+        np.eye(7)[0],
+        np.eye(7)[6],
+    ])
+    assert rows[0, 1:].sum() > 1.0
+    labels = tmp_path / "labels.csv"
+    write_labels_csv(labels, ["a", "b", "c"], rows)
+    out = tmp_path / "eval.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # categories without examples
+        assert cli.main(["evaluate", "--targets", str(labels), "--predictions", str(labels),
+                         "--out", str(out), "--classes", classes]) == 0
+    if classes == "2":  # both merged categories have examples, so both are scored
+        assert set(json.loads(out.read_text())["soc"]) == {"Brain", "Other"}
 
 
 def test_evaluate_rejects_mismatched_component_ids(tmp_path, capsys):

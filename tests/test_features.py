@@ -487,6 +487,36 @@ def test_a_column_overflowing_the_reference_fails_alone():
     assert np.array_equal(stack.topo, clean.topo[[0, 2]])
 
 
+def _with_mixing(recording, mixing):
+    return Recording(sample_rate=recording.sample_rate,
+                     electrode_positions=recording.electrode_positions,
+                     mixing_matrix=mixing, component_activity=recording.component_activity)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n_channels", [16, 19, 24, 32, 64, 128])
+@pytest.mark.parametrize("value", [0.0, 0.1, 1 / 3, 2.2e-5, 7.0])
+def test_a_constant_mixing_column_fails_alone(n_channels, value):
+    # the common average reference leaves a constant column exactly zero or
+    # rounding residue (which used to become an all-zero or a full-scale
+    # image); either way the component fails, naming the column
+    base = builders.make_recording(n_channels=n_channels, n_components=3, seed=n_channels)
+    mixing = base.mixing_matrix.copy()
+    mixing[:, 1] = value
+    stack, failures = extract_recording(_with_mixing(base, mixing))
+    assert list(failures) == [1]
+    assert str(failures[1]) == ("mixing_matrix column 1 is constant across channels, "
+                                "so it has no scalp pattern")
+    clean, _ = extract_recording(base)
+    for name in ("topo", "psd", "autocorr"):
+        assert np.array_equal(getattr(stack, name), getattr(clean, name)[[0, 2]])
+
+    # a pattern a million ulps deep on the same constant is kept
+    mixing[:, 1] = value + value * 1e6 * np.finfo(np.float64).eps * np.arange(n_channels)
+    _, failures = extract_recording(_with_mixing(base, mixing))
+    assert list(failures) == ([1] if value == 0.0 else [])
+
+
 def test_a_collinear_montage_fails_every_component(tmp_path, capsys):
     angle = np.linspace(-1.2, 1.2, 8)  # one arc through the vertex
     base = builders.make_recording(n_channels=8, n_components=3, seed=19)

@@ -1,5 +1,6 @@
 """Evaluation metrics: hard, soft, and threshold-based, against brute force."""
 
+import re
 import time
 import warnings
 
@@ -99,6 +100,21 @@ def test_first_invalid_label_matches_a_per_row_reference(seed, n, damage):
         assert found[0] == expected[0] and expected[1] in found[1]
 
 
+def test_validate_pairs_clamps_entries_just_above_one():
+    # a valid label may hold an entry in (1, 1 + LABEL_SUM_TOL], above both
+    # soft_and's domain and the nothing-detected threshold; the clamp to 1
+    # lets the soft metrics take it and keeps the ROC's last point (0, 0)
+    over = 1.0 + LABEL_SUM_TOL / 2
+    assert over > ABOVE_MAX
+    targets = _one_hot([0, 1, 0, 1], k=2)
+    predictions = np.array([[over, 0.0], [0.5, 0.5], [0.25, 0.75], [0.0, 1.0]])
+    _, clamped = validate_pairs(targets, predictions)
+    assert clamped[0, 0] == 1.0 and np.array_equal(clamped[1:], predictions[1:])
+    assert np.array_equal(soc_points(targets, predictions, 0), soc_points(targets, clamped, 0))
+    points = roc_curve(targets, predictions, 0).points
+    assert np.array_equal(points[-1], (ABOVE_MAX, 0.0, 0.0))
+
+
 def test_first_invalid_label_rejects_an_overflowing_sum_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -160,7 +176,7 @@ def test_soft_confusions_are_ordered_entry_wise(seed, n, k, levels):
     if levels:
         targets = np.array([rng.multinomial(levels, row) for row in targets]) / levels
         predictions = np.array([rng.multinomial(levels, row) for row in predictions]) / levels
-    strong, product, weak = (soft_confusion(targets, predictions, mode).matrix
+    strong, product, weak = (soft_confusion(targets, predictions, mode)
                              for mode in ("strong", "product", "weak"))
     slack = 4 * n * np.finfo(np.float64).eps  # per-pair rounding, summed over n pairs
     assert np.all(strong <= product + slack) and np.all(product <= weak + slack)
@@ -239,16 +255,14 @@ def test_soft_confusion_with_one_hot_rows_reduces_to_hard_counts():
     predictions = _one_hot([0, 1, 1, 2, 2, 0], k=3)
     hard = confusion_matrix(targets, predictions)
     for mode in ("strong", "product", "weak"):
-        soft = soft_confusion(targets, predictions, mode)
-        assert soft.and_mode == mode
-        np.testing.assert_allclose(soft.matrix, hard, atol=1e-12)
+        np.testing.assert_allclose(soft_confusion(targets, predictions, mode), hard, atol=1e-12)
 
 
 def test_soft_confusion_matches_brute_force():
     targets, predictions = builders.random_label_pairs(seed=4, n=60)
     for mode in ("strong", "product", "weak"):
         np.testing.assert_allclose(
-            soft_confusion(targets, predictions, mode).matrix,
+            soft_confusion(targets, predictions, mode),
             oracles.bf_soft_confusion(targets, predictions, mode),
             atol=1e-12,
         )
@@ -280,8 +294,7 @@ def test_report_soc_points_equal_the_per_category_calls():
     targets, predictions = builders.random_label_pairs(seed=6, n=120)
     report = evaluation_report(targets, predictions, MERGED_NAMES["7"])
     for category, name in enumerate(MERGED_NAMES["7"]):
-        assert report["soc"][name] == [list(point) for point in
-                                       soc_points(targets, predictions, category)]
+        assert np.array_equal(report["soc"][name], soc_points(targets, predictions, category))
 
 
 # -------------------------------------------------------------------- ROC
@@ -349,7 +362,7 @@ def test_roc_and_thresholds_match_brute_force_on_tied_scores(seed):
     assert np.unique(predictions[:, 6]).tolist() == [0.0]
     for category in range(7):
         curve = roc_curve(targets, predictions, category)
-        assert curve.points == oracles.bf_roc_points(targets, predictions, category)
+        assert np.array_equal(curve.points, oracles.bf_roc_points(targets, predictions, category))
     assert len(roc_curve(targets, predictions, 6).points) == 2
     for criterion in ("f1", "accuracy"):
         result = optimal_thresholds(targets, predictions, criterion=criterion)
@@ -378,11 +391,11 @@ def test_roc_sweep_is_monotone_and_thresholds_are_candidates(seed, n, k, levels)
     candidates = {}
     for category in range(k):
         points = roc_curve(targets, predictions, category).points
-        thresholds, fprs, tprs = (np.array(column) for column in zip(*points))
+        thresholds, fprs, tprs = points.T
         assert np.all(np.diff(thresholds) > 0)
         assert np.all(np.diff(fprs) <= 0) and np.all(np.diff(tprs) <= 0)
-        assert points[0] == (0.0, 1.0, 1.0)
-        assert points[-1] == (ABOVE_MAX, 0.0, 0.0)
+        assert np.array_equal(points[0], (0.0, 1.0, 1.0))
+        assert np.array_equal(points[-1], (ABOVE_MAX, 0.0, 0.0))
         candidates[category] = set(thresholds.tolist()) | {1.0}
     for criterion in ("f1", "accuracy"):
         result = optimal_thresholds(targets, predictions, criterion=criterion)
@@ -399,6 +412,54 @@ def test_evaluation_report_scales_to_32000_pairs():
     assert set(report["optimal_thresholds"]) == {"f1", "accuracy"}
     for points in report["roc"].values():
         assert len(points) == 32000 + 2  # continuous scores: all distinct
+
+
+def _label_rows(rng, n, support, levels, scale):
+    """Dirichlet rows on a random support of ``support`` categories (exact
+    zeros elsewhere), quantized to multiples of 1/levels when levels > 0,
+    then scaled by ``scale``, a factor within the label sum tolerance."""
+    rows = np.zeros((n, 7))
+    for row in rows:
+        keep = rng.choice(7, size=support, replace=False)
+        row[keep] = rng.dirichlet(np.ones(support))
+        if levels:
+            row[:] = rng.multinomial(levels, row) / levels
+    return rows * scale
+
+
+#: The reasons ``evaluation_report`` gives under ``skipped_categories``.
+_SKIP_REASON = r"(ROC for category \d+ undefined: no (positive|negative) examples" \
+               r"|SOC point for category \d+ undefined under '\w+': zero confusion mass)"
+
+
+_SCALES = st.sampled_from([1.0, 1.0 + LABEL_SUM_TOL / 2, 1.0 - LABEL_SUM_TOL / 2])
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), support=st.integers(1, 7),
+       levels=st.sampled_from([0, 1, 2, 4, 16]), scales=st.tuples(_SCALES, _SCALES))
+def test_every_valid_pair_set_gives_a_report_at_every_class_count(seed, n, support, levels,
+                                                                   scales):
+    # exact zeros, ties, entries of exactly 1 and merged sums that round
+    # above 1 are all valid labels; a report may skip a category only for
+    # the documented reasons, and every ROC table ends detecting nothing
+    rng = np.random.default_rng(seed)
+    targets, predictions = (_label_rows(rng, n, support, levels, scale) for scale in scales)
+    assert first_invalid_label(targets) is None and first_invalid_label(predictions) is None
+    for classes, names in MERGED_NAMES.items():
+        scheme = MERGE_SCHEMES[classes]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # categories without examples
+            report = evaluation_report(merge_classes(targets, scheme),
+                                       merge_classes(predictions, scheme), names)
+        skipped = report.get("skipped_categories", {})
+        assert set(report["roc"]) == set(report["soc"]) == set(names) - set(skipped)
+        assert ("optimal_thresholds" in report) == (not skipped)
+        for reason in skipped.values():
+            assert re.fullmatch(_SKIP_REASON, reason), reason
+        for table in report["roc"].values():
+            assert np.array_equal(table[0], (0.0, 1.0, 1.0))
+            assert np.array_equal(table[-1], (ABOVE_MAX, 0.0, 0.0))
 
 
 def test_roc_curve_needs_both_classes():
@@ -468,8 +529,10 @@ def test_optimal_thresholds_match_brute_force(criterion):
         _, theta = oracles.bf_best_threshold(targets, predictions, category, criterion)
         assert result[category] == pytest.approx(theta, abs=1e-12)
     report = evaluation_report(targets, predictions, MERGED_NAMES["7"])
-    assert report["optimal_thresholds"][criterion] == {
-        "thresholds": result.tolist(), "provenance": f"optimized:{criterion}"}
+    entry = report["optimal_thresholds"][criterion]
+    assert entry.keys() == {"thresholds", "provenance"}
+    assert np.array_equal(entry["thresholds"], result)
+    assert entry["provenance"] == f"optimized:{criterion}"
 
 
 def test_optimal_thresholds_break_ties_upward_and_clamp_to_one():

@@ -229,7 +229,10 @@ def test_commands_hand_the_json_encoder_arrays_for_their_large_tables(monkeypatc
     tables = [entry["label"] for entry in labels["components"]]
     for chain in crowd["chains"]:
         tables += [*chain["labels"].values(), *chain["labeler_confusions"].values()]
-    tables += [*evaluation["roc"].values(), *evaluation["soft_confusions"].values(),
+    tables += [*evaluation["roc"].values(), *evaluation["soc"].values(),
+               *evaluation["soft_confusions"].values(),
+               *(entry["thresholds"] for entry in evaluation["optimal_thresholds"].values()),
                evaluation["confusion"], evaluation["confusion_normalized"]]
-    assert len(tables) > 28 + 2 * 100 and len(evaluation["roc"]) == 7
+    assert len(tables) > 28 + 2 * 100 and len(evaluation["roc"]) == len(evaluation["soc"]) == 7
+    assert len(evaluation["optimal_thresholds"]) == 2
     assert all(isinstance(table, np.ndarray) for table in tables)
