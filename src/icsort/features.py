@@ -432,9 +432,10 @@ def extract_recording(recording: Recording) -> tuple:
     Returns ``(stack, failures)``: the ``FeatureStack`` of the components
     that succeeded, in component order (``None`` if none did), and a dict
     from the index of each failed component to its error.  A component
-    whose mixing-matrix column or activity holds a non-finite value, or
-    whose mixing-matrix column is constant, fails with a ``DataError``
-    naming the array; a montage the topography rejects fails every component.
+    whose mixing-matrix column or activity holds a non-finite value, whose
+    mixing-matrix column is constant, or whose activity gives no PSD or
+    autocorrelation, fails with a ``DataError`` naming the array; a montage
+    the topography rejects fails every component.
     """
     with np.errstate(invalid="ignore", over="ignore"):  # such columns are rejected below
         referenced = common_average_reference(recording.mixing_matrix)
@@ -465,9 +466,12 @@ def extract_recording(recording: Recording) -> tuple:
                 raise DataError(f"component_activity row {index} has non-finite samples")
             if montage_error is not None:
                 raise DataError(montage_error)
-            return _component_rows(images[column[index]], activity, recording.sample_rate)
         except IcsortError as exc:
             return exc
+        try:  # past the checks above, only the time course's features can fail
+            return _component_rows(images[column[index]], activity, recording.sample_rate)
+        except DataError as exc:
+            return DataError(f"component_activity row {index}: {exc}")
 
     results = [one(index) for index in range(recording.n_components)]
     failures = {i: r for i, r in enumerate(results) if isinstance(r, IcsortError)}

@@ -66,28 +66,17 @@ def validate_pairs(targets: np.ndarray, predictions: np.ndarray):
 def balanced_accuracy(targets: np.ndarray, predictions: np.ndarray) -> float:
     """Mean over categories of within-category recall after argmax.
 
-    Categories with no target examples are excluded from the average (a
-    warning is emitted so silent class dropout is visible).
+    Each recall is a diagonal count of ``confusion_matrix`` over its row
+    sum.  Categories with no target examples are excluded from the average
+    (a warning is emitted so silent class dropout is visible).
     """
-    targets, predictions = validate_pairs(targets, predictions)
-    true_hard = np.argmax(targets, axis=1)
-    pred_hard = np.argmax(predictions, axis=1)
-    recalls = []
-    missing = []
-    for k in range(targets.shape[1]):
-        in_class = true_hard == k
-        if not np.any(in_class):
-            missing.append(k)
-            continue
-        recalls.append(float(np.mean(pred_hard[in_class] == k)))
-    if missing:
-        warnings.warn(
-            f"categories without target examples excluded from balanced accuracy: {missing}",
-            stacklevel=2,
-        )
-    if not recalls:
-        raise DataError("no category has any target examples")
-    return float(np.mean(recalls))
+    counts = confusion_matrix(targets, predictions)
+    row_sums = counts.sum(axis=1)
+    present = row_sums > 0
+    if not present.all():
+        warnings.warn("categories without target examples excluded from balanced accuracy: "
+                      f"{np.flatnonzero(~present).tolist()}", stacklevel=2)
+    return float(np.mean(np.diag(counts)[present] / row_sums[present]))
 
 
 def cross_entropy(targets: np.ndarray, predictions: np.ndarray) -> float:
@@ -222,11 +211,10 @@ def soc_points(targets: np.ndarray, predictions: np.ndarray, category: int) -> n
     soft-FPR is the column mass from other rows over those rows' total
     mass.  Returned as a (3, 2) float64 array of (soft_fpr, soft_tpr) rows.
     """
-    targets, predictions = validate_pairs(targets, predictions)
-    if not 0 <= category < targets.shape[1]:
+    confusions = [soft_confusion(targets, predictions, mode) for mode in SOFT_AND_MODES]
+    if not 0 <= category < len(confusions[0]):
         raise DataError(f"category {category} out of range")
-    return soc_from_confusions(
-        [soft_confusion(targets, predictions, mode) for mode in SOFT_AND_MODES], category)
+    return soc_from_confusions(confusions, category)
 
 
 def soc_from_confusions(confusions, category: int) -> np.ndarray:

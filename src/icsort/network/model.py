@@ -330,26 +330,21 @@ def classify(
     ``batch_size`` rows at a time, and the orbit transforms only the
     topography, so the PSD and autocorrelation branches run once per batch.
     Every row sums its orbit's probabilities in orbit order, as ``forward``
-    over each element would.  The weights are validated once per call.
+    over each element would.  The weights are validated, and the inputs
+    cast to the weight dtype and checked, once per call.
     """
     if batch_size < 1:
         raise ConfigError(f"batch size must be at least 1, got {batch_size}")
     weights.validate()
-    topo = np.asarray(topo)
-    psd = np.asarray(psd)
-    autocorr = np.asarray(autocorr)
-    if topo.ndim != 3:
-        raise DataError(f"topo batch must be (n, {TOPO_SIZE}, {TOPO_SIZE}), got {topo.shape}")
+    topo, *signals = _as_network_inputs(topo, psd, autocorr, weights.dtype)
     orbit = TOPOGRAPHY_ORBIT if tta else TOPOGRAPHY_ORBIT[:1]
     total = np.zeros((topo.shape[0], N_CATEGORIES))
     for start in range(0, topo.shape[0], batch_size):
         rows = slice(start, start + batch_size)
-        topo_x, *signals = _as_network_inputs(topo[rows], psd[rows], autocorr[rows],
-                                              weights.dtype)
-        signal_outputs = [_walk_forward(weights, branch, x, None)
+        signal_outputs = [_walk_forward(weights, branch, x[rows], None)
                           for branch, x in zip(BRANCHES[1:], signals)]
         for mirror, negate in orbit:
-            element = orbit_element(topo_x[..., 0], mirror, negate)[..., None]
+            element = orbit_element(topo[rows, ..., 0], mirror, negate)[..., None]
             topo_output = _walk_forward(weights, BRANCHES[0], element, None)
             total[rows] += _head(weights, [topo_output, *signal_outputs], None)
     return total / len(orbit)

@@ -31,9 +31,9 @@ from .model import LAYER_ORDER, NetworkWeights, forward, forward_backward, initi
 class TrainConfig:
     """Hyperparameters for ``train``.
 
-    ``max_batches`` bounds the run regardless of the early-stopping state;
-    ``None`` lets early stopping alone decide.  ``clip_norm = inf`` turns
-    the gradient clip off.
+    ``max_batches`` (at least 1) bounds the run regardless of the
+    early-stopping state; ``None`` lets early stopping alone decide.
+    ``clip_norm = inf`` turns the gradient clip off.
     """
 
     batch_size: int = 128
@@ -70,6 +70,8 @@ class TrainConfig:
                               f"got {self.class_weights}")
         if self.val_interval < 1 or self.early_stop_window < 1:
             raise ConfigError("val_interval and early_stop_window must be positive")
+        if self.max_batches is not None and self.max_batches < 1:
+            raise ConfigError(f"max_batches must be None or at least 1, got {self.max_batches}")
 
 
 @dataclass

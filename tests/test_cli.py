@@ -137,7 +137,8 @@ def test_extract_reports_failed_components_but_keeps_the_rest(tmp_path, capsys):
     out = tmp_path / "features"
     assert cli.main(["extract", "--recording", str(rec_dir), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "component ic001: autocorrelation is undefined for a constant signal" in err
+    assert ("component ic001: component_activity row 1: autocorrelation is undefined for a "
+            "constant signal") in err
     assert "1 component(s) failed extraction: ic001" in err
 
     _, ids = read_feature_bundle(out)  # survivors are still written
@@ -347,6 +348,26 @@ def test_train_rejects_unsafe_optimizer_settings(tmp_path, capsys, line):
     key = line.split()[0]
     assert capsys.readouterr().err.startswith(f"error: {key} must be")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config_text, argv", [
+    ("batch_size = 8\n", ["--max-batches", "-3"]),
+    ("batch_size = 8\n", ["--max-batches", "0"]),
+    ("batch_size = 8\nmax_batches = -2\n", []),
+], ids=["flag-negative", "flag-zero", "config-file"])
+def test_train_rejects_a_batch_limit_below_one_before_reading_data(tmp_path, capsys,
+                                                                   config_text, argv):
+    features, ids = _feature_bundle(tmp_path, n=12, seed=6)
+    labels, _ = _labels_file(tmp_path, ids, seed=6)
+    config = tmp_path / "train.cfg"
+    config.write_text(config_text)
+    out = tmp_path / "w.iclw"
+    for inputs in ([features, labels], [tmp_path / "missing", tmp_path / "missing.csv"]):
+        assert cli.main(["train", "--features", str(inputs[0]), "--labels", str(inputs[1]),
+                         "--holdout", "8", "--config", str(config), *argv,
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: max_batches must be None or at least 1")
+        assert not out.exists()
 
 
 def test_train_with_explicit_validation_files(tmp_path):

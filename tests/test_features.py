@@ -1,6 +1,8 @@
 """Feature extraction: referencing, topography, spectra, autocorrelation."""
 
 import dataclasses
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -536,6 +538,49 @@ def test_a_collinear_montage_fails_every_component(tmp_path, capsys):
     assert cli.main(["extract", "--recording", str(tmp_path / "rec"),
                      "--out", str(tmp_path / "features")]) == 2
     assert "3 component(s) failed extraction: ic000, ic001, ic002" in capsys.readouterr().err
+
+
+def _kind_rows(kinds, shape, scale, rng):
+    """Rows of ``shape`` for each kind: random, all zero, or one constant."""
+    fills = {"random": lambda: rng.standard_normal(shape[1]) * scale,
+             "zero": lambda: np.zeros(shape[1]),
+             "constant": lambda: np.full(shape[1], rng.uniform(-1.0, 1.0) * scale)}
+    return np.stack([fills[kind]() for kind in kinds])
+
+
+_KINDS = st.sampled_from(["random", "random", "zero", "constant"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixing_exponent=st.floats(-320.0, 300.0), activity_exponent=st.floats(-320.0, 300.0),
+       rate=st.floats(2.0, 300.0), seconds=st.floats(0.5, 4.0),
+       mixing_kinds=st.lists(_KINDS, min_size=3, max_size=3),
+       activity_kinds=st.lists(_KINDS, min_size=3, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+def test_extraction_gives_bounded_features_or_names_the_array(
+        mixing_exponent, activity_exponent, rate, seconds, mixing_kinds, activity_kinds, seed):
+    rng = np.random.default_rng(seed)
+    n_samples = max(1, int(seconds * rate))
+    recording = Recording(
+        sample_rate=rate,
+        electrode_positions=builders.electrode_cap(8),
+        mixing_matrix=_kind_rows(mixing_kinds, (3, 8), 10.0**mixing_exponent, rng).T,
+        component_activity=_kind_rows(activity_kinds, (3, n_samples),
+                                      10.0**activity_exponent, rng),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        stack, failures = extract_recording(recording)
+    for index, exc in failures.items():
+        assert isinstance(exc, DataError)
+        assert re.match(rf"(mixing_matrix column|component_activity row) {index}\b", str(exc))
+    kept = [i for i in range(3) if i not in failures]
+    assert (stack is None) == (not kept)
+    if kept:
+        assert len(stack) == len(kept)
+        bound = np.nextafter(FEATURE_SCALE, 1.0)  # normalization peaks at 0.99 within one ulp
+        for rows in (stack.topo, stack.psd, stack.autocorr):
+            assert np.all(np.isfinite(rows)) and np.all(np.abs(rows) <= bound)
 
 
 # ---------------------------------------------------------- feature stack

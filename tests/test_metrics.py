@@ -199,6 +199,37 @@ def test_balanced_accuracy_warns_and_skips_absent_categories():
     assert value == pytest.approx((0.5 + 1.0) / 2.0)
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 300), one_hot=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_balanced_accuracy_is_the_per_category_recall_loop_bit_for_bit(data, n, one_hot, seed):
+    k = data.draw(st.integers(2, 7), label="k")
+    absent = data.draw(st.sets(st.integers(0, k - 1), max_size=k - 1), label="absent")
+    present = [c for c in range(k) if c not in absent]
+    rng = np.random.default_rng(seed)
+    if one_hot:
+        targets = _one_hot(rng.choice(present, size=n), k)
+        predictions = _one_hot(rng.integers(0, k, size=n), k)
+    else:
+        targets = rng.dirichlet(np.ones(k), size=n)
+        predictions = rng.dirichlet(np.ones(k), size=n)
+        for row in targets:  # move an absent category's peak onto a present one
+            top = int(np.argmax(row))
+            if top in absent:
+                other = rng.choice(present)
+                row[top], row[other] = row[other], row[top]
+    truth, guess = np.argmax(targets, axis=1), np.argmax(predictions, axis=1)
+    expected = np.mean([np.mean(guess[truth == c] == c) for c in range(k) if np.any(truth == c)])
+    missing = sorted(set(range(k)) - set(truth.tolist()))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = balanced_accuracy(targets, predictions)
+    assert value == float(expected)
+    assert [str(w.message) for w in caught] == (
+        [f"categories without target examples excluded from balanced accuracy: {missing}"]
+        if missing else [])
+
+
 def test_cross_entropy_matches_the_log_loss_formula():
     targets = _one_hot([0, 1], k=3)
     predictions = np.array([[0.5, 0.25, 0.25], [0.1, 0.8, 0.1]])
@@ -286,6 +317,17 @@ def test_soc_points_on_random_pairs_and_perfect_predictions():
     single = _one_hot([0, 0], k=3)
     with pytest.raises(DataError):
         soc_points(single, single, 0)  # no off-category mass
+
+
+def test_soc_points_checks_the_pairs_before_the_category():
+    targets, predictions = builders.random_label_pairs(seed=7, n=10)
+    bad = predictions.copy()
+    bad[2, 0] = np.nan
+    for category in (-1, 7):
+        with pytest.raises(DataError, match="^predictions row 2: "):
+            soc_points(targets, bad, category)
+        with pytest.raises(DataError, match=f"^category {category} out of range$"):
+            soc_points(targets, predictions, category)
 
 
 def test_report_soc_points_equal_the_per_category_calls():

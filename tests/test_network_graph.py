@@ -517,6 +517,14 @@ def test_classify_without_tta_runs_the_identity_orbit_element():
     assert np.array_equal(plain, direct)
 
 
+def test_classify_checks_the_shapes_of_an_empty_batch():
+    weights = initialize_weights(seed=22)
+    with pytest.raises(DataError, match="psd and autocorr batches"):
+        classify(weights, np.zeros((0, 32, 32)), np.zeros((5, 100)), np.zeros((3, 7)))
+    empty = classify(weights, np.zeros((0, 32, 32)), np.zeros((0, 100)), np.zeros((0, 100)))
+    assert empty.shape == (0, 7) and empty.dtype == np.float64
+
+
 @pytest.mark.parametrize("batch_size", [2, 128])
 def test_classify_with_tta_sums_forward_over_the_orbit(batch_size):
     weights = initialize_weights(seed=21)

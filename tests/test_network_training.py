@@ -1,6 +1,7 @@
 """Optimizer arithmetic, batch sampling, and the training loop."""
 
 import tracemalloc
+import typing
 import weakref
 
 import numpy as np
@@ -47,6 +48,22 @@ def test_train_config_validation():
         TrainConfig(val_interval=0)
     with pytest.raises(ConfigError):
         TrainConfig(early_stop_window=0)
+
+
+_COUNT_FIELDS = [name for name, hint in typing.get_type_hints(TrainConfig).items()
+                 if int in (hint, *typing.get_args(hint))]
+
+
+def test_the_count_fields_are_the_int_fields_of_the_train_config():
+    assert _COUNT_FIELDS == ["batch_size", "val_interval", "early_stop_window", "max_batches"]
+
+
+@pytest.mark.parametrize("value", [0, -3])
+@pytest.mark.parametrize("field", _COUNT_FIELDS)
+def test_train_config_rejects_each_count_below_one(field, value):
+    with pytest.raises(ConfigError, match=field):
+        TrainConfig(**{field: value})
+    assert getattr(TrainConfig(**{field: 1}), field) == 1
 
 
 # -------------------------------------------------------------------- adam

@@ -4,6 +4,7 @@ import ast
 import importlib
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,31 @@ def test_perfbench_merge_matches_the_cli_merge(monkeypatch):
         assert np.array_equal(curate._merge(targets, classes), merged_t)
         assert np.array_equal(curate._merge(predictions, classes), merged_p)
         assert len(names) == merged_t.shape[1] == int(classes)
+
+
+def test_perfbench_balanced_accuracy_matches_the_program(monkeypatch):
+    # the curate workload fails an operation whose reported balanced accuracy
+    # is more than 1e-9 from its own count, so the two must agree to that
+    monkeypatch.syspath_prepend(ROOT)
+    curate = importlib.import_module("perfbench.curate")
+    from icsort import cli, metrics
+
+    rng = np.random.default_rng(1)
+    targets, predictions = rng.dirichlet(np.ones(7), size=(2, 200))
+    for classes in ("7", "5", "2"):
+        cases = [(targets, False)]
+        for group in cli.MERGE_SCHEMES[classes]:  # each merged category left without targets
+            others = [c for c in range(7) if c not in group]
+            cases.append((np.eye(7)[rng.choice(others, size=200)], True))
+        for case_targets, empty in cases:
+            merged_t, merged_p, _ = cli._merged_pairs(case_targets, predictions, classes)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                program = metrics.balanced_accuracy(merged_t, merged_p)
+            assert len(caught) == int(empty)
+            own = curate.balanced_accuracy(curate._merge(case_targets, classes),
+                                           curate._merge(predictions, classes))
+            assert abs(program - own) <= 1e-9
 
 
 def test_perfbench_recordings_write_read_and_extract(monkeypatch, tmp_path):
