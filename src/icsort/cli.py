@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import multiprocessing
 import os
@@ -61,6 +62,30 @@ _json_text = bundles.json_text
 
 def _write_json(path, payload: dict) -> None:
     bundles.atomic_write_text(path, _json_text(payload))
+
+
+#: glibc's ``mallopt`` parameters (malloc.h) and the size both are set to: well
+#: above the largest block a training step frees (64 MiB at batch 128).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_KEEP_BLOCKS_BELOW = 1 << 30
+
+
+def _keep_freed_blocks() -> None:
+    """Keep freed blocks below 1 GiB in glibc's heap for the rest of the process.
+
+    The network commands free and reallocate the same large arrays on every
+    batch.  By default glibc serves each with a fresh ``mmap`` and unmaps it on
+    free, so every batch faults in and zeroes those pages again; above both
+    thresholds a freed block is reused instead, and the heap is not trimmed,
+    so the process's RSS does not shrink before it exits.  Where the C
+    library has no ``mallopt`` this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no C library handle, or no mallopt in it
+        return
+    mallopt(_M_MMAP_THRESHOLD, _KEEP_BLOCKS_BELOW)
+    mallopt(_M_TRIM_THRESHOLD, _KEEP_BLOCKS_BELOW)
 
 
 # ---------------------------------------------------------------- extract
@@ -115,6 +140,7 @@ def _load_thresholds(path, n_expected: int) -> np.ndarray:
 
 
 def cmd_classify(args) -> int:
+    _keep_freed_blocks()
     bundles.check_file_outputs(args.out, args.csv)
     weights = load_weights(args.weights)
     stack, component_ids = bundles.read_feature_bundle(args.features)
@@ -224,6 +250,7 @@ def _align_labels(component_ids, label_ids, labels, ids_file, labels_file):
 
 
 def cmd_train(args) -> int:
+    _keep_freed_blocks()
     bundles.check_file_outputs(args.out, args.log)
     options = parse_config_file(args.config) if args.config else {}
     if args.max_batches is not None:
@@ -528,6 +555,7 @@ def bench_recordings(weights, recordings, repetitions: int = 1) -> dict:
 
 
 def cmd_bench(args) -> int:
+    _keep_freed_blocks()
     bundles.check_file_outputs(args.out)
     weights = load_weights(args.weights)
     recordings = []

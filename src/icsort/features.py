@@ -46,7 +46,8 @@ class Recording:
 
     Attributes
     ----------
-    sample_rate : sampling rate in Hz.
+    sample_rate : sampling rate in Hz, at least 2 (the lowest rate with a
+        spectral bin at 1 Hz).
     electrode_positions : (n_channels, 3) head-centered coordinates on the
         unit sphere (+x right, +y anterior, +z up); norms may deviate from 1
         by up to 20% to allow for digitization noise.
@@ -81,8 +82,8 @@ class Recording:
             )
         if self.component_activity.shape[1] < 1:
             raise DataError("recording needs at least 1 sample")
-        if not (np.isfinite(self.sample_rate) and self.sample_rate > 0):
-            raise DataError(f"sample rate must be positive, got {self.sample_rate}")
+        if not (np.isfinite(self.sample_rate) and self.sample_rate >= 2):
+            raise DataError(f"sample_rate must be at least 2 Hz, got {self.sample_rate}")
         if self.electrode_positions.shape != (n_ch, 3):
             raise DataError(
                 f"electrode_positions must be ({n_ch}, 3), got {self.electrode_positions.shape}"
@@ -435,7 +436,8 @@ def extract_recording(recording: Recording) -> tuple:
     whose mixing-matrix column or activity holds a non-finite value, whose
     mixing-matrix column is constant, or whose activity gives no PSD or
     autocorrelation, fails with a ``DataError`` naming the array; a montage
-    the topography rejects fails every component.
+    the topography rejects fails every component, naming
+    ``electrode_positions``.
     """
     with np.errstate(invalid="ignore", over="ignore"):  # such columns are rejected below
         referenced = common_average_reference(recording.mixing_matrix)
@@ -465,7 +467,7 @@ def extract_recording(recording: Recording) -> tuple:
             if not np.all(np.isfinite(activity)):
                 raise DataError(f"component_activity row {index} has non-finite samples")
             if montage_error is not None:
-                raise DataError(montage_error)
+                raise DataError(f"electrode_positions: {montage_error}")
         except IcsortError as exc:
             return exc
         try:  # past the checks above, only the time course's features can fail

@@ -583,7 +583,7 @@ def _recording_bundle_case(data, path):
     n_channels = data.draw(st.integers(2, 4), label="channels")
     n_components = data.draw(st.integers(1, 3), label="components")
     n_samples = data.draw(st.integers(1, 6), label="samples")
-    sample_rate = data.draw(st.floats(1e-300, 1e300), label="sample_rate")
+    sample_rate = data.draw(st.floats(2.0, 1e300), label="sample_rate")
     recording = Recording(sample_rate, builders.electrode_cap(n_channels),
                           _floats(data, (n_channels, n_components), "mixing"),
                           _floats(data, (n_components, n_samples), "activity"))

@@ -898,14 +898,19 @@ def test_main_parses_every_call_with_one_parser(tmp_path, monkeypatch, capsys):
 # ---------------------------------------------------------------- imports
 
 
-def _scipy_after(statement):
-    """The ``scipy`` modules a fresh interpreter holds after running ``statement``."""
+def _src_env() -> dict:
+    """This process's environment with the ``icsort`` sources first on PYTHONPATH."""
     env = dict(os.environ)
     src = str(pathlib.Path(cli.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _scipy_after(statement):
+    """The ``scipy`` modules a fresh interpreter holds after running ``statement``."""
     script = (f"{statement}\nimport sys\n"
               "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
-    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+    run = subprocess.run([sys.executable, "-c", script], env=_src_env(), capture_output=True,
                          text=True)
     assert run.returncode == 0, run.stderr
     return set(run.stdout.splitlines()[-1].split())
@@ -977,6 +982,99 @@ def test_extract_in_a_fresh_process_loads_no_scipy_and_matches_one_run_here(tmp_
     assert loaded == set()
     assert cli.main(["extract", "--recording", str(rec_dir), "--out", str(here)]) == 0
     assert _bundle_bytes(fresh) == _bundle_bytes(here)
+
+
+# ----------------------------------------------------------------- memory
+
+#: The ``mallopt`` calls of a network command: glibc's M_MMAP_THRESHOLD (-3)
+#: and M_TRIM_THRESHOLD (-1), each set to 1 GiB.
+_KEEP_FREED_BLOCKS = [(-3, 1 << 30), (-1, 1 << 30)]
+
+
+class _RecordingLibc:
+    """A C library whose ``mallopt`` records its calls."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+@pytest.mark.parametrize("command", ["classify", "train", "bench",
+                                     "extract", "aggregate", "evaluate"])
+def test_only_the_network_commands_keep_freed_blocks(tmp_path, monkeypatch, command):
+    argv = _command_argv(tmp_path, command)
+    calls = []
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda *args, **kwargs: _RecordingLibc(calls))
+    assert cli.main(argv) == 0
+    network = command in ("classify", "train", "bench")
+    assert calls == (_KEEP_FREED_BLOCKS if network else [])
+
+
+_IMPORT_RUN = """
+import ctypes
+import numpy
+calls = []
+class Libc:
+    def mallopt(self, *args):
+        calls.append(args)
+ctypes.CDLL = lambda *args, **kwargs: Libc()
+import icsort
+import icsort.cli
+print(calls)
+"""
+
+
+def test_importing_icsort_sets_no_allocator_option():
+    run = subprocess.run([sys.executable, "-c", _IMPORT_RUN], env=_src_env(),
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
+
+
+def _no_handle(*args, **kwargs):
+    raise OSError("no C library handle")
+
+
+@pytest.mark.parametrize("cdll", [_no_handle, lambda *args, **kwargs: object()],
+                         ids=["no-handle", "no-mallopt"])
+@pytest.mark.parametrize("command", ["classify", "train"])
+def test_the_network_commands_write_the_same_bytes_without_mallopt(tmp_path, monkeypatch,
+                                                                  command, cdll):
+    argv = _command_argv(tmp_path, command)
+    out = pathlib.Path(argv[argv.index("--out") + 1])
+    assert cli.main(argv) == 0
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    again = out.with_name("again" + out.suffix)
+    argv[argv.index("--out") + 1] = str(again)
+    assert cli.main(argv) == 0
+    assert again.read_bytes() == out.read_bytes()
+
+
+def test_train_after_classify_in_one_process_matches_a_fresh_train(tmp_path):
+    # the heap a classify leaves behind must not change a later train's bits
+    (tmp_path / "classify").mkdir()
+    (tmp_path / "train").mkdir()
+    classify_argv = _command_argv(tmp_path / "classify", "classify")
+    train_argv = _command_argv(tmp_path / "train", "train") + ["--seed", "5"]
+    outputs = {}
+    for side in ("fresh", "here"):
+        out = tmp_path / side
+        out.mkdir()
+        argv = train_argv + ["--log", str(out / "train.log")]
+        argv[argv.index("--out") + 1] = str(out / "weights.iclw")
+        if side == "here":
+            assert cli.main(classify_argv) == 0
+            assert cli.main(argv) == 0
+        else:
+            run = subprocess.run([sys.executable, "-m", "icsort.cli", *argv], env=_src_env(),
+                                 capture_output=True, text=True)
+            assert run.returncode == 0, run.stderr
+        outputs[side] = _bundle_bytes(out)
+    assert sorted(outputs["here"]) == ["train.log", "weights.iclw"]
+    assert outputs["here"] == outputs["fresh"]
 
 
 # ------------------------------------------------------------ BLAS threads

@@ -1,6 +1,7 @@
 """Feature extraction: referencing, topography, spectra, autocorrelation."""
 
 import dataclasses
+import json
 import re
 import warnings
 
@@ -532,7 +533,7 @@ def test_a_collinear_montage_fails_every_component(tmp_path, capsys):
     assert stack is None and sorted(failures) == [0, 1, 2]
     for exc in failures.values():
         assert isinstance(exc, DataError)
-        assert str(exc) == ("electrodes are collinear after projection; "
+        assert str(exc) == ("electrode_positions: electrodes are collinear after projection; "
                             "interpolation is rank-deficient")
     write_recording_bundle(tmp_path / "rec", recording, recording_id="rec")
     assert cli.main(["extract", "--recording", str(tmp_path / "rec"),
@@ -660,6 +661,25 @@ def test_recording_validation_rejects_malformed_inputs():
     ):
         with pytest.raises(DataError):
             Recording(**{**fields, **bad})
+
+
+def test_a_sample_rate_below_2_hz_fails_once_in_the_recording(tmp_path, capsys):
+    good = builders.make_recording(seed=15)
+    arrays = (good.electrode_positions, good.mixing_matrix, good.component_activity)
+    with pytest.raises(DataError) as caught:
+        Recording(1.5, *arrays)
+    assert str(caught.value) == "sample_rate must be at least 2 Hz, got 1.5"
+    assert Recording(2.0, *arrays).sample_rate == 2.0  # the lowest rate with a bin at 1 Hz
+
+    # a bundle at 1.5 Hz fails as it is read, once, not once per component
+    write_recording_bundle(tmp_path / "rec", good, recording_id="rec")
+    manifest_path = tmp_path / "rec" / "manifest.json"
+    manifest_path.write_text(json.dumps(dict(json.loads(manifest_path.read_text()),
+                                             sample_rate=1.5)))
+    assert cli.main(["extract", "--recording", str(tmp_path / "rec"),
+                     "--out", str(tmp_path / "features")]) == 2
+    assert capsys.readouterr().err == "error: sample_rate must be at least 2 Hz, got 1.5\n"
+    assert not (tmp_path / "features").exists()
 
 
 def test_recording_accepts_and_discards_channel_data():
