@@ -20,7 +20,7 @@ and a command checks its file outputs' paths before any work
 (``check_file_outputs``).  Reports and manifests share one JSON encoding
 (``json_text``, byte-identical to ``json.dumps(indent=2, sort_keys=True)``
 of the payload with each NumPy array as its ``tolist()``, numeric arrays
-through json's C encoder) and one reader; this is the only module that
+written a table at a time) and one reader; this is the only module that
 imports ``json``.
 """
 
@@ -190,9 +190,14 @@ def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-#: json's C encoder, which only runs without ``indent``; ``_indented`` re-indents its text.
+#: json's C encoder, which only runs without ``indent``; it gives each value's text.
 _COMPACT = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
 _INDENT = "  "
+#: A row of fewer values is short and goes through the C encoder in one call;
+#: a dict of shorter tables is written as their stack, and a longer table is
+#: written alone, which bounds what is held at once.
+_SHORT = 64
+_encode_key = json.encoder.encode_basestring_ascii
 
 
 def json_text(payload: dict) -> str:
@@ -206,12 +211,71 @@ def json_text(payload: dict) -> str:
     whole, which refuses an array in it.
 
     ``json.dumps`` runs its pure-Python encoder whenever ``indent`` is set,
-    so a non-empty 1-D or 2-D array of booleans, integers or floats goes
-    through json's C encoder instead and is re-indented: its type fixes its
-    shape, and a number's text holds no ``[``, ``]`` or ``,``.  Lists are
-    walked item by item, so a large table belongs in an array.
+    so a table (a non-empty 1-D or 2-D array of booleans, integers or floats
+    of at most 64 bits) is written a table at a time instead.  Its texts
+    come from json's C encoder once per distinct value (by float64 bits, so
+    ``-0.0`` and each NaN keep theirs), and one join puts them between
+    separators fixed by the table's shape and depth; a row of fewer than 64
+    values goes through the encoder in one call.  A dict whose values are
+    all tables of fewer than 64 values of one shape and dtype, such as a
+    label vector per component, is written as their stack under its sorted
+    keys.  Lists are walked item by item, so a large table belongs in an
+    array.
     """
     return _indented(payload, "\n") + "\n"
+
+
+def _is_table(array: np.ndarray) -> bool:
+    """Whether ``json_text`` writes ``array`` a table at a time."""
+    dtype = array.dtype
+    return array.size > 0 and array.ndim in (1, 2) and dtype.kind in "biuf" and dtype.itemsize <= 8
+
+
+def _value_texts(table: np.ndarray) -> list:
+    """json's text of each value of ``table``, in row-major order."""
+    flat = table.ravel()
+    floats = flat.dtype.kind == "f"
+    if floats:  # by bits, as the float64s ``tolist`` gives
+        flat = flat.astype(np.float64, copy=False).view(np.uint64)
+    distinct, inverse = np.unique(flat, return_inverse=True)
+    if floats:
+        distinct = distinct.view(np.float64)
+    texts = _COMPACT.encode(distinct.tolist())[1:-1].split(",")
+    return np.array(texts, dtype=object)[inverse].tolist()
+
+
+def _table_text(table: np.ndarray, newline: str, keys=None) -> str:
+    """``table`` as ``json.dumps(table.tolist(), indent=2)`` writes it at the
+    depth of ``newline``; with ``keys`` (encoded strings), its first axis as
+    an object under those keys."""
+    texts = _value_texts(table)
+    shape, depth, count = table.shape, table.ndim, len(texts)
+    lines = [newline + _INDENT * level for level in range(depth + 1)]
+
+    def closing(axis):  # the brackets that close before the next index of ``axis``
+        return "".join([lines[level] + "]" for level in range(depth - 1, axis, -1)])
+
+    def opening(axis):  # the brackets that open after it
+        return "".join(["[" + lines[level + 1] for level in range(axis + 1, depth)])
+
+    # parts[2i] precedes texts[i] and is fixed by the outermost axis whose index moves there
+    parts = ["," + lines[depth]] * (2 * count + 1)
+    parts[1::2] = texts
+    run = 1  # values per index of ``axis``
+    for axis in range(depth - 2, -1, -1):
+        run *= shape[axis + 1]
+        starts = slice(0, 2 * count, 2 * run)
+        if axis == 0 and keys is not None:
+            before, after = closing(0) + "," + lines[1], ": " + opening(0)
+            parts[starts] = [before + key + after for key in keys]
+        else:
+            parts[starts] = [closing(axis) + "," + lines[axis + 1] + opening(axis)] * (count // run)
+    if keys is None:
+        parts[0], parts[-1] = "[" + lines[1] + opening(0), closing(0) + lines[0] + "]"
+    else:
+        parts[0], parts[-1] = ("{" + lines[1] + keys[0] + ": " + opening(0),
+                               closing(0) + lines[0] + "}")
+    return "".join(parts)
 
 
 def _indented(value, newline: str) -> str:
@@ -219,14 +283,12 @@ def _indented(value, newline: str) -> str:
     at the depth whose lines start with ``newline`` (a line break and indent)."""
     inner = newline + _INDENT
     if isinstance(value, np.ndarray):
-        if not (value.size and value.ndim in (1, 2) and value.dtype.kind in "biuf"):
+        if value.ndim == 1 and 0 < value.size < _SHORT and value.dtype.kind in "biuf":
+            return "[" + inner + _COMPACT.encode(value.tolist())[1:-1].replace(
+                ",", "," + inner) + newline + "]"  # a short row, such as a label vector
+        if not _is_table(value):
             return _indented(value.tolist(), newline)
-        body, deeper = _COMPACT.encode(value.tolist())[1:-1], inner + _INDENT
-        if value.ndim == 1:
-            return "[" + inner + body.replace(",", "," + inner) + newline + "]"
-        body = body.replace(",", "," + deeper).replace("]," + deeper, "]," + inner)
-        body = body.replace("[", "[" + deeper).replace("]", inner + "]")
-        return "[" + inner + body + newline + "]"
+        return _table_text(value, newline)
     if isinstance(value, (list, tuple)) and value:
         return "[" + inner + ("," + inner).join(
             [_indented(item, inner) for item in value]) + newline + "]"
@@ -234,9 +296,15 @@ def _indented(value, newline: str) -> str:
         items = sorted(value.items())
         if not all(isinstance(key, str) for key, _ in items):
             return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
+        first = items[0][1]
+        if isinstance(first, np.ndarray) and first.size < _SHORT and _is_table(first) and all(
+                isinstance(item, np.ndarray) and item.shape == first.shape
+                and item.dtype == first.dtype for _, item in items):
+            return _table_text(np.stack([item for _, item in items]), newline,
+                               [_encode_key(key) for key, _ in items])
         return "{" + inner + ("," + inner).join(
-            [json.encoder.encode_basestring_ascii(key) + ": " + _indented(item, inner)
-             for key, item in items]) + newline + "}"
+            [_encode_key(key) + ": " + _indented(item, inner) for key, item in items]
+        ) + newline + "}"
     return _COMPACT.encode(value)  # a scalar or an empty container has no indent
 
 
@@ -434,7 +502,14 @@ def read_labels_csv(path, n_categories: int = N_CATEGORIES) -> tuple:
     """Read a label CSV; returns (component_ids, (n, k) label array).
 
     Every row must hold a valid probability vector, and the header must
-    name ``n_categories`` categories.
+    name ``n_categories`` categories.  Blank rows are skipped.  The rows are
+    read once and every value is cast in one ``np.array(..., dtype=np.float64)``
+    call; only when that cast fails are the rows read again cell by cell
+    with ``float``, which finds the bad cell (or, should the cast refuse a
+    text ``float`` reads, gives the values).  The first bad row in file
+    order is the error, with its line number, as if each row were checked
+    as it is read.  A repeated component id is an error naming the first
+    one repeated and both of its lines.
     """
     rows = read_csv_rows(path)
     header = next(rows, None)
@@ -445,29 +520,47 @@ def read_labels_csv(path, n_categories: int = N_CATEGORIES) -> tuple:
     k = len(header) - 1
     if k < 2:
         raise DataError(f"{path}: need at least 2 category columns, found {k}")
-    component_ids = []
-    line_numbers = []
-    rows_values = []
-    for line_no, row in enumerate(rows, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != k + 1:
-            raise DataError(f"{path}:{line_no}: expected {k + 1} fields, got {len(row)}")
-        component_ids.append(row[0].strip())
-        line_numbers.append(line_no)
-        try:
-            rows_values.append([float(cell) for cell in row[1:]])
-        except ValueError as exc:
-            raise DataError(f"{path}:{line_no}: non-numeric probability: {exc}") from exc
-    if not component_ids:
+    line_numbers, kept = [], []
+    unreadable = None  # a read error after these rows, raised if they pass
+    try:
+        for line_no, row in enumerate(rows, start=2):
+            if any(map(str.strip, row)):
+                line_numbers.append(line_no)
+                kept.append(row)
+    except DataError as exc:
+        unreadable = exc
+    # the rows before the first with the wrong field count
+    whole = next((i for i, row in enumerate(kept) if len(row) != k + 1), len(kept))
+    try:
+        labels = np.array([cell for row in kept[:whole] for cell in row[1:]],
+                          dtype=np.float64).reshape(whole, k)
+    except ValueError:  # read row by row, which finds the bad cell
+        values = []
+        for line_no, row in zip(line_numbers, kept[:whole]):
+            try:
+                values.append([float(cell) for cell in row[1:]])
+            except ValueError as exc:
+                raise DataError(f"{path}:{line_no}: non-numeric probability: {exc}") from exc
+        labels = np.array(values, dtype=np.float64).reshape(whole, k)
+    if whole < len(kept):
+        raise DataError(f"{path}:{line_numbers[whole]}: expected {k + 1} fields, "
+                        f"got {len(kept[whole])}")
+    if unreadable is not None:
+        raise unreadable
+    if not kept:
         raise DataError(f"{path}: no label rows found")
-    labels = np.array(rows_values, dtype=np.float64)
     problem = first_invalid_label(labels)
     if problem:
         row, reason = problem
         raise DataError(f"{path}:{line_numbers[row]}: {reason}")
+    component_ids = [row[0].strip() for row in kept]
     if len(set(component_ids)) != len(component_ids):
-        raise DataError(f"{path}: duplicate component ids")
+        first_line = {}
+        for line_no, cid in zip(line_numbers, component_ids):
+            if cid in first_line:
+                raise DataError(f"{path}: duplicate component id {cid!r} on lines "
+                                f"{first_line[cid]} and {line_no}")
+            first_line[cid] = line_no
     if k != n_categories:
         raise DataError(f"{path}: expected {n_categories} category columns, found {k}")
     return component_ids, labels

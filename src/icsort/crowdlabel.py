@@ -389,7 +389,8 @@ def read_votes_csv(path):
     The required header is ``labeler_id,component_id,brain,muscle,eye,
     heart,line_noise,channel_noise,other,question_mark,is_expert``; each
     response column holds 0 or 1.  A labeler marked expert on any row is
-    treated as an expert throughout.
+    treated as an expert throughout.  Blank rows are skipped; the first bad
+    row is a ``DataError`` naming its line and the first check it fails.
 
     Returns
     -------
@@ -405,28 +406,33 @@ def read_votes_csv(path):
         )
     submissions = []
     experts: dict = {}
+    picks_of: dict = {}  # each valid flag tuple seen -> the responses it picks
     for line_no, row in enumerate(rows, start=2):
-        if not row or all(not cell.strip() for cell in row):
+        cells = list(map(str.strip, row))
+        if not any(cells):
             continue
-        if len(row) != len(VOTES_CSV_HEADER):
-            raise DataError(f"{path}:{line_no}: expected {len(VOTES_CSV_HEADER)} fields")
-        labeler, component = row[0].strip(), row[1].strip()
+        if len(cells) != len(VOTES_CSV_HEADER):
+            raise DataError(f"{path}:{line_no}: expected {len(VOTES_CSV_HEADER)} fields, "
+                            f"got {len(cells)}")
+        labeler, component, expert = cells[0], cells[1], cells[10]
         if not labeler or not component:
             raise DataError(f"{path}:{line_no}: empty labeler or component id")
-        picks = []
-        for offset, cell in enumerate(row[2:10]):
-            flag = cell.strip()
-            if flag not in ("0", "1"):
+        flags = tuple(cells[2:10])
+        picks = picks_of.get(flags)
+        if picks is None:
+            if not {*flags} <= {"0", "1"}:
                 raise DataError(f"{path}:{line_no}: response flags must be 0 or 1")
-            if flag == "1":
-                picks.append(RESPONSES[offset])
-        if not picks:
-            raise DataError(f"{path}:{line_no}: submission selects no responses")
-        expert_flag = row[10].strip()
-        if expert_flag not in ("0", "1"):
+            picks = tuple(response for response, flag in zip(RESPONSES, flags) if flag == "1")
+            if not picks:
+                raise DataError(f"{path}:{line_no}: submission selects no responses")
+            picks_of[flags] = picks
+        if expert == "1":
+            experts[labeler] = True
+        elif expert == "0":
+            experts.setdefault(labeler, False)
+        else:
             raise DataError(f"{path}:{line_no}: is_expert must be 0 or 1")
-        experts[labeler] = experts.get(labeler, False) or expert_flag == "1"
-        submissions.append(Submission(labeler, component, tuple(picks)))
+        submissions.append(Submission(labeler, component, picks))
     if not submissions:
         raise DataError(f"{path}: no submissions found")
     return submissions, experts

@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import builders
+from icsort import bundles
 from icsort.bundles import (
     ARRAY_MAGIC,
     atomic_write_text,
     json_text,
     read_array,
+    read_csv_rows,
     read_feature_bundle,
     read_labels_csv,
     read_recording_bundle,
@@ -27,6 +29,7 @@ from icsort.bundles import (
     write_labels_csv,
     write_recording_bundle,
 )
+from icsort.categories import first_invalid_label
 from icsort.crowdlabel import VOTES_CSV_HEADER, read_votes_csv
 from icsort.errors import DataError
 from icsort.features import GRID_MASK, FeatureStack, Recording
@@ -480,6 +483,155 @@ def test_read_labels_csv_rejects_malformed_files(tmp_path):
         read_labels_csv(path)
 
 
+def test_read_labels_csv_names_the_first_repeated_id_and_both_its_lines(tmp_path):
+    path = tmp_path / "labels.csv"
+    header = "component_id,brain,muscle,eye,heart,line_noise,channel_noise,other\n"
+    rows = ["a,1,0,0,0,0,0,0", "b,0,1,0,0,0,0,0", "", " b ,0,0,1,0,0,0,0", "a,0,0,0,1,0,0,0"]
+    path.write_text(header + "\n".join(rows) + "\n")
+    with pytest.raises(DataError, match=r"labels\.csv: duplicate component id 'b' on lines 3 and 5$"):
+        read_labels_csv(path)
+
+
+def test_read_labels_csv_reports_a_bad_row_before_undecodable_bytes_after_it(tmp_path):
+    # a row is judged before anything read after it, as when rows were checked one by one
+    path = tmp_path / "labels.csv"
+    header = "component_id,brain,muscle\n"
+    body = "a,0.5,oops\n" + "".join(f"r{i},0.5,0.5\n" for i in range(2000))
+    path.write_bytes((header + body).encode() + b"\xff\n")
+    with pytest.raises(DataError, match=r"labels\.csv:2: non-numeric probability"):
+        read_labels_csv(path, n_categories=2)
+    path.write_bytes((header + "a,0.5\n" + body).encode() + b"\xff\n")
+    with pytest.raises(DataError, match=r"labels\.csv:2: expected 3 fields, got 2"):
+        read_labels_csv(path, n_categories=2)
+    path.write_bytes((header + body.replace("oops", "0.5")).encode() + b"\xff\n")
+    with pytest.raises(DataError, match="not a readable CSV file"):
+        read_labels_csv(path, n_categories=2)
+
+
+def test_read_labels_csv_reads_row_by_row_when_the_one_cast_refuses(tmp_path, monkeypatch):
+    # should NumPy's cast refuse a text that ``float`` reads, the reader still reads the file
+    path = tmp_path / "labels.csv"
+    path.write_text("component_id,brain,muscle\na, 1.0 ,0\nb,.5,0_5e-1\n")
+    expected = read_labels_csv(path, n_categories=2)
+
+    class RefusingText:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def array(values, *args, **kwargs):
+            if values and isinstance(values[0], str):
+                raise ValueError("refused")
+            return np.array(values, *args, **kwargs)
+
+    monkeypatch.setattr(bundles, "np", RefusingText())
+    ids, labels = read_labels_csv(path, n_categories=2)
+    assert ids == expected[0]
+    assert labels.dtype == np.float64 and labels.tobytes() == expected[1].tobytes()
+    path.write_text("component_id,brain,muscle\na,1,0\nb,.5,oops\n")
+    with pytest.raises(DataError, match=r"labels\.csv:3: non-numeric probability: "
+                                        r"could not convert string to float: 'oops'$"):
+        read_labels_csv(path, n_categories=2)
+
+
+def _labels_row_by_row(path, n_categories):
+    """The label CSV reader as it was, checking each row as it is read: the
+    reference for ``read_labels_csv``, with today's duplicate-id message."""
+    rows = read_csv_rows(path)
+    header = next(rows, None)
+    if header is None:
+        raise DataError(f"{path}: empty label file")
+    if not header or header[0].strip() != "component_id":
+        raise DataError(f"{path}: first column must be component_id")
+    k = len(header) - 1
+    if k < 2:
+        raise DataError(f"{path}: need at least 2 category columns, found {k}")
+    component_ids, line_numbers, rows_values = [], [], []
+    for line_no, row in enumerate(rows, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != k + 1:
+            raise DataError(f"{path}:{line_no}: expected {k + 1} fields, got {len(row)}")
+        component_ids.append(row[0].strip())
+        line_numbers.append(line_no)
+        try:
+            rows_values.append([float(cell) for cell in row[1:]])
+        except ValueError as exc:
+            raise DataError(f"{path}:{line_no}: non-numeric probability: {exc}") from exc
+    if not component_ids:
+        raise DataError(f"{path}: no label rows found")
+    labels = np.array(rows_values, dtype=np.float64)
+    problem = first_invalid_label(labels)
+    if problem:
+        row, reason = problem
+        raise DataError(f"{path}:{line_numbers[row]}: {reason}")
+    seen = {}
+    for line_no, cid in zip(line_numbers, component_ids):
+        if cid in seen:
+            raise DataError(f"{path}: duplicate component id {cid!r} on lines "
+                            f"{seen[cid]} and {line_no}")
+        seen[cid] = line_no
+    if k != n_categories:
+        raise DataError(f"{path}: expected {n_categories} category columns, found {k}")
+    return component_ids, labels
+
+
+#: Cells as ``float`` reads them or not: underscores, padding, NaN, overflow, names, junk.
+_LABEL_CELLS = st.sampled_from(["0", "1", "0.5", " .5 ", "1_0", "nan", "-0.0", "1e400",
+                                "Infinity", "-inf", "1e-400", "oops", "", " ", "1__0"])
+_ZEROS, _ONES, _HALVES = ["0", "-0.0", " 0 ", "1e-400", "0_0"], ["1", " 1.0 ", "10e-1"], ["0.5", " .5 "]
+_LABEL_IDS = st.sampled_from(["a", "b", " c ", '"q,1"', '"r ""s"""', ""])
+
+
+@st.composite
+def _label_rows(draw, k):
+    """The cells of a row holding a valid label vector, spelt in the ways ``float`` reads."""
+    cells = [draw(st.sampled_from(_ZEROS)) for _ in range(k)]
+    hot = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=2, unique=True))
+    for j in hot:
+        cells[j] = draw(st.sampled_from(_ONES if len(hot) == 1 else _HALVES))
+    return cells
+
+
+@st.composite
+def _label_files(draw):
+    """A label CSV's text and the category count asked for: valid rows with
+    repeated ids, and blank rows, wrong field counts and bad cells."""
+    k = draw(st.integers(2, 3))
+    lines = [",".join(["component_id"] + [f"cat{i}" for i in range(k)])]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["good"] * 6 + ["cells", "blank", "spaces", "count"]))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "spaces":
+            lines.append(" , " * draw(st.integers(0, k)))
+        else:
+            fields = k + (draw(st.sampled_from([-1, 1, 2])) if kind == "count" else 0)
+            cells = draw(_label_rows(k) if kind == "good" else st.lists(
+                _LABEL_CELLS, min_size=fields, max_size=fields))
+            lines.append(",".join([draw(_LABEL_IDS)] + cells))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return (ending.join(lines) + draw(st.sampled_from([ending, ""])),
+            draw(st.sampled_from([k, k, 7])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_label_files())
+def test_read_labels_csv_reads_as_row_by_row_reading_did(tmp_path_factory, case):
+    text, n_categories = case
+    path = tmp_path_factory.mktemp("labels") / "labels.csv"
+    path.write_bytes(text.encode())
+
+    def outcome(reader):
+        try:
+            ids, labels = reader(path, n_categories)
+        except DataError as exc:
+            return str(exc)
+        return ids, labels.shape, labels.view(np.uint64).tolist()
+
+    assert outcome(read_labels_csv) == outcome(_labels_row_by_row)
+
+
 # ------------------------------------------------------- damaged files
 
 
@@ -747,10 +899,61 @@ def _as_lists(value):
     return value
 
 
+#: Float64 values a table repeats: both zeros, NaNs of other signs and payloads, infinities.
+_TABLE_FLOATS = np.concatenate([
+    np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+              0x7FF80000DEADBEEF], dtype=np.uint64).view(np.float64),
+    [0.0, -0.0, np.inf, -np.inf, 0.1, 1 / 3, 5e-324, 1e16, 1e-7, 2.0, -1.5],
+])
+_TABLE_DTYPES = ("float64", "float32", "int64", "uint8", "bool")
+
+
+@st.composite
+def _tables(draw, dtype=None, shape=None):
+    """A 1-D or 2-D table of up to 200 values, many of them repeated, and a
+    few fresh ones; rows shorter and longer than those sent to the encoder
+    in one call."""
+    dtype = dtype or draw(st.sampled_from(_TABLE_DTYPES))
+    shape = shape or draw(st.one_of(st.tuples(st.integers(1, 200)),
+                                    st.tuples(st.integers(1, 40), st.integers(1, 5))))
+    fresh = draw(st.lists(st.floats(allow_nan=False), max_size=4))
+    pool = np.concatenate([_TABLE_FLOATS, fresh])
+    if dtype == "int64":
+        pool = np.array([0, -1, 1, 7, -2**63, 2**63 - 1] + [int(v) for v in fresh
+                                                             if abs(v) < 2**62], np.int64)
+    elif dtype == "uint8":
+        pool = np.array([0, 1, 127, 255], np.uint8)
+    elif dtype == "bool":
+        pool = np.array([False, True])
+    index = draw(hnp.arrays(np.intp, shape, elements=st.integers(0, len(pool) - 1)))
+    with np.errstate(over="ignore", invalid="ignore"):  # float32: overflow and NaN casts
+        return pool[index].astype(dtype)
+
+
+@st.composite
+def _table_dicts(draw):
+    """Dicts of tables of one shape and dtype, one entry or more, some mixed
+    with a table of another shape or dtype, or with a value that is not one."""
+    dtype = draw(st.sampled_from(_TABLE_DTYPES))
+    shape = draw(st.one_of(st.tuples(st.integers(1, 70)),
+                           st.tuples(st.integers(1, 12), st.integers(1, 4))))
+    keys = draw(st.lists(_JSON_STRINGS, min_size=1, max_size=6, unique=True))
+    table = _tables(dtype, shape)
+    mapping = {key: draw(table) for key in keys}
+    odd = draw(st.one_of(st.none(), _tables(shape=shape), _tables(dtype=dtype), _JSON_LEAVES,
+                         _ARRAYS))
+    if odd is not None:
+        mapping[draw(_JSON_STRINGS)] = odd
+    return mapping
+
+
 @settings(max_examples=400, deadline=None)
-@given(payload=st.dictionaries(_JSON_STRINGS, _ARRAY_VALUES, max_size=5))
+@given(payload=st.dictionaries(_JSON_STRINGS, st.one_of(_ARRAY_VALUES, _tables(), _table_dicts(),
+                                                        st.lists(_table_dicts(), max_size=2)),
+                               max_size=5))
 def test_json_text_writes_each_array_as_its_tolist(payload):
-    # non-empty 1-D and 2-D boolean, integer and float arrays take the C
-    # encoder and are re-indented; other arrays are walked as their lists
+    # non-empty 1-D and 2-D boolean, integer and float arrays (and dicts of
+    # them, one shape and dtype) are written a table at a time; other arrays
+    # are walked as their lists
     expected = json.dumps(_as_lists(payload), indent=2, sort_keys=True) + "\n"
     assert json_text(payload) == expected

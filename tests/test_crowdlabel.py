@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from icsort import crowdlabel
+from icsort.bundles import read_csv_rows
 from icsort.categories import N_CATEGORIES, N_RESPONSES, RESPONSES
 from icsort.crowdlabel import (
     TRAINING_CLASS_PRIOR,
@@ -182,6 +185,101 @@ def test_read_votes_csv_rejects_bad_or_missing_header(tmp_path):
     path.write_bytes(",".join(VOTES_CSV_HEADER).encode() + b"\nann,c\xff1,1,0,0,0,0,0,0,0,0\n")
     with pytest.raises(DataError, match="CSV"):  # not UTF-8
         read_votes_csv(path)
+
+
+def test_read_votes_csv_says_how_many_fields_a_row_has(tmp_path):
+    path = tmp_path / "votes.csv"
+    _write_votes(path, ["ann,c1,1,0,0,0,0,0,0,0,0", "ann,c2,1,0,0,0,0,0,0,0", "bob,c1"])
+    with pytest.raises(DataError, match=r"votes\.csv:3: expected 11 fields, got 10$"):
+        read_votes_csv(path)
+
+
+def _votes_row_by_row(path):
+    """The vote log reader as it was, each cell stripped and checked on its
+    own: the reference for ``read_votes_csv``, with today's field-count message."""
+    rows = read_csv_rows(path)
+    header = next(rows, None)
+    if header is None:
+        raise DataError(f"{path}: empty votes file")
+    if tuple(h.strip() for h in header) != VOTES_CSV_HEADER:
+        raise DataError(f"{path}: bad header; expected {','.join(VOTES_CSV_HEADER)}")
+    submissions, experts = [], {}
+    for line_no, row in enumerate(rows, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(VOTES_CSV_HEADER):
+            raise DataError(f"{path}:{line_no}: expected {len(VOTES_CSV_HEADER)} fields, "
+                            f"got {len(row)}")
+        labeler, component = row[0].strip(), row[1].strip()
+        if not labeler or not component:
+            raise DataError(f"{path}:{line_no}: empty labeler or component id")
+        picks = []
+        for offset, cell in enumerate(row[2:10]):
+            flag = cell.strip()
+            if flag not in ("0", "1"):
+                raise DataError(f"{path}:{line_no}: response flags must be 0 or 1")
+            if flag == "1":
+                picks.append(RESPONSES[offset])
+        if not picks:
+            raise DataError(f"{path}:{line_no}: submission selects no responses")
+        expert_flag = row[10].strip()
+        if expert_flag not in ("0", "1"):
+            raise DataError(f"{path}:{line_no}: is_expert must be 0 or 1")
+        experts[labeler] = experts.get(labeler, False) or expert_flag == "1"
+        submissions.append(Submission(labeler, component, tuple(picks)))
+    if not submissions:
+        raise DataError(f"{path}: no submissions found")
+    return submissions, experts
+
+
+#: The faults a vote row can have, each failing one check of the reader.
+_VOTE_FAULTS = ("no labeler", "no component", "bad flag", "no pick", "bad expert", "short",
+                "long")
+
+
+@st.composite
+def _vote_rows(draw):
+    """A vote row's text: valid, or with one or two faults from ``_VOTE_FAULTS``."""
+    labeler = draw(st.sampled_from(["ann", " bob ", "cy"]))
+    component = draw(st.sampled_from(["c1", "c2 ", '"c,3"']))
+    flags = draw(st.lists(st.sampled_from(["0", "1", " 1", "0 "]), min_size=8, max_size=8))
+    if "1" not in {flag.strip() for flag in flags}:
+        flags[draw(st.integers(0, 7))] = "1"
+    expert = draw(st.sampled_from(["0", "1", " 1 "]))
+    faults = draw(st.lists(st.sampled_from(_VOTE_FAULTS), max_size=2, unique=True))
+    for fault in sorted(faults, key=_VOTE_FAULTS.index):  # the field count last
+        if fault == "no labeler":
+            labeler = draw(st.sampled_from(["", "  "]))
+        elif fault == "no component":
+            component = ""
+        elif fault == "bad flag":
+            flags[draw(st.integers(0, 7))] = draw(st.sampled_from(["2", "", "yes", "01"]))
+        elif fault == "no pick":
+            flags = [" 0"] * 8
+        elif fault == "bad expert":
+            expert = draw(st.sampled_from(["2", "", "true"]))
+        elif fault == "short":
+            flags = flags[:draw(st.integers(0, 7))]
+        else:
+            expert += ",0"
+    return ",".join([labeler, component] + flags + [expert])
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.one_of(_vote_rows(), st.sampled_from(["", " , ", "  "])), max_size=6),
+       ending=st.sampled_from(["\n", "\r\n"]))
+def test_read_votes_csv_reads_as_cell_by_cell_checks_did(tmp_path_factory, rows, ending):
+    path = tmp_path_factory.mktemp("votes") / "votes.csv"
+    path.write_bytes(ending.join([",".join(VOTES_CSV_HEADER)] + rows).encode() + ending.encode())
+
+    def outcome(reader):
+        try:
+            submissions, experts = reader(path)
+        except DataError as exc:
+            return str(exc)
+        return submissions, list(experts.items())
+
+    assert outcome(read_votes_csv) == outcome(_votes_row_by_row)
 
 
 # ----------------------------------------------------------------- sampler
