@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,24 +60,33 @@ VOTES_CSV_HEADER = (
 )
 
 
-@dataclass(frozen=True)
-class Vote:
-    """One (possibly fractional) response by one labeler on one component."""
-
+class _VoteFields(NamedTuple):
     labeler_id: str
     component_id: str
     response: str  # one of the 7 categories or "?"
     weight: float = 1.0
 
-    def __post_init__(self):
-        if self.response not in RESPONSE_INDEX:
-            raise DataError(f"unknown response {self.response!r}")
-        if not 0.0 < self.weight <= 1.0:
-            raise DataError(f"vote weight must be in (0, 1], got {self.weight}")
+
+class Vote(_VoteFields):
+    """One (possibly fractional) response by one labeler on one component.
+
+    Votes and submissions are named tuples because a vote log makes tens
+    of thousands of them, and a tuple is built in one step where a frozen
+    dataclass sets each field through ``object.__setattr__``.  Each is
+    immutable, and equal to and hashed as the tuple of its fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, labeler_id: str, component_id: str, response: str, weight: float = 1.0):
+        if response not in RESPONSE_INDEX:
+            raise DataError(f"unknown response {response!r}")
+        if not 0.0 < weight <= 1.0:
+            raise DataError(f"vote weight must be in (0, 1], got {weight}")
+        return tuple.__new__(cls, (labeler_id, component_id, response, weight))
 
 
-@dataclass(frozen=True)
-class Submission:
+class Submission(NamedTuple):
     """A raw form submission: one labeler ticking one or more responses."""
 
     labeler_id: str

@@ -17,7 +17,10 @@ final unpadded 4x4 convolution with 7 filters produces the category
 logits, which a softmax turns into probabilities.
 
 All hidden layers use leaky-ReLU activations with slope 0.2; the head is
-linear.
+linear.  A training step's forward pass keeps, per layer, the im2col
+matrix its GEMM read and, for a leaky-ReLU layer, the boolean mask of its
+positive outputs: one byte per value instead of the float activation,
+and all the backward pass needs to rebuild the slope.
 """
 
 from __future__ import annotations
@@ -86,14 +89,10 @@ LAYER_ORDER: tuple = tuple(spec.name for spec in ARCHITECTURE)
 
 #: kind -> the lowering of the layer's input for its convolution
 _LOWERINGS = {"conv2d": convops.lower_2d, "conv1d": convops.lower_1d}
-#: activation -> (function applied in place to the pre-activation, derivative evaluated
-#: on the output, whose sign is the pre-activation's); None is the identity's derivative
+#: activation -> function applied in place to the pre-activation
 _ACTIVATIONS = {
-    "lrelu": (
-        lambda pre: convops.leaky_relu(pre, LEAKY_SLOPE, out=pre),
-        lambda out: convops.leaky_relu_grad(out, LEAKY_SLOPE),
-    ),
-    "linear": (lambda pre: pre, None),
+    "lrelu": lambda pre: convops.leaky_relu(pre, LEAKY_SLOPE, out=pre),
+    "linear": lambda pre: pre,
 }
 #: Layers fed the network's inputs; nothing uses the gradient of their input.
 _INPUT_LAYERS = frozenset(branch[0] for branch in BRANCHES)
@@ -177,20 +176,50 @@ def _as_network_inputs(topo: np.ndarray, psd: np.ndarray, autocorr: np.ndarray, 
 
 
 def _walk_forward(weights: NetworkWeights, specs, x: np.ndarray, cache) -> np.ndarray:
-    """Run ``x`` through the layers ``specs`` in order; return the last activation."""
-    for spec in specs:
+    """Run ``x`` through the layers ``specs`` in order; return the last activation.
+
+    Finiteness is checked once, on the last activation: a NaN or infinity
+    in any layer's pre-activation reaches it, because every input position
+    lies under some output's kernel and every output reads all input
+    channels.  When the check fails, ``_first_non_finite`` walks ``x``
+    again to name the layer.  With a cache, each layer stores the triple
+    ``forward`` describes, which holds no activation, so each activation is
+    freed once the next layer has lowered it.
+    """
+    out = x
+    with np.errstate(invalid="ignore", over="ignore"):  # the check below reports them
+        for spec in specs:
+            lowered = _LOWERINGS[spec.kind](out, spec.weight_shape, spec.stride, spec.padding)
+            del out  # the lowering holds what the GEMM and the backward pass read
+            out = convops.forward_lowered(lowered, weights.kernels[spec.name],
+                                          weights.biases[spec.name])
+            out = _ACTIVATIONS[spec.activation](out)  # the walk owns the pre-activation
+            if cache is not None:
+                # the leaky ReLU keeps the sign, so its slope is read from out > 0
+                positive = out > 0 if spec.activation == "lrelu" else None
+                cache[spec.name] = (lowered.input_shape, positive, lowered)
+            del lowered  # without a cache no backward pass reads it, so free it now
+        if not np.all(np.isfinite(out)):
+            name = _first_non_finite(weights, specs, x)
+            raise NumericError(f"non-finite activations in layer {name!r}")
+    return out
+
+
+def _first_non_finite(weights: NetworkWeights, specs: tuple, x: np.ndarray) -> str:
+    """Name of the first layer of ``specs`` whose pre-activation is not finite for ``x``.
+
+    Called once the walk's last output is not finite.  The activations keep
+    finite values finite, so when no earlier layer's pre-activation is
+    non-finite the last layer's is, and it is not computed again.
+    """
+    for spec in specs[:-1]:
         lowered = _LOWERINGS[spec.kind](x, spec.weight_shape, spec.stride, spec.padding)
         pre = convops.forward_lowered(lowered, weights.kernels[spec.name],
                                       weights.biases[spec.name])
-        if cache is None:
-            del lowered  # no backward pass will read it, so free it before the next layer
         if not np.all(np.isfinite(pre)):
-            raise NumericError(f"non-finite activations in layer {spec.name!r}")
-        out = _ACTIVATIONS[spec.activation][0](pre)  # the walk owns pre, so in place
-        if cache is not None:
-            cache[spec.name] = (x, out, lowered)
-        x = out
-    return x
+            return spec.name
+        x = _ACTIVATIONS[spec.activation](pre)
+    return specs[-1].name
 
 
 def _walk_backward(weights: NetworkWeights, specs, cache: dict, dy, grads):
@@ -198,18 +227,20 @@ def _walk_backward(weights: NetworkWeights, specs, cache: dict, dy, grads):
 
     Stores each layer's kernel and bias gradients in ``grads`` and returns
     the gradient with respect to the input of the last spec walked, or None
-    when that layer is fed a network input.  Each layer's cache entry is
-    removed as it is used, and its im2col matrix, which the layer's backward
-    pass overwrites with the column gradient, is freed before the next
-    layer's.
+    when that layer is fed a network input.  A leaky-ReLU layer's slope is
+    built from its cached mask of positive outputs: 1 there and
+    ``LEAKY_SLOPE`` elsewhere, the values ``convops.leaky_relu_grad`` reads
+    from the output's sign.  Each layer's cache entry is removed as it is
+    used, and its im2col matrix, which the layer's backward pass overwrites
+    with the column gradient, is freed before the next layer's.
     """
     for spec in specs:
-        _, out, lowered = cache.pop(spec.name)
-        dy = dy.reshape(out.shape)
-        derivative = _ACTIVATIONS[spec.activation][1]
-        if derivative is not None:
-            grad = derivative(out)
-            dy = np.multiply(dy, grad, out=grad)
+        _, positive, lowered = cache.pop(spec.name)
+        if positive is not None:
+            # not np.where(positive, 1, slope): a random mask defeats its branch prediction
+            slope = positive.astype(dy.dtype)
+            np.maximum(slope, LEAKY_SLOPE, out=slope)
+            dy = np.multiply(dy.reshape(positive.shape), slope, out=slope)
         dy, grads[0][spec.name], grads[1][spec.name] = convops.backward_lowered(
             lowered, weights.kernels[spec.name], dy, input_grad=spec not in _INPUT_LAYERS,
         )
@@ -245,9 +276,9 @@ def _unmerge(dmerged: np.ndarray, shapes: list) -> list:
     return grads
 
 
-def _head(weights: NetworkWeights, outputs: list, cache) -> np.ndarray:
-    """Class probabilities from the branch outputs: merge, head layer, softmax."""
-    logits = _walk_forward(weights, (HEAD,), _merge(outputs), cache)
+def _head(weights: NetworkWeights, merged: np.ndarray, cache) -> np.ndarray:
+    """Class probabilities from the merged branch outputs: head layer, softmax."""
+    logits = _walk_forward(weights, (HEAD,), merged, cache)
     probs = convops.softmax(logits.reshape(len(logits), N_CATEGORIES))
     if cache is not None:
         cache["probs"] = probs
@@ -266,15 +297,18 @@ def forward(
     Inputs are cast to the weight dtype.  The weights are not checked here
     (see ``NetworkWeights.validate``; ``classify`` and ``train`` check them
     once per call).  When ``cache`` is a dict it is filled with per-layer
-    (input, output, lowered input) triples for the backward pass: the
-    lowered input (``convops.Lowered``) holds the im2col matrix the forward
-    GEMM read, so the backward pass need not build it again.  A layer's
-    output is the next layer's input, so no pre-activation is kept.
-    Without a cache each im2col matrix is freed after its GEMM.
+    (input shape, positive-output mask, lowered input) triples for the
+    backward pass: the boolean mask ``output > 0`` is all a leaky ReLU's
+    slope needs (None for the linear head), and the lowered input
+    (``convops.Lowered``) holds the im2col matrix the forward GEMM read, so
+    the backward pass need not build it again.  No float activation is
+    kept.  Without a cache each im2col matrix is freed after its GEMM.
     """
     inputs = _as_network_inputs(topo, psd, autocorr, weights.dtype)
-    outputs = [_walk_forward(weights, branch, x, cache) for branch, x in zip(BRANCHES, inputs)]
-    return _head(weights, outputs, cache)
+    # the branch outputs are freed once merged
+    merged = _merge([_walk_forward(weights, branch, x, cache)
+                     for branch, x in zip(BRANCHES, inputs)])
+    return _head(weights, merged, cache)
 
 
 def forward_backward(
@@ -346,7 +380,7 @@ def classify(
         for mirror, negate in orbit:
             element = orbit_element(topo[rows, ..., 0], mirror, negate)[..., None]
             topo_output = _walk_forward(weights, BRANCHES[0], element, None)
-            total[rows] += _head(weights, [topo_output, *signal_outputs], None)
+            total[rows] += _head(weights, _merge([topo_output, *signal_outputs]), None)
     return total / len(orbit)
 
 

@@ -46,12 +46,14 @@ def save_weights(path, weights: NetworkWeights) -> None:
 
 
 class _Reader:
+    """Reads a file's bytes in order; each piece is a view, not a copy."""
+
     def __init__(self, data: bytes, path):
-        self.data = data
+        self.data = memoryview(data)
         self.offset = 0
         self.path = path
 
-    def take(self, size: int) -> bytes:
+    def take(self, size: int) -> memoryview:
         if self.offset + size > len(self.data):
             raise DataError(f"{self.path}: truncated weights file")
         out = self.data[self.offset : self.offset + size]
@@ -77,7 +79,7 @@ def load_weights(path) -> NetworkWeights:
 
     weights = NetworkWeights()
     for spec in ARCHITECTURE:
-        name = reader.take(reader.u32()).decode("utf-8", errors="replace")
+        name = str(reader.take(reader.u32()), "utf-8", errors="replace")
         if name != spec.name:
             raise DataError(f"{path}: expected layer {spec.name!r}, found {name!r}")
         rank = reader.u32()
@@ -96,6 +98,7 @@ def load_weights(path) -> NetworkWeights:
         bias = np.frombuffer(reader.take(4 * spec.out_channels), dtype="<f4")
         if not (np.all(np.isfinite(kernel)) and np.all(np.isfinite(bias))):
             raise DataError(f"{path}: layer {name!r} contains non-finite weights")
+        # the one copy: it also aligns the values, which start at any byte offset
         weights.kernels[name] = kernel.astype(np.float32)
         weights.biases[name] = bias.astype(np.float32)
     if reader.offset != len(reader.data):

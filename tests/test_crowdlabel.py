@@ -45,6 +45,19 @@ def test_vote_rejects_unknown_responses_and_bad_weights():
         Vote("lab", "comp", "Brain", weight=1.5)
 
 
+def test_votes_and_submissions_are_immutable_records_equal_by_their_fields():
+    vote = Vote(labeler_id="lab", component_id="comp", response="Eye", weight=0.5)
+    assert vote == Vote("lab", "comp", "Eye", 0.5) != Vote("lab", "comp", "Eye")
+    assert hash(vote) == hash(("lab", "comp", "Eye", 0.5))
+    assert Vote("lab", "comp", "Eye").weight == 1.0
+    submission = Submission("lab", "comp", ("Eye", "?"))
+    assert submission == Submission("lab", "comp", ("Eye", "?"))
+    assert len({submission, Submission("lab", "comp", ("Eye", "?"))}) == 1
+    for record, field in ((vote, "weight"), (submission, "responses")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+
+
 def test_labeler_prior_validation():
     LabelerPrior(np.ones((N_CATEGORIES, N_RESPONSES)))
     with pytest.raises(ConfigError):

@@ -1,5 +1,6 @@
 """Network architecture, convolution primitives, gradients, weight files."""
 
+import hashlib
 import os
 import struct
 import tracemalloc
@@ -297,8 +298,8 @@ def test_live_forward_matches_the_shape_trace():
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
     trace = shape_trace(3)
     for name in ("topo1", "topo2", "topo3", "psd1", "psd2", "psd3", "acf1", "acf2", "acf3"):
-        assert cache[name][1].shape == trace[name]  # cached (input, output)
-    assert cache["out"][0].shape == trace["merged"]
+        assert cache[name][1].shape == trace[name]  # cached (input shape, output mask)
+    assert cache["out"][0] == trace["merged"]
     assert cache["probs"].shape == trace["probs"]
 
 
@@ -352,6 +353,110 @@ def test_forward_names_the_layer_with_nan_activations():
     stack = builders.random_stack(2, seed=10)
     with pytest.raises(NumericError, match="psd2"):
         forward(weights, stack.topo, stack.psd, stack.autocorr)
+
+
+#: kind -> the reference convolution the per-layer walks below run
+_CONVOLUTIONS = {"conv2d": conv2d_forward, "conv1d": conv1d_forward}
+
+
+def _checked_walk(weights, specs, x):
+    """The layers ``specs`` applied to ``x``, each pre-activation checked for finiteness."""
+    for spec in specs:
+        pre = _CONVOLUTIONS[spec.kind](x, weights.kernels[spec.name], weights.biases[spec.name],
+                                       spec.stride, spec.padding)
+        if not np.all(np.isfinite(pre)):
+            raise NumericError(f"non-finite activations in layer {spec.name!r}")
+        x = leaky_relu(pre, model.LEAKY_SLOPE) if spec.activation == "lrelu" else pre
+    return x
+
+
+def _per_layer_message(walk):
+    """The message of the per-layer check that ``walk`` trips first, or None."""
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):
+            walk()
+    except NumericError as exc:
+        return str(exc)
+    return None
+
+
+def _forward_message(weights, topo, psd, autocorr):
+    """Per-layer reference in ``forward``'s order: topography, PSD, autocorrelation, head."""
+    def walk():
+        outputs = [_checked_walk(weights, branch, features[..., None])
+                   for branch, features in zip(model.BRANCHES, (topo, psd, autocorr))]
+        _checked_walk(weights, (model.HEAD,), model._merge(outputs))
+    return _per_layer_message(walk)
+
+
+def _classify_message(weights, topo, psd, autocorr):
+    """Per-layer reference in ``classify``'s order: PSD and autocorrelation once, then
+    the topography and the head for each orbit element."""
+    def walk():
+        signals = [_checked_walk(weights, branch, features[..., None])
+                   for branch, features in zip(model.BRANCHES[1:], (psd, autocorr))]
+        for mirror, negate in TOPOGRAPHY_ORBIT:
+            element = orbit_element(topo, mirror, negate)[..., None]
+            square = _checked_walk(weights, model.BRANCHES[0], element)
+            _checked_walk(weights, (model.HEAD,), model._merge([square, *signals]))
+    return _per_layer_message(walk)
+
+
+def _spoiled(layer, position, value):
+    """Seeded weights with one kernel entry of ``layer`` set to a value, or scaled by
+    1e38 when ``value`` is "overflow"."""
+    weights = initialize_weights(seed=20)
+    kernel = weights.kernels[layer].reshape(-1)
+    if value == "overflow":
+        kernel[position % kernel.size] *= np.float32(1e38)
+    else:
+        kernel[position % kernel.size] = value
+    return weights
+
+
+def _scaled_stack(gain):
+    # inputs of about 1e3 let one overflowing entry overflow a later layer
+    stack = builders.random_stack(2, seed=20)
+    return [gain * a for a in (stack.topo, stack.psd, stack.autocorr)]
+
+
+def _raises_or_runs(call, message):
+    if message is None:
+        # only the forward check is under test: an overflowing kernel may still
+        # overflow the backward pass
+        with np.errstate(over="ignore", invalid="ignore"):
+            call()
+        return
+    with pytest.raises(NumericError) as failure:
+        call()
+    assert str(failure.value) == message
+
+
+@settings(max_examples=40, deadline=None)
+@given(layer=st.sampled_from(LAYER_ORDER),
+       value=st.sampled_from([np.nan, np.inf, -np.inf, "overflow"]),
+       position=st.integers(0, 2**31 - 1), gain=st.sampled_from([1.0, 1e3]))
+def test_one_check_per_walk_names_the_layer_a_per_layer_check_names(layer, value, position,
+                                                                     gain):
+    weights = _spoiled(layer, position, value)
+    topo, psd, acf = _scaled_stack(gain)
+    message = _forward_message(weights, topo, psd, acf)
+    if value != "overflow":
+        assert message is not None
+    _raises_or_runs(lambda: forward(weights, topo, psd, acf), message)
+    _raises_or_runs(lambda: forward_backward(weights, topo, psd, acf, np.eye(7)[[0, 3]],
+                                             np.ones(7)), message)
+
+
+@settings(max_examples=20, deadline=None)
+@given(layer=st.sampled_from(LAYER_ORDER), position=st.integers(0, 2**31 - 1),
+       gain=st.sampled_from([1.0, 1e3]))
+def test_classify_names_the_layer_an_overflow_makes_non_finite(layer, position, gain):
+    # classify refuses NaN and infinite weights before any walk
+    weights = _spoiled(layer, position, "overflow")
+    topo, psd, acf = _scaled_stack(gain)
+    message = _classify_message(weights, topo, psd, acf)
+    _raises_or_runs(lambda: classify(weights, topo, psd, acf), message)
 
 
 def test_forward_rejects_wrong_input_shapes():
@@ -450,6 +555,50 @@ def test_forward_backward_matches_a_layer_by_layer_walk_bitwise(n, dtype):
     assert got[3].tobytes() == want[3].tobytes()
 
 
+def test_training_step_bits_are_pinned():
+    # the digest was taken from the step that cached each layer's float32
+    # output; any change in the step's arithmetic moves it.  GEMM bits can
+    # depend on the BLAS build: it was taken with OpenBLAS 0.3.31 on x86-64
+    n = 128
+    weights = initialize_weights(seed=30)
+    stack = builders.random_stack(n, seed=30)
+    loss, kernel_grads, bias_grads, probs = forward_backward(
+        weights, stack.topo, stack.psd, stack.autocorr, np.eye(7)[np.arange(n) % 7],
+        np.array([2.0, 1, 1, 1, 1, 1, 3]))
+    digest = hashlib.sha256(np.float64(loss).tobytes())
+    digest.update(probs.tobytes())
+    for name in LAYER_ORDER:
+        digest.update(kernel_grads[name].tobytes())
+        digest.update(bias_grads[name].tobytes())
+    assert digest.hexdigest() == (
+        "824df3cacbe1d45dfe7358e99c38a177282b41f4f05ce1e2a1906204a37e442f")
+
+
+def test_training_cache_keeps_sign_masks_and_no_float_activation():
+    weights = initialize_weights(seed=21)
+    stack = builders.random_stack(3, seed=21)
+    cache = {}
+    forward(weights, stack.topo, stack.psd, stack.autocorr, cache)
+    assert sorted(cache) == sorted([*LAYER_ORDER, "probs"])
+    for branch, features in zip(model.BRANCHES, (stack.topo, stack.psd, stack.autocorr)):
+        x = features[..., None]
+        for spec in branch:
+            input_shape, positive, _ = cache[spec.name]
+            assert input_shape == x.shape
+            x = _checked_walk(weights, (spec,), x)
+            assert positive.dtype == np.bool_
+            assert np.array_equal(positive, x > 0), spec.name
+    for name in LAYER_ORDER:
+        input_shape, positive, lowered = cache[name]
+        assert isinstance(lowered, convops.Lowered) and lowered.input_shape == input_shape
+        assert positive is None if name == "out" else positive.dtype == np.bool_
+    # besides each layer's im2col matrix, the only float array is the returned probabilities
+    floats = [a for entry in cache.values() for a in (entry if isinstance(entry, tuple)
+                                                     else (entry,))
+              if isinstance(a, np.ndarray) and a.dtype.kind == "f"]
+    assert len(floats) == 1 and floats[0] is cache["probs"]
+
+
 def test_training_step_peak_memory_stays_near_the_forward_cache():
     # the step writes each column gradient into its spent im2col matrix and
     # frees the 1-D branches' caches before the topography's transients
@@ -467,7 +616,10 @@ def test_training_step_peak_memory_stays_near_the_forward_cache():
     owners = {}
     for entry in cache.values():
         for a in (entry if isinstance(entry, tuple) else (entry,)):
-            a = owner(getattr(a, "cols", a))  # shared views count once
+            a = getattr(a, "cols", a)
+            if not isinstance(a, np.ndarray):  # an input shape, or the head's absent mask
+                continue
+            a = owner(a)  # shared views count once
             owners[id(a)] = a.nbytes
     cache_bytes = sum(owners.values())
     del cache, owners
