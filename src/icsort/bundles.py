@@ -8,20 +8,16 @@ Values are little-endian 32-bit floats or single bytes; the element width
 is implied by the file length.
 
 Two bundle kinds exist: recording bundles (electrode positions, mixing
-matrix, component activity, plus the sample rate in the manifest; other
-arrays an older bundle lists, such as its channel data, are not read) and
-feature bundles (stacked per-component topography, power spectrum, and
-autocorrelation arrays).  Every topography's mask is the constant
-``GRID_MASK``, so masks are no longer written; the byte-valued ``mask`` an
-older feature bundle lists is read and must equal ``GRID_MASK`` in every
-row.  Every output, a single file or a bundle directory, is written through
-one staging helper, ``_staged``, whose docstring states the write policy,
-and a command checks its file outputs' paths before any work
+matrix, component activity, plus the sample rate in the manifest; an older
+bundle's channel data is not read) and feature bundles (stacked
+per-component topography, power spectrum, and autocorrelation arrays; the
+byte-valued ``mask`` an older one lists must equal ``GRID_MASK``).  Every
+output, a single file or a bundle directory, is written through one
+staging helper, ``_staged``, whose docstring states the write policy, and
+a command checks its file outputs' paths before any work
 (``check_file_outputs``).  Reports and manifests share one JSON encoding
-(``json_text``, byte-identical to ``json.dumps(indent=2, sort_keys=True)``
-of the payload with each NumPy array as its ``tolist()``, numeric arrays
-written a table at a time) and one reader; this is the only module that
-imports ``json``.
+(``json_text``) and one reader; this is the only module that imports
+``json``.
 """
 
 from __future__ import annotations
@@ -34,6 +30,8 @@ import os
 import shutil
 import struct
 import tempfile
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -193,34 +191,54 @@ def atomic_write_text(path, text: str) -> None:
 #: json's C encoder, which only runs without ``indent``; it gives each value's text.
 _COMPACT = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
 _INDENT = "  "
-#: A row of fewer values is short and goes through the C encoder in one call;
-#: a dict of shorter tables is written as their stack, and a longer table is
-#: written alone, which bounds what is held at once.
+#: A 1-D table of fewer values is short and goes through the C encoder in one call.
 _SHORT = 64
 _encode_key = json.encoder.encode_basestring_ascii
+
+
+@dataclass(frozen=True, eq=False)
+class KeyedTable(Mapping):
+    """One array's rows under string ids: a read-only mapping of ``ids[i]`` to ``rows[i]``.
+
+    A table of one row per component or per category stays one array from
+    the code that computes it to ``json_text``, which writes it as the
+    object ``{id: row.tolist()}`` under sorted keys.
+    """
+
+    ids: tuple  # distinct strings, one per row
+    rows: np.ndarray
+
+    def __getitem__(self, key):
+        if key not in self.ids:
+            raise KeyError(key)
+        return self.rows[self.ids.index(key)]
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __len__(self):
+        return len(self.ids)
 
 
 def json_text(payload: dict) -> str:
     """The one JSON encoding of every report and manifest: indented, keys sorted.
 
     The text is ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"`` of
-    the payload with each NumPy array replaced by its ``tolist()``, byte for
-    byte, and an unsupported value is the same ``TypeError``.  A cyclic
-    payload fails too, though it may be a ``RecursionError`` where json's is
-    a ``ValueError``; a dict with a non-string key goes to ``json.dumps``
+    the payload with each NumPy array replaced by its ``tolist()`` and each
+    ``KeyedTable`` by the dict of its rows' lists, byte for byte, and an
+    unsupported value is the same ``TypeError``.  A cyclic payload fails
+    too, though it may be a ``RecursionError`` where json's is a
+    ``ValueError``; a dict with a non-string key goes to ``json.dumps``
     whole, which refuses an array in it.
 
     ``json.dumps`` runs its pure-Python encoder whenever ``indent`` is set,
     so a table (a non-empty 1-D or 2-D array of booleans, integers or floats
-    of at most 64 bits) is written a table at a time instead.  Its texts
-    come from json's C encoder once per distinct value (by float64 bits, so
-    ``-0.0`` and each NaN keep theirs), and one join puts them between
-    separators fixed by the table's shape and depth; a row of fewer than 64
-    values goes through the encoder in one call.  A dict whose values are
-    all tables of fewer than 64 values of one shape and dtype, such as a
-    label vector per component, is written as their stack under its sorted
-    keys.  Lists are walked item by item, so a large table belongs in an
-    array.
+    of at most 64 bits, or a ``KeyedTable``'s stacked rows of those) is
+    written a table at a time instead: its texts come from json's C encoder
+    once per distinct value (by float64 bits, so ``-0.0`` and each NaN keep
+    theirs), and one join puts them between separators fixed by the table's
+    shape and depth.  A row of fewer than 64 values goes through the
+    encoder in one call.  Dicts and lists are walked item by item.
     """
     return _indented(payload, "\n") + "\n"
 
@@ -289,6 +307,8 @@ def _indented(value, newline: str) -> str:
         if not _is_table(value):
             return _indented(value.tolist(), newline)
         return _table_text(value, newline)
+    if isinstance(value, KeyedTable):
+        return _keyed_text(value, newline)
     if isinstance(value, (list, tuple)) and value:
         return "[" + inner + ("," + inner).join(
             [_indented(item, inner) for item in value]) + newline + "]"
@@ -296,16 +316,19 @@ def _indented(value, newline: str) -> str:
         items = sorted(value.items())
         if not all(isinstance(key, str) for key, _ in items):
             return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
-        first = items[0][1]
-        if isinstance(first, np.ndarray) and first.size < _SHORT and _is_table(first) and all(
-                isinstance(item, np.ndarray) and item.shape == first.shape
-                and item.dtype == first.dtype for _, item in items):
-            return _table_text(np.stack([item for _, item in items]), newline,
-                               [_encode_key(key) for key, _ in items])
         return "{" + inner + ("," + inner).join(
             [_encode_key(key) + ": " + _indented(item, inner) for key, item in items]
         ) + newline + "}"
     return _COMPACT.encode(value)  # a scalar or an empty container has no indent
+
+
+def _keyed_text(table: KeyedTable, newline: str) -> str:
+    """``table`` as ``_indented`` writes the dict of its rows' lists."""
+    ids, rows = table.ids, table.rows
+    if not (ids and rows.ndim > 1 and _is_table(rows[0])):  # rows that are not tables
+        return _indented(dict(zip(ids, rows.tolist())), newline)
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    return _table_text(rows[order], newline, [_encode_key(ids[i]) for i in order])
 
 
 def read_json(path):
@@ -459,23 +482,14 @@ def read_feature_bundle(directory) -> tuple:
 
 
 def read_csv_rows(path):
-    """Yield the rows of a UTF-8 CSV file as they are read.
-
-    Undecodable bytes or broken quoting raise a ``DataError``.  Rows are
-    streamed rather than collected: holding every row of a large vote log
-    in one list made reading it slower.
-    """
+    """Yield the rows of a UTF-8 CSV file as they are read (a large vote log
+    is read faster than as one list); undecodable bytes or broken quoting
+    raise a ``DataError``."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             yield from csv.reader(fh)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path}: not a readable CSV file: {exc}") from exc
-
-
-def _label_header(category_names) -> list:
-    return ["component_id"] + [
-        name.lower().replace(" ", "_") for name in category_names
-    ]
 
 
 def write_labels_csv(path, component_ids, labels: np.ndarray,
@@ -487,7 +501,8 @@ def write_labels_csv(path, component_ids, labels: np.ndarray,
         raise DataError(
             f"labels must be ({len(component_ids)}, {len(category_names)}), got {labels.shape}"
         )
-    rows = [",".join(_label_header(category_names))]
+    rows = [",".join(["component_id"] + [name.lower().replace(" ", "_")
+                                         for name in category_names])]
     for cid, row in zip(component_ids, labels):
         if any(ch in cid for ch in ',"\n\r'):
             raise DataError(f"component id {cid!r} contains CSV metacharacters")
@@ -502,14 +517,11 @@ def read_labels_csv(path, n_categories: int = N_CATEGORIES) -> tuple:
     """Read a label CSV; returns (component_ids, (n, k) label array).
 
     Every row must hold a valid probability vector, and the header must
-    name ``n_categories`` categories.  Blank rows are skipped.  The rows are
-    read once and every value is cast in one ``np.array(..., dtype=np.float64)``
-    call; only when that cast fails are the rows read again cell by cell
-    with ``float``, which finds the bad cell (or, should the cast refuse a
-    text ``float`` reads, gives the values).  The first bad row in file
-    order is the error, with its line number, as if each row were checked
-    as it is read.  A repeated component id is an error naming the first
-    one repeated and both of its lines.
+    name ``n_categories`` categories.  Blank rows are skipped.  Every value
+    is cast in one ``np.array(..., dtype=np.float64)`` call, and only when
+    that fails cell by cell with ``float``, so the error is that of checking
+    each row as it is read: the first bad row, with its line number.  A
+    repeated component id is an error naming it and both of its lines.
     """
     rows = read_csv_rows(path)
     header = next(rows, None)

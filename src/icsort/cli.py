@@ -74,11 +74,9 @@ def _keep_freed_blocks() -> None:
     """Keep freed blocks below 1 GiB in glibc's heap for the rest of the process.
 
     The network commands free and reallocate the same large arrays on every
-    batch.  By default glibc serves each with a fresh ``mmap`` and unmaps it on
-    free, so every batch faults in and zeroes those pages again; above both
-    thresholds a freed block is reused instead, and the heap is not trimmed,
-    so the process's RSS does not shrink before it exits.  Where the C
-    library has no ``mallopt`` this does nothing.
+    batch, which glibc by default unmaps on free and maps (and zeroes) again;
+    above both thresholds a freed block is reused and the heap is not
+    trimmed.  Where the C library has no ``mallopt`` this does nothing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -150,9 +148,7 @@ def cmd_classify(args) -> int:
     names = MERGED_NAMES[args.merge]
     probs = metrics.merge_classes(probs, MERGE_SCHEMES[args.merge])
 
-    thresholds = None
-    if args.thresholds:
-        thresholds = _load_thresholds(args.thresholds, len(names))
+    thresholds = _load_thresholds(args.thresholds, len(names)) if args.thresholds else None
 
     components = []
     for cid, row in zip(component_ids, probs):
@@ -231,20 +227,14 @@ def _some_ids(ids: list) -> str:
 
 
 def _align_labels(component_ids, label_ids, labels, ids_file, labels_file):
-    """The rows of ``labels`` (in ``label_ids`` order) put in ``component_ids`` order.
-
-    Both id lists must hold the same ids; otherwise a ``DataError`` names the
-    two files and, for each, the first few ids found only in it and how many
-    more there are.
-    """
+    """The rows of ``labels`` (in ``label_ids`` order) put in ``component_ids`` order;
+    ids found in only one list are a ``DataError`` naming both files (``_some_ids``)."""
     known_labels, known_components = set(label_ids), set(component_ids)
     only_ids = [c for c in component_ids if c not in known_labels]
     only_labels = [c for c in label_ids if c not in known_components]
     if only_ids or only_labels:
-        raise DataError(
-            f"component id mismatch: only in {ids_file}: {_some_ids(only_ids)}, "
-            f"only in {labels_file}: {_some_ids(only_labels)}"
-        )
+        raise DataError(f"component id mismatch: only in {ids_file}: {_some_ids(only_ids)}, "
+                        f"only in {labels_file}: {_some_ids(only_labels)}")
     order = {c: i for i, c in enumerate(label_ids)}
     return labels[[order[c] for c in component_ids]]
 
@@ -292,10 +282,8 @@ def cmd_train(args) -> int:
 
     save_weights(args.out, result.weights)
     if args.log:
-        lines = [
-            f"{batch} {train_loss} {val_loss}" for batch, train_loss, val_loss in result.history
-        ]
-        bundles.atomic_write_text(args.log, "\n".join(lines) + "\n")
+        bundles.atomic_write_text(args.log, "".join(
+            f"{batch} {train_loss} {val_loss}\n" for batch, train_loss, val_loss in result.history))
     stop = "early stop" if result.stopped_early else "batch limit"
     print(
         f"trained {result.batches_run} batches ({stop}); best validation loss "
@@ -310,28 +298,22 @@ def cmd_train(args) -> int:
 def _chain_entry(fit, seed: int) -> tuple:
     """Run one chain; returns its JSON entry and its wall seconds.
 
-    The entry holds the labels and the labeler confusions each as their ids
-    and one array of their rows in id order, for ``_mapped_rows`` to pair up
-    in this process: a worker's result is pickled, and one array pickles far
-    faster than one per component.
+    The entry holds the labels and the labeler confusions each as a
+    ``bundles.KeyedTable``: a worker's result is pickled, and one array
+    pickles far faster than one per component.
     """
     started = time.perf_counter()
     result = fit(seed=seed)
+    labels, confusions = result.labels, result.labeler_confusions
     entry = {
         "seed": result.seed,
-        "labels": (list(result.labels), np.array(list(result.labels.values()))),
-        "labeler_confusions": (list(result.labeler_confusions),
-                               np.array(list(result.labeler_confusions.values()))),
+        "labels": bundles.KeyedTable(tuple(labels), np.array(list(labels.values()))),
+        "labeler_confusions": bundles.KeyedTable(tuple(confusions),
+                                                 np.array(list(confusions.values()))),
         "diagnostics": result.diagnostics,
         "log_joint": result.log_joint,
     }
     return entry, time.perf_counter() - started
-
-
-def _mapped_rows(entry: dict) -> dict:
-    """A chain entry with each id of its labels and labeler confusions mapped to its row."""
-    labels, confusions = (dict(zip(*entry[table])) for table in ("labels", "labeler_confusions"))
-    return {**entry, "labels": labels, "labeler_confusions": confusions}
 
 
 #: The chain function of a worker process, set there by the pool's initializer.
@@ -351,16 +333,13 @@ def _run_chains(fit, seeds: list) -> list:
     """``_chain_entry`` for every seed, returned in seed order.
 
     This process runs the first chain itself, so a profiler or tracer here
-    sees it; the others go to at most one worker process per further core.
-    The workers are forked: they inherit ``fit``, and with it the votes and
-    priors, instead of receiving it pickled.
+    sees it; the others go to at most one forked worker per further core,
+    which inherits ``fit`` (the votes and priors) instead of unpickling it.
     With one chain, one core or no ``fork``, every chain runs here.  Each
     chain's result depends only on its seed, never on the process count.
     """
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
     workers = min(len(seeds), cores) - 1
     if workers < 1 or "fork" not in multiprocessing.get_all_start_methods():
         return [_chain_entry(fit, seed) for seed in seeds]
@@ -400,7 +379,7 @@ def cmd_aggregate(args) -> int:
     fit = functools.partial(crowdlabel.cllda_fit, votes, priors, alpha,
                             burn_in=args.burn_in, sampling_epochs=args.epochs)
     runs = _run_chains(fit, [args.seed + chain for chain in range(args.chains)])
-    chains = [_mapped_rows(entry) for entry, _ in runs]
+    chains = [entry for entry, _ in runs]
     payload = {
         "format": "icsort-crowd",
         "version": 1,
@@ -432,44 +411,40 @@ def _merged_pairs(targets, predictions, classes: str):
 
 
 def evaluation_report(targets, predictions, names) -> dict:
-    """All scalar metrics, confusion matrices, ROC/SOC tables for one pair set."""
-    k = targets.shape[1]
+    """All scalar metrics, confusion matrices, ROC/SOC tables for one pair set,
+    checked once (``metrics.CheckedPairs``), so the metrics share its tables."""
+    pairs = metrics.validate_pairs(targets, predictions)
+    n, k = pairs.targets.shape
     report = {
-        "n_examples": int(targets.shape[0]),
+        "n_examples": int(n),
         "classes": k,
         "category_names": list(names),
         "cross_entropy_convention": "mean per example, positive loss, predictions "
                                     "floored at 1e-12",
-        "balanced_accuracy": metrics.balanced_accuracy(targets, predictions),
-        "cross_entropy": metrics.cross_entropy(targets, predictions),
-        "confusion": metrics.confusion_matrix(targets, predictions),
-        "confusion_normalized": metrics.confusion_matrix(targets, predictions, normalized=True),
+        "balanced_accuracy": metrics.balanced_accuracy(pairs, None),
+        "cross_entropy": metrics.cross_entropy(pairs, None),
+        "confusion": metrics.confusion_matrix(pairs, None),
+        "confusion_normalized": metrics.confusion_matrix(pairs, None, normalized=True),
+        "soft_confusions": bundles.KeyedTable(metrics.SOFT_AND_MODES, np.stack(
+            [metrics.soft_confusion(pairs, None, mode) for mode in metrics.SOFT_AND_MODES])),
     }
-    confusions = [metrics.soft_confusion(targets, predictions, mode)
-                  for mode in metrics.SOFT_AND_MODES]
-    report["soft_confusions"] = dict(zip(metrics.SOFT_AND_MODES, confusions))
-    roc = {}
-    soc = {}
-    auc = {}
-    skipped = {}
+    roc, soc, auc, skipped = {}, {}, {}, {}
     for cat in range(k):
         try:
-            curve = metrics.roc_curve(targets, predictions, cat)
-            soc[names[cat]] = metrics.soc_from_confusions(confusions, cat)
+            curve = metrics.roc_curve(pairs, None, cat)
+            soc[names[cat]] = metrics.soc_points(pairs, None, cat)
         except DataError as exc:
             skipped[names[cat]] = str(exc)
             continue
-        roc[names[cat]] = curve.points
-        auc[names[cat]] = curve.auc()
-    report["roc"] = roc
-    report["soc"] = soc
-    report["auc"] = auc
+        roc[names[cat]], auc[names[cat]] = curve.points, curve.auc()
+    report.update(roc=roc, auc=auc, soc=bundles.KeyedTable(
+        tuple(soc), np.array(list(soc.values())).reshape(-1, 3, 2)))
     if skipped:
         report["skipped_categories"] = skipped
     else:
         report["optimal_thresholds"] = {
             criterion: {
-                "thresholds": metrics.optimal_thresholds(targets, predictions, criterion),
+                "thresholds": metrics.optimal_thresholds(pairs, None, criterion),
                 "provenance": f"optimized:{criterion}",
             }
             for criterion in ("f1", "accuracy")
@@ -486,10 +461,9 @@ def cmd_evaluate(args) -> int:
 
     targets, predictions, names = _merged_pairs(targets, predictions, args.classes)
     report = evaluation_report(targets, predictions, names)
-    report["format"] = "icsort-eval"
-    report["version"] = 1
-    report["targets_file"] = os.path.basename(os.fspath(args.targets))
-    report["predictions_file"] = os.path.basename(os.fspath(args.predictions))
+    report.update(format="icsort-eval", version=1,
+                  targets_file=os.path.basename(os.fspath(args.targets)),
+                  predictions_file=os.path.basename(os.fspath(args.predictions)))
     _write_json(args.out, report)
     if args.plot:
         svg = plots.evaluation_svg(report["roc"], report["soc"],

@@ -1,25 +1,23 @@
 """Evaluation metrics for compositional (soft) classifier labels.
 
-All operations take a pair of (n, k) arrays: target label vectors and
-predicted label vectors, each row a probability distribution over k
-categories (``categories.first_invalid_label`` is the one rule for that).
-Hard metrics discretize by argmax (ties to the lowest index); soft metrics
-consume the full distributions through fuzzy-AND confusion matrices,
-preserving the information a hard argmax discards.
-
-ROC points and optimal thresholds share one sorted sweep of the detection
-counts (Fawcett, 2006, Alg. 1), O(n log n) per category; thresholds tied on
-F1 or accuracy resolve to the larger one.  Every table is a float64 array:
-a soft confusion is (k, k), ROC points (m, 3), SOC points (3, 2) and
-thresholds (k,).  ``merge_classes`` sums categories by explicit index
-groups; the 7-to-7, 7-to-5 and 7-to-2 groups the command line uses live in
-``cli.MERGE_SCHEMES``.
+Every metric takes (n, k) target and predicted label vectors, each row a
+probability distribution over k categories (``categories.first_invalid_label``
+is the one rule for that), or, as targets with predictions ``None``, the
+``CheckedPairs`` that ``validate_pairs`` makes of them, which keeps each
+shared table once built: the hard confusion counts, the soft confusions and
+per category one sorted sweep of the detection counts (Fawcett, 2006,
+Alg. 1), O(n log n), read by ROC points and both threshold criteria (ties
+go to the larger threshold).  Hard metrics take the argmax (ties to the
+lowest index); soft metrics take whole distributions through fuzzy-AND
+confusion matrices.  Every table is a float64 array: a soft confusion is
+(k, k), ROC points (m, 3), SOC points (3, 2), thresholds (k,).  The merge
+groups the command line uses live in ``cli.MERGE_SCHEMES``.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,15 +34,38 @@ ABOVE_MAX = 1.0 + 1e-9
 TRAINING_ACCURACY_THRESHOLDS = (0.44, 0.18, 0.13, 0.33, 0.04, 0.13, 0.15)
 
 
-def validate_pairs(targets: np.ndarray, predictions: np.ndarray):
+@dataclass(frozen=True, eq=False)
+class CheckedPairs:
+    """A pair set ``validate_pairs`` accepted: read-only float64 (n, k)
+    targets and predictions, clamped to at most 1, that unpack as
+    ``(targets, predictions)``, and the tables derived from them, each
+    built by the first metric that needs it (a metric hands out copies)."""
+
+    targets: np.ndarray
+    predictions: np.ndarray
+    _tables: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __iter__(self):
+        return iter((self.targets, self.predictions))
+
+    def _table(self, key: tuple, build):
+        if key not in self._tables:
+            self._tables[key] = build()
+        return self._tables[key]
+
+
+def validate_pairs(targets, predictions=None) -> CheckedPairs:
     """Check that targets and predictions are matching (n, k) stacks of
-    label vectors and return them as float64 arrays.
+    label vectors and return them as ``CheckedPairs``.
 
     Rows are checked by ``first_invalid_label``, targets first; a bad row
     raises a ``DataError`` naming the array, the row and the reason.  A valid
     entry may lie just above 1 (within ``LABEL_SUM_TOL``, or a merged sum
-    rounding up), so the arrays are returned clamped to at most 1.
+    rounding up), so the arrays are kept clamped to at most 1.  Given a
+    ``CheckedPairs`` and no predictions, it returns that.
     """
+    if isinstance(targets, CheckedPairs) and predictions is None:
+        return targets
     targets = np.asarray(targets, dtype=np.float64)
     predictions = np.asarray(predictions, dtype=np.float64)
     if targets.ndim != 2 or targets.shape[1] < 2:
@@ -60,17 +81,16 @@ def validate_pairs(targets: np.ndarray, predictions: np.ndarray):
         if problem:
             row, reason = problem
             raise DataError(f"{name} row {row}: {reason}")
-    return np.minimum(targets, 1.0), np.minimum(predictions, 1.0)
+    targets, predictions = np.minimum(targets, 1.0), np.minimum(predictions, 1.0)
+    targets.flags.writeable = predictions.flags.writeable = False
+    return CheckedPairs(targets, predictions)
 
 
 def balanced_accuracy(targets: np.ndarray, predictions: np.ndarray) -> float:
-    """Mean over categories of within-category recall after argmax.
-
-    Each recall is a diagonal count of ``confusion_matrix`` over its row
-    sum.  Categories with no target examples are excluded from the average
-    (a warning is emitted so silent class dropout is visible).
-    """
-    counts = confusion_matrix(targets, predictions)
+    """Mean over categories of within-category recall after argmax: a diagonal
+    count of ``confusion_matrix`` over its row sum.  Categories without target
+    examples are left out of the mean, with a warning so the dropout is seen."""
+    counts = _hard_counts(validate_pairs(targets, predictions))
     row_sums = counts.sum(axis=1)
     present = row_sums > 0
     if not present.all():
@@ -94,16 +114,10 @@ def confusion_matrix(
 ) -> np.ndarray:
     """Hard (argmax) confusion counts; rows are targets, columns predictions.
 
-    With ``normalized=True`` each row is divided by its example count so
-    the diagonal holds per-category recall; rows without examples stay
-    all-zero and trigger a warning.
+    With ``normalized=True`` each row is divided by its example count, so the
+    diagonal holds recall; rows without examples stay zero, with a warning.
     """
-    targets, predictions = validate_pairs(targets, predictions)
-    k = targets.shape[1]
-    true_hard = np.argmax(targets, axis=1)
-    pred_hard = np.argmax(predictions, axis=1)
-    matrix = np.zeros((k, k))
-    np.add.at(matrix, (true_hard, pred_hard), 1.0)
+    matrix = _hard_counts(validate_pairs(targets, predictions))
     if normalized:
         row_sums = matrix.sum(axis=1, keepdims=True)
         empty = np.flatnonzero(row_sums[:, 0] == 0)
@@ -111,8 +125,16 @@ def confusion_matrix(
             warnings.warn(f"rows without target examples left all-zero: {empty.tolist()}",
                           stacklevel=2)
         with np.errstate(invalid="ignore", divide="ignore"):
-            matrix = np.where(row_sums > 0, matrix / np.where(row_sums == 0, 1, row_sums), 0.0)
-    return matrix
+            return np.where(row_sums > 0, matrix / np.where(row_sums == 0, 1, row_sums), 0.0)
+    return matrix.copy()
+
+
+def _hard_counts(pairs: CheckedPairs) -> np.ndarray:
+    """The argmax confusion counts of ``pairs``, built once."""
+    k = pairs.targets.shape[1]
+    return pairs._table(("counts",), lambda: np.bincount(
+        np.argmax(pairs.targets, axis=1) * k + np.argmax(pairs.predictions, axis=1),
+        minlength=k * k).reshape(k, k).astype(np.float64))
 
 
 def soft_and(x, y, mode: str):
@@ -138,8 +160,9 @@ def soft_and(x, y, mode: str):
 
 def soft_confusion(targets: np.ndarray, predictions: np.ndarray, mode: str) -> np.ndarray:
     """The (k, k) matrix whose entry (i, j) sums soft_and(t_i, p_j) over examples."""
-    targets, predictions = validate_pairs(targets, predictions)
-    return soft_and(targets[:, :, None], predictions[:, None, :], mode).sum(axis=0)
+    pairs = validate_pairs(targets, predictions)
+    return pairs._table(("soft", mode), lambda: soft_and(
+        pairs.targets[:, :, None], pairs.predictions[:, None, :], mode).sum(axis=0)).copy()
 
 
 @dataclass
@@ -155,16 +178,6 @@ class RocCurve:
         return float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0))
 
 
-def _positives(targets: np.ndarray, category: int) -> np.ndarray:
-    """Mask of the examples whose target argmax is ``category``; both classes must occur."""
-    positive = np.argmax(targets, axis=1) == category
-    if not np.any(positive):
-        raise DataError(f"ROC for category {category} undefined: no positive examples")
-    if np.all(positive):
-        raise DataError(f"ROC for category {category} undefined: no negative examples")
-    return positive
-
-
 def _detection_counts(scores: np.ndarray, positive: np.ndarray):
     """Ascending candidate thresholds (the distinct scores plus 0 and
     ``ABOVE_MAX``) and the true- and false-positive counts at each: how many
@@ -178,6 +191,19 @@ def _detection_counts(scores: np.ndarray, positive: np.ndarray):
     return thresholds, tp, fp
 
 
+def _sweep(pairs: CheckedPairs, category: int):
+    """``_detection_counts`` of one category's predicted scores, built once, with
+    the examples whose target argmax is ``category`` positive; both classes must occur."""
+    def build():
+        positive = np.argmax(pairs.targets, axis=1) == category
+        if not np.any(positive):
+            raise DataError(f"ROC for category {category} undefined: no positive examples")
+        if np.all(positive):
+            raise DataError(f"ROC for category {category} undefined: no negative examples")
+        return _detection_counts(pairs.predictions[:, category], positive)
+    return pairs._table(("sweep", category), build)
+
+
 def roc_curve(targets: np.ndarray, predictions: np.ndarray, category: int) -> RocCurve:
     """ROC points for detecting one category from its predicted probability.
 
@@ -185,19 +211,13 @@ def roc_curve(targets: np.ndarray, predictions: np.ndarray, category: int) -> Ro
     detection fires when the predicted probability is at or above the
     threshold.  Thresholds sweep the distinct predicted probabilities plus
     0 (everything detected) and a value above every probability (nothing
-    detected).  All points come from one sorted sweep, O(n log n); tied
-    scores share one point.
-
-    Raises
-    ------
-    DataError
-        If the category has no positive or no negative examples.
+    detected); tied scores share one point.  A category without positive
+    or without negative examples is a ``DataError``.
     """
-    targets, predictions = validate_pairs(targets, predictions)
-    if not 0 <= category < targets.shape[1]:
+    pairs = validate_pairs(targets, predictions)
+    if not 0 <= category < pairs.targets.shape[1]:
         raise DataError(f"category {category} out of range")
-    positive = _positives(targets, category)
-    thresholds, tp, fp = _detection_counts(predictions[:, category], positive)
+    thresholds, tp, fp = _sweep(pairs, category)
     n_pos, n_neg = tp[0], fp[0]  # the 0 threshold detects every example
     return RocCurve(category=category,
                     points=np.column_stack([thresholds, fp / n_neg, tp / n_pos]))
@@ -211,22 +231,15 @@ def soc_points(targets: np.ndarray, predictions: np.ndarray, category: int) -> n
     soft-FPR is the column mass from other rows over those rows' total
     mass.  Returned as a (3, 2) float64 array of (soft_fpr, soft_tpr) rows.
     """
-    confusions = [soft_confusion(targets, predictions, mode) for mode in SOFT_AND_MODES]
-    if not 0 <= category < len(confusions[0]):
+    pairs = validate_pairs(targets, predictions)
+    k = pairs.targets.shape[1]
+    if not 0 <= category < k:
         raise DataError(f"category {category} out of range")
-    return soc_from_confusions(confusions, category)
-
-
-def soc_from_confusions(confusions, category: int) -> np.ndarray:
-    """``soc_points`` for one category from soft confusion matrices already built.
-
-    ``confusions`` holds one matrix per mode, in ``SOFT_AND_MODES`` order; a
-    report builds them once for all its categories.
-    """
+    others = np.delete(np.arange(k), category)
     points = np.empty((len(SOFT_AND_MODES), 2))
-    for point, mode, matrix in zip(points, SOFT_AND_MODES, confusions, strict=True):
+    for point, mode in zip(points, SOFT_AND_MODES):
+        matrix = soft_confusion(pairs, None, mode)
         row_mass = matrix[category].sum()
-        others = np.delete(np.arange(matrix.shape[0]), category)
         other_mass = matrix[others].sum()
         if row_mass == 0 or other_mass == 0:
             raise DataError(f"SOC point for category {category} undefined under {mode!r}: "
@@ -268,18 +281,17 @@ def optimal_thresholds(
     """Per-category thresholds maximizing F1 or accuracy over the ROC sweep.
 
     Returns a (k,) float64 vector in [0, 1], in category order.  Candidates
-    are the ROC thresholds for each category, all scored at once from the
-    same sorted sweep of detection counts, O(n log n) per category.  Ties go
-    to the larger threshold.  A winning candidate above every score is
-    stored as 1.0 (detect only certainties).
+    are each category's ROC thresholds, all scored at once from its sweep.
+    Ties go to the larger threshold; a winner above every score is stored as
+    1.0 (detect only certainties).
     """
-    targets, predictions = validate_pairs(targets, predictions)
+    pairs = validate_pairs(targets, predictions)
     if criterion not in ("f1", "accuracy"):
         raise ConfigError(f"unknown criterion {criterion!r}; expected 'f1' or 'accuracy'")
-    k = targets.shape[1]
+    k = pairs.targets.shape[1]
     best = np.empty(k)
     for cat in range(k):
-        thresholds, tp, fp = _detection_counts(predictions[:, cat], _positives(targets, cat))
+        thresholds, tp, fp = _sweep(pairs, cat)
         fn, tn = tp[0] - tp, fp[0] - fp  # the 0 threshold detects every example
         if criterion == "accuracy":
             value = (tp + tn) / (tp + tn + fp + fn)

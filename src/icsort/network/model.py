@@ -232,18 +232,21 @@ def _walk_backward(weights: NetworkWeights, specs, cache: dict, dy, grads):
     ``LEAKY_SLOPE`` elsewhere, the values ``convops.leaky_relu_grad`` reads
     from the output's sign.  Each layer's cache entry is removed as it is
     used, and its im2col matrix, which the layer's backward pass overwrites
-    with the column gradient, is freed before the next layer's.
+    with the column gradient, is freed before the next layer's.  Overflow
+    is not warned about here: ``Adam`` checks the gradients once and names
+    the first layer whose gradient is not finite.
     """
-    for spec in specs:
-        _, positive, lowered = cache.pop(spec.name)
-        if positive is not None:
-            # not np.where(positive, 1, slope): a random mask defeats its branch prediction
-            slope = positive.astype(dy.dtype)
-            np.maximum(slope, LEAKY_SLOPE, out=slope)
-            dy = np.multiply(dy.reshape(positive.shape), slope, out=slope)
-        dy, grads[0][spec.name], grads[1][spec.name] = convops.backward_lowered(
-            lowered, weights.kernels[spec.name], dy, input_grad=spec not in _INPUT_LAYERS,
-        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for spec in specs:
+            _, positive, lowered = cache.pop(spec.name)
+            if positive is not None:
+                # not np.where(positive, 1, slope): a random mask defeats its branch prediction
+                slope = positive.astype(dy.dtype)
+                np.maximum(slope, LEAKY_SLOPE, out=slope)
+                dy = np.multiply(dy.reshape(positive.shape), slope, out=slope)
+            dy, grads[0][spec.name], grads[1][spec.name] = convops.backward_lowered(
+                lowered, weights.kernels[spec.name], dy, input_grad=spec not in _INPUT_LAYERS,
+            )
     return dy
 
 

@@ -96,12 +96,16 @@ class Adam:
         self._v: dict = {}
 
     def _clip(self, kernel_grads: dict, bias_grads: dict) -> None:
+        """Scale the gradients to the global norm ``clip_norm`` if above it; the
+        running sum of squares is the step's one finiteness check, and names
+        the layer whose kernel or bias gradient makes it non-finite."""
         total = 0.0
         for name in LAYER_ORDER:
-            total += float(np.sum(np.square(kernel_grads[name], dtype=np.float64)))
-            total += float(np.sum(np.square(bias_grads[name], dtype=np.float64)))
-        if not np.isfinite(total):
-            raise NumericError("gradients are non-finite; update rejected")
+            for grads in (kernel_grads, bias_grads):
+                total += float(np.sum(np.square(grads[name], dtype=np.float64)))
+            if not np.isfinite(total):
+                raise NumericError(f"gradients of layer {name!r} are non-finite; "
+                                   "update rejected")
         norm = np.sqrt(total)
         limit = self.config.clip_norm
         if norm > limit:
@@ -111,9 +115,11 @@ class Adam:
                 bias_grads[name] = bias_grads[name] * scale
 
     def step(self, weights: NetworkWeights, kernel_grads: dict, bias_grads: dict) -> None:
-        """Clip, update moments, and apply one bias-corrected update in place."""
+        """Clip, update moments, and apply one bias-corrected update in place;
+        the clip's and the moments' checks report overflow, not numpy warnings."""
         cfg = self.config
-        self._clip(kernel_grads, bias_grads)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._clip(kernel_grads, bias_grads)
         self.step_count += 1
         t = self.step_count
         # Plain float so float32 weights stay float32 through the update.
@@ -130,10 +136,11 @@ class Adam:
                     self._m[key] = m
                     self._v[key] = np.zeros_like(g)
                 v = self._v[key]
-                m *= cfg.beta1
-                m += (1.0 - cfg.beta1) * g
-                v *= cfg.beta2
-                v += (1.0 - cfg.beta2) * np.square(g)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    m *= cfg.beta1
+                    m += (1.0 - cfg.beta1) * g
+                    v *= cfg.beta2
+                    v += (1.0 - cfg.beta2) * np.square(g)
                 if not np.all(np.isfinite(v)):
                     # second moments overflowed (clip_norm = inf, or one whose
                     # square overflows); a silent m/sqrt(inf) = 0 update would

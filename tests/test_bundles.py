@@ -17,6 +17,7 @@ import builders
 from icsort import bundles
 from icsort.bundles import (
     ARRAY_MAGIC,
+    KeyedTable,
     atomic_write_text,
     json_text,
     read_array,
@@ -957,3 +958,26 @@ def test_json_text_writes_each_array_as_its_tolist(payload):
     # are walked as their lists
     expected = json.dumps(_as_lists(payload), indent=2, sort_keys=True) + "\n"
     assert json_text(payload) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), dtype=st.sampled_from(_TABLE_DTYPES),
+       row_shape=hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4),
+       keys=st.lists(_JSON_STRINGS, max_size=8, unique=True))
+def test_json_text_writes_a_keyed_table_as_the_dict_of_its_rows(data, dtype, row_shape, keys):
+    # keys in any order, scalar, empty and 2-D rows, and no rows at all
+    rows = data.draw(_tables(dtype, (len(keys), *row_shape)))
+    table = KeyedTable(tuple(keys), rows)
+    expected = {key: row.tolist() for key, row in zip(keys, rows)}
+    assert json_text(table) == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    nested = {"n": len(keys), "table": table}
+    assert json_text(nested) == json.dumps({**nested, "table": expected}, indent=2,
+                                           sort_keys=True) + "\n"
+
+
+def test_a_keyed_table_is_a_mapping_of_its_ids_to_its_rows():
+    table = KeyedTable(("b", "a"), np.arange(4.0).reshape(2, 2))
+    assert list(table) == ["b", "a"] and len(table) == 2 and "a" in table
+    assert np.array_equal(table["a"], [2.0, 3.0])
+    with pytest.raises(KeyError):
+        table["c"]

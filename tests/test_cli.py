@@ -5,6 +5,7 @@ import functools
 import json
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 import time
@@ -584,10 +585,11 @@ def test_a_chain_entry_holds_one_array_per_table(tmp_path):
                             crowdlabel.ClassPrior(crowdlabel.TRAINING_CLASS_PRIOR),
                             burn_in=2, sampling_epochs=3)
     entry, _ = cli._chain_entry(fit, seed=0)
-    ids, labels = entry["labels"]
-    labelers, confusions = entry["labeler_confusions"]
-    assert ids == [f"c{i:02d}" for i in range(12)] and labels.shape == (12, 7)
-    assert labelers == ["ann", "bob", "cyd"] and confusions.shape == (3, 7, 8)
+    ids, labels = entry["labels"].ids, entry["labels"].rows
+    labelers, confusions = entry["labeler_confusions"].ids, entry["labeler_confusions"].rows
+    assert ids == tuple(f"c{i:02d}" for i in range(12)) and labels.shape == (12, 7)
+    assert labelers == ("ann", "bob", "cyd") and confusions.shape == (3, 7, 8)
+    assert pickle.loads(pickle.dumps(entry))["labels"].ids == ids
     result = fit(seed=0)
     assert all(np.array_equal(result.labels[c], row) for c, row in zip(ids, labels))
     assert all(np.array_equal(result.labeler_confusions[l], matrix)

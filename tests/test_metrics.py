@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 import builders
 import oracles
-from icsort import plots
+from icsort import metrics, plots
 from icsort.categories import LABEL_SUM_TOL, first_invalid_label
 from icsort.cli import MERGE_SCHEMES, MERGED_NAMES, evaluation_report
 from icsort.errors import ConfigError, DataError
 from icsort.metrics import (
     ABOVE_MAX,
+    SOFT_AND_MODES,
     TRAINING_ACCURACY_THRESHOLDS,
     balanced_accuracy,
     confusion_matrix,
@@ -331,12 +332,60 @@ def test_soc_points_checks_the_pairs_before_the_category():
 
 
 def test_report_soc_points_equal_the_per_category_calls():
-    # the report builds the soft confusions once and reads every category's
-    # point from them; the values must be soc_points' own, bit for bit
+    # the report checks the pairs once and its metrics share the checked
+    # set's tables; every value must be the per-metric call's own on the
+    # raw arrays, bit for bit
     targets, predictions = builders.random_label_pairs(seed=6, n=120)
     report = evaluation_report(targets, predictions, MERGED_NAMES["7"])
     for category, name in enumerate(MERGED_NAMES["7"]):
         assert np.array_equal(report["soc"][name], soc_points(targets, predictions, category))
+        curve = roc_curve(targets, predictions, category)
+        assert np.array_equal(report["roc"][name], curve.points)
+        assert report["auc"][name] == curve.auc()
+    assert len(report["optimal_thresholds"]) == 2
+    for criterion, entry in report["optimal_thresholds"].items():
+        assert np.array_equal(entry["thresholds"],
+                              optimal_thresholds(targets, predictions, criterion))
+    assert report["balanced_accuracy"] == balanced_accuracy(targets, predictions)
+    assert report["cross_entropy"] == cross_entropy(targets, predictions)
+    assert np.array_equal(report["confusion"], confusion_matrix(targets, predictions))
+    assert np.array_equal(report["confusion_normalized"],
+                          confusion_matrix(targets, predictions, normalized=True))
+    for mode in SOFT_AND_MODES:
+        assert np.array_equal(report["soft_confusions"][mode],
+                              soft_confusion(targets, predictions, mode))
+
+
+def test_a_report_checks_its_pairs_once_and_sweeps_each_category_once(monkeypatch):
+    calls = {"first_invalid_label": 0, "_detection_counts": 0}
+
+    def counted(name):
+        original = getattr(metrics, name)
+
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(metrics, name, counted(name))
+    targets, predictions = builders.random_label_pairs(seed=6, n=120)
+    report = evaluation_report(targets, predictions, MERGED_NAMES["7"])
+    assert "optimal_thresholds" in report and "skipped_categories" not in report
+    assert calls == {"first_invalid_label": 2, "_detection_counts": 7}
+
+
+def test_checked_pairs_unpack_and_pass_through_validation():
+    targets, predictions = builders.random_label_pairs(seed=9, n=30)
+    pairs = validate_pairs(targets, predictions)
+    assert validate_pairs(pairs) is pairs
+    checked_targets, checked_predictions = pairs
+    assert np.array_equal(checked_targets, targets)
+    assert np.array_equal(checked_predictions, predictions)
+    with pytest.raises(ValueError):  # the tables the metrics share are read from these
+        checked_targets[0, 0] = 0.5
+    assert np.array_equal(roc_curve(pairs, None, 2).points,
+                          roc_curve(targets, predictions, 2).points)
 
 
 # -------------------------------------------------------------------- ROC

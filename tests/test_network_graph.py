@@ -4,6 +4,7 @@ import hashlib
 import os
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -531,6 +532,23 @@ def test_forward_backward_loss_matches_forward():
     assert loss == pytest.approx(
         weighted_cross_entropy(probs2.astype(np.float64), targets, class_weights), rel=1e-6
     )
+
+
+def test_an_overflow_in_the_dropped_padding_gradient_is_not_warned_about():
+    # a head tap that reads the PSD map's zero padding: its column gradient
+    # overflows float32, but _unmerge drops the padding, so the forward pass
+    # and every gradient stay finite and numpy must not warn
+    weights = initialize_weights(seed=0)
+    weights.kernels["out"][3, 3, 512, 0] = np.float32(3e38)
+    stack = builders.random_stack(1, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss, kernel_grads, bias_grads, _ = forward_backward(
+            weights, stack.topo, stack.psd, stack.autocorr, np.eye(7)[[0]],
+            np.array([2.0, 1, 1, 1, 1, 1, 1]))
+    assert np.isfinite(loss)
+    assert all(np.all(np.isfinite(grad)) for grad in [*kernel_grads.values(),
+                                                       *bias_grads.values()])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

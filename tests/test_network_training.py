@@ -2,6 +2,7 @@
 
 import tracemalloc
 import typing
+import warnings
 import weakref
 
 import numpy as np
@@ -159,6 +160,30 @@ def test_adam_rejects_non_finite_gradients():
     kernels["psd1"].flat[0] = np.inf
     with pytest.raises(NumericError):
         optimizer.step(weights, kernels, biases)
+
+
+def test_adam_names_the_first_layer_whose_gradient_is_not_finite():
+    weights = initialize_weights(seed=3)
+    kernels, biases = _unit_grads(weights, value=0.0)
+    biases["acf1"] = biases["acf1"].copy()
+    biases["acf1"][0] = np.nan
+    kernels["out"] = kernels["out"].copy()
+    kernels["out"].flat[0] = np.inf
+    with pytest.raises(NumericError, match="^gradients of layer 'acf1' are non-finite"):
+        Adam(TrainConfig()).step(weights, kernels, biases)
+
+
+def test_adam_reports_an_overflowing_moment_without_a_warning():
+    # without a clip a 1e20 gradient passes the norm check, and its float32
+    # square overflows; the moments' check reports it, numpy does not warn
+    weights = initialize_weights(seed=3)
+    kernels, biases = _unit_grads(weights, value=0.0)
+    kernels["topo1"] = kernels["topo1"].copy()
+    kernels["topo1"].flat[0] = 1e20
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="^optimizer state for 'topo1' overflowed"):
+            Adam(TrainConfig(clip_norm=np.inf)).step(weights, kernels, biases)
 
 
 # --------------------------------------------------------------- sampling

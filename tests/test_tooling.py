@@ -141,6 +141,34 @@ def test_perfbench_traced_aggregate_keeps_a_fit_span(monkeypatch, tmp_path):
     assert len(tracer.durations("crowdlabel.fit")) >= 1
 
 
+def test_perfbench_traced_curate_records_every_span(monkeypatch, tmp_path):
+    # a span that wraps a function the commands no longer call reads 0 ms in
+    # every traced run, which looks like free work instead of a dead target
+    monkeypatch.syspath_prepend(ROOT)
+    trace = importlib.import_module("perfbench.trace")
+    curate = importlib.import_module("perfbench.curate")
+    inputs = importlib.import_module("perfbench.inputs")
+    from icsort import bundles, cli
+
+    rng = np.random.default_rng(0)
+    planted = inputs.vote_log(rng, 300, str(tmp_path / "votes.csv"))
+    inputs.predictions(rng, planted, str(tmp_path / "predicted.csv"))
+    tracer = trace.Tracer()
+    with trace.instrument(tracer, curate.SPANS, curate.Curate.outer_only):
+        assert cli.main(["aggregate", "--votes", str(tmp_path / "votes.csv"), "--chains", "1",
+                         "--burn-in", "2", "--epochs", "3",
+                         "--out", str(tmp_path / "crowd.json")]) == 0
+        labels = bundles.read_json(tmp_path / "crowd.json")["chains"][0]["labels"]
+        bundles.write_labels_csv(tmp_path / "targets.csv", sorted(labels),
+                                 np.array([labels[c] for c in sorted(labels)]))
+        for classes in curate.CLASSES:
+            assert cli.main(["evaluate", "--targets", str(tmp_path / "targets.csv"),
+                             "--predictions", str(tmp_path / "predicted.csv"),
+                             "--classes", classes, "--out", str(tmp_path / "eval.json"),
+                             "--plot", str(tmp_path / "eval.svg")]) == 0
+    assert [name for name in curate.SPANS if not tracer.durations(name)] == []
+
+
 def test_perfbench_traced_extract_interpolates_once_per_recording(monkeypatch, tmp_path):
     # the label workload's features.topography span wraps scalp_topography,
     # so it must hold the whole montage's interpolation in one call
