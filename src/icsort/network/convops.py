@@ -1,18 +1,23 @@
 """Strided convolution primitives with explicit forward and backward passes.
 
-Convolutions are lowered to matrix multiplication.  ``lower_2d`` and
-``lower_1d`` pad an input and copy its patches into a column matrix (the
-im2col matrix); ``forward_lowered`` applies the kernel to it as a single
+Convolutions are lowered to matrix multiplication.  ``pad_2d`` and
+``pad_1d`` zero-pad an input, and ``lower_padded`` copies its patches
+into a column matrix (the im2col matrix); ``lower_2d`` and ``lower_1d``
+do both.  ``forward_lowered`` applies the kernel to the matrix as a single
 GEMM.  ``backward_lowered`` takes the same ``Lowered`` input, so a training
-step lowers each layer's input once: the forward pass keeps the matrix for
-the backward pass instead of the backward padding and copying again.  The
-backward pass consumes the matrix: once the kernel gradient has read it,
-the column gradient (``dcols``) is written over it when it is an owned
-copy, so a layer's backward needs no second matrix of that size.  It then
-scatters the column gradient back by stride phase: the kernel taps whose
-rows and columns share a quotient by the stride land on disjoint input
-positions, so each such group is one strided add, made in the order a
-tap-by-tap loop would add them.
+step can lower each layer's input once: the forward pass keeps the matrix
+for the backward pass instead of the backward padding and copying again.
+The backward pass consumes the matrix: once the kernel gradient has read
+it, the column gradient (``dcols``) is written over it when the matrix is
+writeable, so a layer's backward needs no second matrix of that size.  It
+then scatters the column gradient back by stride phase: the kernel taps
+whose rows and columns share a quotient by the stride land on disjoint
+input positions, so each such group is one strided add, made in the order
+a tap-by-tap loop would add them.
+
+Where a matrix is too large to keep, ``backward_by_rows`` takes the
+``Padded`` input instead and lowers it again a band of kernel rows at a
+time (one row of topo2 at batch 128), with ``backward_lowered``'s bits.
 
 Layouts are channels-last: 2-D activations are (batch, height, width,
 channels) and 1-D activations are (batch, length, channels).  A 1-D
@@ -23,6 +28,7 @@ trailing; "valid" applies none.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -54,19 +60,40 @@ def output_size(size: int, kernel: int, stride: int, padding: str) -> int:
     return (size + lead + trail - kernel) // stride + 1
 
 
-class Lowered(NamedTuple):
-    """A convolution input lowered to its im2col matrix, with the geometry to undo it."""
+#: Bytes of the strip into which ``backward_by_rows`` lowers a band of kernel rows
+STRIP_BYTES = 16 * 1024 * 1024
 
-    cols: np.ndarray  # (n * out_h * out_w, kh * kw * c_in), one row per output position
+
+class Padded(NamedTuple):
+    """A convolution input zero-padded for its kernel, with the geometry to lower it."""
+
+    xp: np.ndarray  # (n, h + top + bottom, w + left + right, c_in); a 1-D input has height 1
     input_shape: tuple  # the input as given: (n, h, w, c_in) or (n, length, c_in)
     output_shape: tuple  # the output without channels: (n, out_h, out_w) or (n, out_length)
     kernel: tuple  # (kh, kw); a 1-D kernel of k taps is (1, k)
     stride: int
     padding: tuple  # ((top, bottom), (left, right)) zero padding
 
+    @property
+    def cols_nbytes(self) -> int:
+        """Bytes of the im2col matrix ``lower_padded`` makes of this input."""
+        rows = math.prod(self.output_shape)
+        return rows * math.prod(self.kernel) * self.xp.shape[3] * self.xp.itemsize
 
-def lower_2d(x: np.ndarray, kernel_shape: tuple, stride: int, padding: str) -> Lowered:
-    """Lower x (n, h, w, c_in) for a kernel of shape (kh, kw, c_in, c_out)."""
+
+class Lowered(NamedTuple):
+    """A convolution input lowered to its im2col matrix, with the geometry to undo it."""
+
+    cols: np.ndarray  # (n * out_h * out_w, kh * kw * c_in), one row per output position
+    input_shape: tuple
+    output_shape: tuple
+    kernel: tuple
+    stride: int
+    padding: tuple  # these five as in ``Padded``
+
+
+def pad_2d(x: np.ndarray, kernel_shape: tuple, stride: int, padding: str) -> Padded:
+    """Pad x (n, h, w, c_in) for a kernel of shape (kh, kw, c_in, c_out); always a copy."""
     kh, kw, c_in, _ = kernel_shape
     if x.ndim != 4 or x.shape[3] != c_in:
         raise ConfigError(f"expected input (n, h, w, {c_in}), got {x.shape}")
@@ -75,25 +102,53 @@ def lower_2d(x: np.ndarray, kernel_shape: tuple, stride: int, padding: str) -> L
     xp = np.pad(x, ((0, 0), *pads, (0, 0)))
     ho = (xp.shape[1] - kh) // stride + 1
     wo = (xp.shape[2] - kw) // stride + 1
+    return Padded(xp, x.shape, (n, ho, wo), (kh, kw), stride, pads)
+
+
+def pad_1d(x: np.ndarray, kernel_shape: tuple, stride: int, padding: str) -> Padded:
+    """Pad x (n, length, c_in) for a kernel of shape (k, c_in, c_out), as a height-1 image."""
+    k, c_in, c_out = kernel_shape
+    if x.ndim != 3 or x.shape[2] != c_in:
+        raise ConfigError(f"expected input (n, length, {c_in}), got {x.shape}")
+    padded = pad_2d(x[:, None, :, :], (1, k, c_in, c_out), stride, padding)
+    n, _, wo = padded.output_shape
+    return padded._replace(input_shape=x.shape, output_shape=(n, wo))
+
+
+def _patches(padded: Padded) -> np.ndarray:
+    """The (n, out_h, out_w, kh, kw, c_in) view of each output position's patch.
+
+    It is writeable only when each image is one patch, so that no two
+    patches share an element.
+    """
+    xp = padded.xp
+    ho, wo = _image_size(padded.output_shape[1:])
+    s = padded.stride
     sn, sh, sw, sc = xp.strides
-    patches = np.lib.stride_tricks.as_strided(
+    return np.lib.stride_tricks.as_strided(
         xp,
-        shape=(n, ho, wo, kh, kw, c_in),
-        strides=(sn, sh * stride, sw * stride, sh, sw, sc),
-        writeable=False,
+        shape=(xp.shape[0], ho, wo, *padded.kernel, xp.shape[3]),
+        strides=(sn, sh * s, sw * s, sh, sw, sc),
+        writeable=(ho, wo) == (1, 1),
     )
-    cols = patches.reshape(n * ho * wo, kh * kw * c_in)
-    return Lowered(cols, x.shape, (n, ho, wo), (kh, kw), stride, pads)
+
+
+def lower_padded(padded: Padded) -> Lowered:
+    """The im2col matrix of a padded input: a copy of its patches, or a view when each
+    image is one patch (the head's case), which the backward pass may then overwrite."""
+    patches = _patches(padded)
+    cols = patches.reshape(math.prod(patches.shape[:3]), math.prod(patches.shape[3:]))
+    return Lowered(cols, *padded[1:])
+
+
+def lower_2d(x: np.ndarray, kernel_shape: tuple, stride: int, padding: str) -> Lowered:
+    """Lower x (n, h, w, c_in) for a kernel of shape (kh, kw, c_in, c_out)."""
+    return lower_padded(pad_2d(x, kernel_shape, stride, padding))
 
 
 def lower_1d(x: np.ndarray, kernel_shape: tuple, stride: int, padding: str) -> Lowered:
     """Lower x (n, length, c_in) for a kernel of shape (k, c_in, c_out)."""
-    k, c_in, c_out = kernel_shape
-    if x.ndim != 3 or x.shape[2] != c_in:
-        raise ConfigError(f"expected input (n, length, {c_in}), got {x.shape}")
-    lowered = lower_2d(x[:, None, :, :], (1, k, c_in, c_out), stride, padding)
-    n, _, wo = lowered.output_shape
-    return lowered._replace(input_shape=x.shape, output_shape=(n, wo))
+    return lower_padded(pad_1d(x, kernel_shape, stride, padding))
 
 
 def forward_lowered(lowered: Lowered, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -111,8 +166,8 @@ def backward_lowered(
     With ``input_grad`` off, dx is not computed and is returned as None.
     With it on, the call consumes ``lowered``: after dw has read the im2col
     matrix, the column gradient is written into it when it is writeable,
-    C-contiguous and of the result dtype (an owned copy, as ``lower_2d``
-    makes unless its patches are already a view of the padded input).
+    C-contiguous and of the result dtype: an owned copy, or the padded
+    input itself when each image is one patch (see ``lower_padded``).
     """
     cols = lowered.cols
     c_out = w.shape[-1]
@@ -128,6 +183,45 @@ def backward_lowered(
     ho, wo = _image_size(lowered.output_shape[1:])
     dcols = dcols.reshape(lowered.output_shape[0], ho, wo, *lowered.kernel, -1)
     return _scatter_by_phase(dcols, lowered), dw, db
+
+
+def backward_by_rows(
+    padded: Padded, w: np.ndarray, dy: np.ndarray, input_grad: bool = True
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """``backward_lowered``'s gradients, lowering the padded input again by kernel rows.
+
+    The patches of a band of kernel rows, for every output position, are
+    copied into one strip: as many rows as fit in ``STRIP_BYTES``, and at
+    least one.  The strip gives the band's block of dw, each element still
+    one sum over every output position, and then holds the band's column
+    gradient, which is added into dx in the order ``_scatter_by_phase``
+    adds it.  So the result has ``backward_lowered``'s bits while at most
+    one strip of the im2col matrix exists.  A matrix within the budget is
+    one band, the same GEMMs as ``backward_lowered``'s.
+    """
+    patches = _patches(padded)
+    n, ho, wo, kh, kw, c_in = patches.shape
+    m, c_out = n * ho * wo, w.shape[-1]
+    dy_flat = dy.reshape(m, c_out)
+    db = dy_flat.sum(axis=0)
+    w_rows = w.reshape(kh, kw * c_in, c_out)
+    dw = np.empty(w_rows.shape, np.result_type(padded.xp, dy_flat))
+    phased = _phased_zeros(padded, c_in, np.result_type(dy_flat, w)) if input_grad else None
+    band = min(kh, max(1, STRIP_BYTES // (m * kw * c_in * padded.xp.itemsize)))
+    buffer = np.empty(m * band * kw * c_in, padded.xp.dtype)
+    for first in range(0, kh, band):
+        rows, height = slice(first, first + band), min(band, kh - first)
+        strip = buffer[: m * height * kw * c_in].reshape(m, height * kw * c_in)
+        np.copyto(strip.reshape(n, ho, wo, height, kw, c_in), patches[:, :, :, rows])
+        np.matmul(strip.T, dy_flat, out=dw[rows].reshape(height * kw * c_in, c_out))
+        if input_grad:
+            dstrip = np.matmul(dy_flat, w_rows[rows].reshape(-1, c_out).T,
+                               out=strip if strip.dtype == phased.dtype else None)
+            dstrip = dstrip.reshape(n, ho, wo, height, kw, c_in)
+            for i in range(height):
+                _add_by_phase(phased, dstrip[:, :, :, i : i + 1], first + i)
+    dx = _cropped(phased, padded) if input_grad else None
+    return dx, dw.reshape(w.shape), db
 
 
 def _image_size(spatial: tuple) -> tuple:
@@ -148,21 +242,42 @@ def _scatter_by_phase(dcols: np.ndarray, lowered: Lowered) -> np.ndarray:
     not double its height; the padded axes are rounded up to a multiple of
     the stride and the extra rows and columns are dropped.
     """
-    n, ho, wo, kh, kw, c = dcols.shape
-    s = lowered.stride
+    phased = _phased_zeros(lowered, dcols.shape[-1], dcols.dtype)
+    sh = phased.shape[2]
+    for first in range(0, dcols.shape[3], sh):
+        _add_by_phase(phased, dcols[:, :, :, first : first + sh], first)
+    return _cropped(phased, lowered)
+
+
+def _phased_zeros(geometry: Padded | Lowered, c: int, dtype) -> np.ndarray:
+    """Zeros the shape of the padded input viewed as (n, rows / sh, sh, columns / sw, sw, c)."""
+    n, ho, wo = geometry.output_shape[0], *_image_size(geometry.output_shape[1:])
+    s = geometry.stride
     sh, sw = (s if ho > 1 else 1), (s if wo > 1 else 1)
-    h, w = _image_size(lowered.input_shape[1:-1])
-    (top, bottom), (left, right) = lowered.padding
+    h, w = _image_size(geometry.input_shape[1:-1])
+    (top, bottom), (left, right) = geometry.padding
     hq, wq = -(-(top + h + bottom) // sh), -(-(left + w + right) // sw)
-    phased = np.zeros((n, hq, sh, wq, sw, c), dtype=dcols.dtype)
-    for qi in range(-(-kh // sh)):
-        rows = slice(qi * sh, min(qi * sh + sh, kh))
-        for qj in range(-(-kw // sw)):
-            columns = slice(qj * sw, min(qj * sw + sw, kw))
-            group = dcols[:, :, :, rows, columns, :].transpose(0, 1, 3, 2, 4, 5)
-            phased[:, qi : qi + ho, : group.shape[2], qj : qj + wo, : group.shape[4], :] += group
+    return np.zeros((n, hq, sh, wq, sw, c), dtype=dtype)
+
+
+def _add_by_phase(phased: np.ndarray, block: np.ndarray, first: int) -> None:
+    """Add the column gradient ``block`` (n, out_h, out_w, rows, kw, c) of kernel rows
+    ``first``, ``first + 1``, ... (one row quotient) into ``phased``, a column group at a time."""
+    _, ho, wo, rows, kw, _ = block.shape
+    sh, sw = phased.shape[2], phased.shape[4]
+    qi, pi = divmod(first, sh)
+    for qj in range(-(-kw // sw)):
+        group = block[:, :, :, :, qj * sw : qj * sw + sw].transpose(0, 1, 3, 2, 4, 5)
+        phased[:, qi : qi + ho, pi : pi + rows, qj : qj + wo, : group.shape[4], :] += group
+
+
+def _cropped(phased: np.ndarray, geometry: Padded | Lowered) -> np.ndarray:
+    """The input's part of the phase-viewed padded gradient, in the input's shape."""
+    n, hq, sh, wq, sw, c = phased.shape
+    h, w = _image_size(geometry.input_shape[1:-1])
+    (top, _), (left, _) = geometry.padding
     padded = phased.reshape(n, hq * sh, wq * sw, c)
-    return padded[:, top : top + h, left : left + w, :].reshape(lowered.input_shape)
+    return padded[:, top : top + h, left : left + w, :].reshape(geometry.input_shape)
 
 
 def conv2d_forward(

@@ -20,7 +20,10 @@ All hidden layers use leaky-ReLU activations with slope 0.2; the head is
 linear.  A training step's forward pass keeps, per layer, the im2col
 matrix its GEMM read and, for a leaky-ReLU layer, the boolean mask of its
 positive outputs: one byte per value instead of the float activation,
-and all the backward pass needs to rebuild the slope.
+and all the backward pass needs to rebuild the slope.  A 2-D layer whose
+matrix is above ``LOWERING_CACHE_LIMIT`` keeps its padded input in place
+of the matrix, which its backward pass lowers again by kernel rows
+(``convops.backward_by_rows``).
 """
 
 from __future__ import annotations
@@ -87,8 +90,15 @@ _INPUT_SIZES = (TOPO_SIZE, N_PSD_BINS, N_AUTOCORR_LAGS)  # per branch, per spati
 ARCHITECTURE: tuple = (*(spec for branch in BRANCHES for spec in branch), HEAD)
 LAYER_ORDER: tuple = tuple(spec.name for spec in ARCHITECTURE)
 
-#: kind -> the lowering of the layer's input for its convolution
-_LOWERINGS = {"conv2d": convops.lower_2d, "conv1d": convops.lower_1d}
+#: kind -> the zero padding of the layer's input for its convolution
+_PADDINGS = {"conv2d": convops.pad_2d, "conv1d": convops.pad_1d}
+#: Bytes above which a training forward does not cache a 2-D layer's im2col
+#: matrix: it caches the padded input, and the backward pass lowers it again
+#: by kernel rows.  At batch 128 only topo2's 64 MiB matrix is above it.
+LOWERING_CACHE_LIMIT = 32 * 1024 * 1024
+#: cached input kind -> the backward pass that reads it
+_BACKWARDS = {convops.Lowered: convops.backward_lowered,
+              convops.Padded: convops.backward_by_rows}
 #: activation -> function applied in place to the pre-activation
 _ACTIVATIONS = {
     "lrelu": lambda pre: convops.leaky_relu(pre, LEAKY_SLOPE, out=pre),
@@ -184,21 +194,29 @@ def _walk_forward(weights: NetworkWeights, specs, x: np.ndarray, cache) -> np.nd
     channels.  When the check fails, ``_first_non_finite`` walks ``x``
     again to name the layer.  With a cache, each layer stores the triple
     ``forward`` describes, which holds no activation, so each activation is
-    freed once the next layer has lowered it.
+    freed once the next layer has padded it.  A 2-D layer whose im2col
+    matrix is above ``LOWERING_CACHE_LIMIT`` stores its padded input
+    instead, and its matrix is freed right after its GEMM.
     """
     out = x
     with np.errstate(invalid="ignore", over="ignore"):  # the check below reports them
         for spec in specs:
-            lowered = _LOWERINGS[spec.kind](out, spec.weight_shape, spec.stride, spec.padding)
-            del out  # the lowering holds what the GEMM and the backward pass read
+            padded = _PADDINGS[spec.kind](out, spec.weight_shape, spec.stride, spec.padding)
+            del out  # the padded copy holds what the lowering reads
+            lowered = convops.lower_padded(padded)
+            recompute = (cache is not None and spec.kind == "conv2d"
+                         and padded.cols_nbytes > LOWERING_CACHE_LIMIT)
+            kept = padded if recompute else lowered
+            del padded  # freed now unless kept, or the matrix is a view of it
             out = convops.forward_lowered(lowered, weights.kernels[spec.name],
                                           weights.biases[spec.name])
+            del lowered  # the matrix is freed now unless the cache keeps it
             out = _ACTIVATIONS[spec.activation](out)  # the walk owns the pre-activation
             if cache is not None:
                 # the leaky ReLU keeps the sign, so its slope is read from out > 0
                 positive = out > 0 if spec.activation == "lrelu" else None
-                cache[spec.name] = (lowered.input_shape, positive, lowered)
-            del lowered  # without a cache no backward pass reads it, so free it now
+                cache[spec.name] = (kept.input_shape, positive, kept)
+            del kept
         if not np.all(np.isfinite(out)):
             name = _first_non_finite(weights, specs, x)
             raise NumericError(f"non-finite activations in layer {name!r}")
@@ -213,7 +231,8 @@ def _first_non_finite(weights: NetworkWeights, specs: tuple, x: np.ndarray) -> s
     non-finite the last layer's is, and it is not computed again.
     """
     for spec in specs[:-1]:
-        lowered = _LOWERINGS[spec.kind](x, spec.weight_shape, spec.stride, spec.padding)
+        lowered = convops.lower_padded(
+            _PADDINGS[spec.kind](x, spec.weight_shape, spec.stride, spec.padding))
         pre = convops.forward_lowered(lowered, weights.kernels[spec.name],
                                       weights.biases[spec.name])
         if not np.all(np.isfinite(pre)):
@@ -232,20 +251,21 @@ def _walk_backward(weights: NetworkWeights, specs, cache: dict, dy, grads):
     ``LEAKY_SLOPE`` elsewhere, the values ``convops.leaky_relu_grad`` reads
     from the output's sign.  Each layer's cache entry is removed as it is
     used, and its im2col matrix, which the layer's backward pass overwrites
-    with the column gradient, is freed before the next layer's.  Overflow
+    with the column gradient, or its padded input, which the backward pass
+    lowers again by kernel rows, is freed before the next layer's.  Overflow
     is not warned about here: ``Adam`` checks the gradients once and names
     the first layer whose gradient is not finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         for spec in specs:
-            _, positive, lowered = cache.pop(spec.name)
+            _, positive, kept = cache.pop(spec.name)
             if positive is not None:
                 # not np.where(positive, 1, slope): a random mask defeats its branch prediction
                 slope = positive.astype(dy.dtype)
                 np.maximum(slope, LEAKY_SLOPE, out=slope)
                 dy = np.multiply(dy.reshape(positive.shape), slope, out=slope)
-            dy, grads[0][spec.name], grads[1][spec.name] = convops.backward_lowered(
-                lowered, weights.kernels[spec.name], dy, input_grad=spec not in _INPUT_LAYERS,
+            dy, grads[0][spec.name], grads[1][spec.name] = _BACKWARDS[type(kept)](
+                kept, weights.kernels[spec.name], dy, input_grad=spec not in _INPUT_LAYERS,
             )
     return dy
 
@@ -300,12 +320,17 @@ def forward(
     Inputs are cast to the weight dtype.  The weights are not checked here
     (see ``NetworkWeights.validate``; ``classify`` and ``train`` check them
     once per call).  When ``cache`` is a dict it is filled with per-layer
-    (input shape, positive-output mask, lowered input) triples for the
+    (input shape, positive-output mask, kept input) triples for the
     backward pass: the boolean mask ``output > 0`` is all a leaky ReLU's
-    slope needs (None for the linear head), and the lowered input
-    (``convops.Lowered``) holds the im2col matrix the forward GEMM read, so
-    the backward pass need not build it again.  No float activation is
-    kept.  Without a cache each im2col matrix is freed after its GEMM.
+    slope needs (None for the linear head).  The kept input is the lowered
+    input (``convops.Lowered``), which holds the im2col matrix the forward
+    GEMM read, so the backward pass need not build it again.  A 2-D layer
+    whose matrix is above ``LOWERING_CACHE_LIMIT`` bytes (at batch 128,
+    topo2 alone) keeps its padded input (``convops.Padded``) instead, a
+    third of the matrix's size, and its backward pass lowers that again by
+    kernel rows.  No activation is kept: a padded input is a copy
+    of the previous layer's output, zero-padded, and that output is freed.
+    Without a cache each im2col matrix is freed after its GEMM.
     """
     inputs = _as_network_inputs(topo, psd, autocorr, weights.dtype)
     # the branch outputs are freed once merged

@@ -116,7 +116,8 @@ class Adam:
 
     def step(self, weights: NetworkWeights, kernel_grads: dict, bias_grads: dict) -> None:
         """Clip, update moments, and apply one bias-corrected update in place;
-        the clip's and the moments' checks report overflow, not numpy warnings."""
+        the clip's and the moments' checks, and the next forward pass for an
+        update that overflows, report overflow, not numpy warnings."""
         cfg = self.config
         with np.errstate(over="ignore", invalid="ignore"):
             self._clip(kernel_grads, bias_grads)
@@ -141,18 +142,20 @@ class Adam:
                     m += (1.0 - cfg.beta1) * g
                     v *= cfg.beta2
                     v += (1.0 - cfg.beta2) * np.square(g)
-                if not np.all(np.isfinite(v)):
-                    # second moments overflowed (clip_norm = inf, or one whose
-                    # square overflows); a silent m/sqrt(inf) = 0 update would
-                    # freeze training instead of failing
-                    raise NumericError(
-                        f"optimizer state for {name!r} overflowed; "
-                        "gradients are too large to continue"
-                    )
-                # in place, in the order of store - step_size * m / (sqrt(v) + eps)
-                update = m * step_size
-                update /= np.sqrt(v) + cfg.epsilon
-                store[name] -= update
+                    if not np.all(np.isfinite(v)):
+                        # second moments overflowed (clip_norm = inf, or one whose
+                        # square overflows); a silent m/sqrt(inf) = 0 update would
+                        # freeze training instead of failing
+                        raise NumericError(
+                            f"optimizer state for {name!r} overflowed; "
+                            "gradients are too large to continue"
+                        )
+                    # in place, in the order of store - step_size * m / (sqrt(v) + eps);
+                    # an update that overflows (a huge learning rate) leaves weights
+                    # that the next forward pass reports by layer
+                    update = m * step_size
+                    update /= np.sqrt(v) + cfg.epsilon
+                    store[name] -= update
 
 
 def _expand_orbit(idx: np.ndarray, rows: tuple, labels: np.ndarray) -> tuple:

@@ -430,6 +430,25 @@ def test_train_rejects_mismatched_label_files(tmp_path, capsys):
     assert not (tmp_path / "w.iclw").exists()
 
 
+def test_a_diverging_train_exits_3_with_one_line_and_no_outputs(tmp_path, capsys):
+    # a 1e30 step with no clip takes every weight to about 1e30, so the next
+    # forward pass overflows; the run names the layer and writes nothing
+    features, ids = _feature_bundle(tmp_path, n=12, seed=9)
+    labels, _ = _labels_file(tmp_path, ids, seed=9)
+    config = tmp_path / "train.cfg"
+    config.write_text("batch_size = 4\nlearning_rate = 1e30\nclip_norm = inf\n"
+                      "val_interval = 1\n")
+    out, log = tmp_path / "w.iclw", tmp_path / "train.log"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["train", "--features", str(features), "--labels", str(labels),
+                         "--config", str(config), "--max-batches", "3", "--holdout", "4",
+                         "--out", str(out), "--log", str(log)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: non-finite activations in layer '")
+    assert not out.exists() and not log.exists()
+
+
 def test_train_names_the_options_when_the_default_holdout_is_empty(tmp_path, capsys):
     # n/5 rounds to 0 below 5 examples: the message says so instead of
     # blaming a holdout of 0 that was never given

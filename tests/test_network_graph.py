@@ -112,14 +112,20 @@ def test_conv2d_backward_matches_finite_differences():
             assert grad.ravel()[idx] == pytest.approx(numeric, rel=1e-4, abs=1e-6)
 
 
-@pytest.mark.parametrize("n", [1, 3])
-def test_phase_scatter_matches_the_tap_by_tap_loop_bitwise(n):
-    # every layer of the network, at its own input shape, in both precisions
+def _layer_inputs(n: int) -> dict:
+    """Each layer's input shape at batch n, from the shape trace."""
     trace = shape_trace(n)
     inputs = {model.HEAD.name: trace["merged"]}
     for branch, shape in zip(model.BRANCHES, ((n, 32, 32, 1), (n, 100, 1), (n, 100, 1))):
         for spec in branch:
             inputs[spec.name], shape = shape, trace[spec.name]
+    return inputs
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_phase_scatter_matches_the_tap_by_tap_loop_bitwise(n):
+    # every layer of the network, at its own input shape, in both precisions
+    inputs = _layer_inputs(n)
     rng = np.random.default_rng(n)
     for spec in ARCHITECTURE:
         shape = inputs[spec.name]
@@ -649,6 +655,126 @@ def test_training_step_peak_memory_stays_near_the_forward_cache():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * cache_bytes
+
+
+def _step(n, seed, dtype=np.float32):
+    weights = initialize_weights(seed=seed).astype(dtype)
+    stack = builders.random_stack(n, seed=seed)
+    return forward_backward(weights, stack.topo, stack.psd, stack.autocorr,
+                            np.eye(7)[np.arange(n) % 7], np.array([2.0, 1, 1, 1, 1, 1, 3]))
+
+
+#: (batch, strip bytes): a matrix within the strip is one band; with no
+#: strip each band is one kernel row.  One-row strips run at 32 rows: at 3,
+#: topo1's 4-column row GEMMs are small enough for OpenBLAS's small-matrix
+#: kernel, which rounds differently from the blocked kernel of the whole
+#: matrix, and a strip that small is never cut at the default STRIP_BYTES.
+_ROW_WISE_CASES = [(3, convops.STRIP_BYTES), (32, 0)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n, strip_bytes", _ROW_WISE_CASES)
+def test_the_row_wise_backward_keeps_the_training_step_bits(monkeypatch, n, strip_bytes,
+                                                            dtype):
+    # with the limit at 0 every 2-D layer keeps its padded input, not its matrix
+    want = _step(n, 22, dtype)
+    monkeypatch.setattr(model, "LOWERING_CACHE_LIMIT", 0)
+    monkeypatch.setattr(convops, "STRIP_BYTES", strip_bytes)
+    got = _step(n, 22, dtype)
+    assert got[0] == want[0]
+    for grads, reference in zip(got[1:3], want[1:3]):
+        assert sorted(grads) == sorted(reference)
+        for name in LAYER_ORDER:
+            assert grads[name].tobytes() == reference[name].tobytes(), name
+    assert got[3].tobytes() == want[3].tobytes()
+
+
+@pytest.mark.parametrize("input_grad", [True, False])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n, strip_bytes", _ROW_WISE_CASES)
+def test_backward_by_rows_has_the_bits_of_the_lowered_backward(monkeypatch, n, strip_bytes,
+                                                               dtype, input_grad):
+    monkeypatch.setattr(convops, "STRIP_BYTES", strip_bytes)
+    inputs = _layer_inputs(n)
+    rng = np.random.default_rng(23)
+    for spec in ARCHITECTURE:
+        if spec.kind != "conv2d":
+            continue
+        x = rng.standard_normal(inputs[spec.name]).astype(dtype)
+        w = rng.standard_normal(spec.weight_shape).astype(dtype)
+        padded = convops.pad_2d(x, w.shape, spec.stride, spec.padding)
+        dy = rng.standard_normal((*padded.output_shape, spec.out_channels)).astype(dtype)
+        want = convops.backward_lowered(convops.lower_2d(x, w.shape, spec.stride, spec.padding),
+                                        w, dy, input_grad)
+        got = convops.backward_by_rows(padded, w, dy, input_grad)
+        assert (got[0] is None) == (not input_grad)
+        for a, b in zip(got, want):
+            if b is not None:
+                assert a.shape == b.shape and a.dtype == b.dtype, spec.name
+                assert a.tobytes() == b.tobytes(), spec.name
+
+
+def test_a_layer_over_the_limit_caches_its_padded_input_and_mask(monkeypatch):
+    monkeypatch.setattr(model, "LOWERING_CACHE_LIMIT", 0)
+    weights = initialize_weights(seed=24)
+    stack = builders.random_stack(3, seed=24)
+    cache = {}
+    probs = forward(weights, stack.topo, stack.psd, stack.autocorr, cache)
+    assert probs.tobytes() == forward(weights, stack.topo, stack.psd, stack.autocorr).tobytes()
+    x = stack.topo[..., None].astype(np.float32)
+    for spec in model.BRANCHES[0]:
+        input_shape, positive, kept = cache[spec.name]
+        assert isinstance(kept, convops.Padded) and input_shape == x.shape
+        assert kept.xp.tobytes() == convops.pad_2d(x, spec.weight_shape, spec.stride,
+                                                   spec.padding).xp.tobytes()
+        x = _checked_walk(weights, (spec,), x)
+        assert positive.dtype == np.bool_ and np.array_equal(positive, x > 0), spec.name
+    _, positive, kept = cache[model.HEAD.name]
+    assert isinstance(kept, convops.Padded) and positive is None
+    for branch in model.BRANCHES[1:]:  # a 1-D layer keeps its matrix at any limit
+        assert all(isinstance(cache[spec.name][2], convops.Lowered) for spec in branch)
+    # the only arrays a 2-D entry holds are its padded input and its mask
+    for spec in (*model.BRANCHES[0], model.HEAD):
+        assert [type(a) for a in cache[spec.name][2] if isinstance(a, np.ndarray)] == [np.ndarray]
+
+
+def test_a_b128_training_step_peaks_at_most_104_mib():
+    # topo2's 64 MiB im2col matrix lives only through its forward GEMM
+    n = 128
+    weights = initialize_weights(seed=1)
+    stack = builders.random_stack(n, seed=1)
+    targets = np.eye(7)[np.arange(n) % 7]
+    tracemalloc.start()
+    try:
+        forward_backward(weights, stack.topo, stack.psd, stack.autocorr, targets, np.ones(7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 104 * 2**20
+
+
+def test_the_head_backward_writes_its_column_gradient_into_its_lowering():
+    # the head's matrix is a writeable view of a padded copy that only it holds,
+    # one window per row, so the backward allocates its outputs and little else
+    n = 128
+    rng = np.random.default_rng(25)
+    x = rng.standard_normal(shape_trace(n)["merged"]).astype(np.float32)
+    w = rng.standard_normal(model.HEAD.weight_shape).astype(np.float32)
+    dy = rng.standard_normal((n, 1, 1, model.HEAD.out_channels)).astype(np.float32)
+    lowered = convops.lower_2d(x, w.shape, 1, "valid")
+    assert lowered.cols.flags.writeable and not lowered.cols.flags.owndata
+    kept = lowered.cols.copy()
+    kept.flags.writeable = False  # a read-only matrix keeps a fresh column gradient
+    want = convops.backward_lowered(lowered._replace(cols=kept), w, dy)
+    tracemalloc.start()
+    try:
+        got = convops.backward_lowered(lowered, w, dy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - sum(a.nbytes for a in got) < 2**20
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------- classify

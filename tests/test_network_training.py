@@ -1,5 +1,6 @@
 """Optimizer arithmetic, batch sampling, and the training loop."""
 
+import dataclasses
 import tracemalloc
 import typing
 import warnings
@@ -7,6 +8,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import builders
 import oracles
@@ -19,7 +22,7 @@ from icsort.network import (
     initialize_weights,
     train,
 )
-from icsort.network import training
+from icsort.network import model, training
 from icsort.network.training import _category_pools, _expand_orbit, sample_batch
 
 
@@ -184,6 +187,21 @@ def test_adam_reports_an_overflowing_moment_without_a_warning():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match="^optimizer state for 'topo1' overflowed"):
             Adam(TrainConfig(clip_norm=np.inf)).step(weights, kernels, biases)
+
+
+def test_an_overflowing_update_is_reported_by_the_next_forward_without_a_warning():
+    # a 1e12 gradient's moments stay finite, but at a 1e30 learning rate the
+    # float32 update overflows; the weights it leaves fail the next forward
+    weights = initialize_weights(seed=3)
+    kernels, biases = _unit_grads(weights, value=0.0)
+    kernels["topo1"] = np.full_like(kernels["topo1"], 1e12)
+    stack = builders.random_stack(2, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Adam(TrainConfig(learning_rate=1e30, clip_norm=np.inf)).step(weights, kernels, biases)
+        assert not np.all(np.isfinite(weights.kernels["topo1"]))
+        with pytest.raises(NumericError, match="^non-finite activations in layer 'topo1'"):
+            model.forward(weights, stack.topo, stack.psd, stack.autocorr)
 
 
 # --------------------------------------------------------------- sampling
@@ -397,3 +415,39 @@ def test_training_frees_each_step_before_the_next(monkeypatch):
           seed=19)
     assert first and len(alive_at_second) == len(first)
     assert not any(alive_at_second)
+
+
+def _names_a_layer_or_an_option(message: str) -> bool:
+    options = [field.name for field in dataclasses.fields(TrainConfig)]
+    return any(f"'{name}'" in message for name in LAYER_ORDER) or any(
+        message.startswith(f"{name} ") for name in options)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    learning_rate=st.floats(-8, 30).map(lambda exponent: 10.0 ** exponent),
+    clip_norm=st.sampled_from([0.0, 1e-3, 20.0, np.inf]),
+    noise_sigma=st.one_of(st.just(0.0), st.floats(0, 1e3)),
+    class_weights=st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=7, max_size=7),
+    scale=st.floats(1, 1e3),
+    seed=st.integers(0, 3),
+)
+def test_training_ends_with_finite_weights_or_one_named_error(learning_rate, clip_norm,
+                                                              noise_sigma, class_weights,
+                                                              scale, seed):
+    stack, labels = builders.toy_dataset(16, seed=seed)
+    stack = FeatureStack(*(scale * a for a in (stack.topo, stack.psd, stack.autocorr)))
+    config = TrainConfig(batch_size=4, learning_rate=learning_rate, clip_norm=clip_norm,
+                         noise_sigma=noise_sigma, class_weights=tuple(class_weights),
+                         val_interval=2, max_batches=3)
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        patch.setattr(model, "LOWERING_CACHE_LIMIT", 0)  # every 2-D layer lowers again by rows
+        warnings.simplefilter("error")  # no RuntimeWarning may reach a user's stderr
+        try:
+            result = train(stack.subset(range(12)), labels[:12], config,
+                           stack.subset(range(12, 16)), labels[12:], seed=seed)
+        except (NumericError, ConfigError) as exc:
+            assert _names_a_layer_or_an_option(str(exc)), str(exc)
+            return
+    for store in (result.weights.kernels, result.weights.biases):
+        assert all(np.all(np.isfinite(store[name])) for name in LAYER_ORDER)

@@ -290,3 +290,30 @@ def test_commands_hand_the_json_encoder_arrays_for_their_large_tables(monkeypatc
     assert len(tables) > 28 + 2 * 100 and len(evaluation["roc"]) == len(evaluation["soc"]) == 7
     assert len(evaluation["optimal_thresholds"]) == 2
     assert all(isinstance(table, np.ndarray) for table in tables)
+
+
+def test_the_pinned_training_step_reaches_both_backward_paths():
+    # test_training_step_bits_are_pinned (128 rows) pins the row-wise backward
+    # through topo2 and the cached matrix of every other layer; the tests at
+    # 32 rows or fewer pin the cached path alone.  A limit that stops the
+    # pinned step from reaching either path must fail here.
+    from icsort.network import convops, model, shape_trace
+
+    def matrix_bytes(trace, spec):  # float32 rows (n * out_h * out_w) by columns (fan_in)
+        return 4 * int(np.prod(trace[spec.name][:3])) * spec.fan_in
+
+    layers = [spec for spec in model.ARCHITECTURE if spec.kind == "conv2d"]
+    trace = shape_trace(1)
+    inputs = [(1, 32, 32, 1), trace["topo1"], trace["topo2"], trace["merged"]]
+    for spec, shape in zip(layers, inputs):  # the model's own count of each matrix
+        padded = convops.pad_2d(np.zeros(shape, np.float32), spec.weight_shape, spec.stride,
+                                spec.padding)
+        assert padded.cols_nbytes == matrix_bytes(trace, spec), spec.name
+
+    def crossing(n):
+        trace = shape_trace(n)
+        return [spec.name for spec in layers
+                if matrix_bytes(trace, spec) > model.LOWERING_CACHE_LIMIT]
+
+    assert crossing(128) == ["topo2"]
+    assert crossing(64) == []
