@@ -16,8 +16,8 @@ input positions, so each such group is one strided add, made in the order
 a tap-by-tap loop would add them.
 
 Where a matrix is too large to keep, ``backward_by_rows`` takes the
-``Padded`` input instead and lowers it again a band of kernel rows at a
-time (one row of topo2 at batch 128), with ``backward_lowered``'s bits.
+``Padded`` input instead and lowers it again one kernel row at a time,
+with ``backward_lowered``'s bits.
 
 Layouts are channels-last: 2-D activations are (batch, height, width,
 channels) and 1-D activations are (batch, length, channels).  A 1-D
@@ -58,10 +58,6 @@ def output_size(size: int, kernel: int, stride: int, padding: str) -> int:
     """Output steps along one axis of a convolution over ``size`` input steps."""
     lead, trail = _resolve_padding(size, kernel, stride, padding)
     return (size + lead + trail - kernel) // stride + 1
-
-
-#: Bytes of the strip into which ``backward_by_rows`` lowers a band of kernel rows
-STRIP_BYTES = 16 * 1024 * 1024
 
 
 class Padded(NamedTuple):
@@ -190,14 +186,14 @@ def backward_by_rows(
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """``backward_lowered``'s gradients, lowering the padded input again by kernel rows.
 
-    The patches of a band of kernel rows, for every output position, are
-    copied into one strip: as many rows as fit in ``STRIP_BYTES``, and at
-    least one.  The strip gives the band's block of dw, each element still
-    one sum over every output position, and then holds the band's column
-    gradient, which is added into dx in the order ``_scatter_by_phase``
-    adds it.  So the result has ``backward_lowered``'s bits while at most
-    one strip of the im2col matrix exists.  A matrix within the budget is
-    one band, the same GEMMs as ``backward_lowered``'s.
+    The patches of one kernel row, for every output position, are copied
+    into one strip.  The strip gives the row's block of dw, each element
+    still one sum over every output position, and then holds the row's
+    column gradient, which is added into dx in the order
+    ``_scatter_by_phase`` adds it.  So at most one strip of the im2col
+    matrix exists.  The bits are ``backward_lowered``'s where the row GEMMs
+    run the same BLAS kernel as the whole matrix's, as they do for the
+    layers that take this path (topo2 at batch 128, one 16 MiB strip).
     """
     patches = _patches(padded)
     n, ho, wo, kh, kw, c_in = patches.shape
@@ -207,19 +203,14 @@ def backward_by_rows(
     w_rows = w.reshape(kh, kw * c_in, c_out)
     dw = np.empty(w_rows.shape, np.result_type(padded.xp, dy_flat))
     phased = _phased_zeros(padded, c_in, np.result_type(dy_flat, w)) if input_grad else None
-    band = min(kh, max(1, STRIP_BYTES // (m * kw * c_in * padded.xp.itemsize)))
-    buffer = np.empty(m * band * kw * c_in, padded.xp.dtype)
-    for first in range(0, kh, band):
-        rows, height = slice(first, first + band), min(band, kh - first)
-        strip = buffer[: m * height * kw * c_in].reshape(m, height * kw * c_in)
-        np.copyto(strip.reshape(n, ho, wo, height, kw, c_in), patches[:, :, :, rows])
-        np.matmul(strip.T, dy_flat, out=dw[rows].reshape(height * kw * c_in, c_out))
+    strip = np.empty((m, kw * c_in), padded.xp.dtype)
+    for i in range(kh):
+        np.copyto(strip.reshape(n, ho, wo, 1, kw, c_in), patches[:, :, :, i : i + 1])
+        np.matmul(strip.T, dy_flat, out=dw[i])
         if input_grad:
-            dstrip = np.matmul(dy_flat, w_rows[rows].reshape(-1, c_out).T,
+            dstrip = np.matmul(dy_flat, w_rows[i].T,
                                out=strip if strip.dtype == phased.dtype else None)
-            dstrip = dstrip.reshape(n, ho, wo, height, kw, c_in)
-            for i in range(height):
-                _add_by_phase(phased, dstrip[:, :, :, i : i + 1], first + i)
+            _add_by_phase(phased, dstrip.reshape(n, ho, wo, 1, kw, c_in), i)
     dx = _cropped(phased, padded) if input_grad else None
     return dx, dw.reshape(w.shape), db
 

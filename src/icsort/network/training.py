@@ -116,8 +116,8 @@ class Adam:
 
     def step(self, weights: NetworkWeights, kernel_grads: dict, bias_grads: dict) -> None:
         """Clip, update moments, and apply one bias-corrected update in place;
-        the clip's and the moments' checks, and the next forward pass for an
-        update that overflows, report overflow, not numpy warnings."""
+        the clip's, the moments' and the updated weights' checks report
+        overflow by layer, not numpy warnings."""
         cfg = self.config
         with np.errstate(over="ignore", invalid="ignore"):
             self._clip(kernel_grads, bias_grads)
@@ -150,12 +150,15 @@ class Adam:
                             f"optimizer state for {name!r} overflowed; "
                             "gradients are too large to continue"
                         )
-                    # in place, in the order of store - step_size * m / (sqrt(v) + eps);
-                    # an update that overflows (a huge learning rate) leaves weights
-                    # that the next forward pass reports by layer
+                    # in place, in the order of store - step_size * m / (sqrt(v) + eps)
                     update = m * step_size
                     update /= np.sqrt(v) + cfg.epsilon
                     store[name] -= update
+                if not np.all(np.isfinite(store[name])):
+                    # a huge learning_rate; the last step of a run has no later
+                    # forward pass to report it
+                    raise NumericError(f"update of layer {name!r} made its weights "
+                                       "non-finite; learning_rate is too large")
 
 
 def _expand_orbit(idx: np.ndarray, rows: tuple, labels: np.ndarray) -> tuple:

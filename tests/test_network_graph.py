@@ -664,23 +664,19 @@ def _step(n, seed, dtype=np.float32):
                             np.eye(7)[np.arange(n) % 7], np.array([2.0, 1, 1, 1, 1, 1, 3]))
 
 
-#: (batch, strip bytes): a matrix within the strip is one band; with no
-#: strip each band is one kernel row.  One-row strips run at 32 rows: at 3,
-#: topo1's 4-column row GEMMs are small enough for OpenBLAS's small-matrix
-#: kernel, which rounds differently from the blocked kernel of the whole
-#: matrix, and a strip that small is never cut at the default STRIP_BYTES.
-_ROW_WISE_CASES = [(3, convops.STRIP_BYTES), (32, 0)]
+#: Rows of the batch in the row-wise tests.  At 32 rows every kernel row's
+#: GEMMs are large enough for OpenBLAS's blocked kernel, as the whole
+#: matrix's are; at 3 rows topo1's 4-column row GEMMs fall under its
+#: small-matrix kernel, which rounds differently.
+_ROW_WISE_N = 32
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("n, strip_bytes", _ROW_WISE_CASES)
-def test_the_row_wise_backward_keeps_the_training_step_bits(monkeypatch, n, strip_bytes,
-                                                            dtype):
+def test_the_row_wise_backward_keeps_the_training_step_bits(monkeypatch, dtype):
     # with the limit at 0 every 2-D layer keeps its padded input, not its matrix
-    want = _step(n, 22, dtype)
+    want = _step(_ROW_WISE_N, 22, dtype)
     monkeypatch.setattr(model, "LOWERING_CACHE_LIMIT", 0)
-    monkeypatch.setattr(convops, "STRIP_BYTES", strip_bytes)
-    got = _step(n, 22, dtype)
+    got = _step(_ROW_WISE_N, 22, dtype)
     assert got[0] == want[0]
     for grads, reference in zip(got[1:3], want[1:3]):
         assert sorted(grads) == sorted(reference)
@@ -691,11 +687,8 @@ def test_the_row_wise_backward_keeps_the_training_step_bits(monkeypatch, n, stri
 
 @pytest.mark.parametrize("input_grad", [True, False])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("n, strip_bytes", _ROW_WISE_CASES)
-def test_backward_by_rows_has_the_bits_of_the_lowered_backward(monkeypatch, n, strip_bytes,
-                                                               dtype, input_grad):
-    monkeypatch.setattr(convops, "STRIP_BYTES", strip_bytes)
-    inputs = _layer_inputs(n)
+def test_backward_by_rows_has_the_bits_of_the_lowered_backward(dtype, input_grad):
+    inputs = _layer_inputs(_ROW_WISE_N)
     rng = np.random.default_rng(23)
     for spec in ARCHITECTURE:
         if spec.kind != "conv2d":

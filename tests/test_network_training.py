@@ -189,19 +189,27 @@ def test_adam_reports_an_overflowing_moment_without_a_warning():
             Adam(TrainConfig(clip_norm=np.inf)).step(weights, kernels, biases)
 
 
-def test_an_overflowing_update_is_reported_by_the_next_forward_without_a_warning():
+def test_adam_reports_an_overflowing_update_without_a_warning():
     # a 1e12 gradient's moments stay finite, but at a 1e30 learning rate the
-    # float32 update overflows; the weights it leaves fail the next forward
+    # float32 update overflows; the step names the layer, numpy does not warn
     weights = initialize_weights(seed=3)
     kernels, biases = _unit_grads(weights, value=0.0)
     kernels["topo1"] = np.full_like(kernels["topo1"], 1e12)
-    stack = builders.random_stack(2, seed=3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        Adam(TrainConfig(learning_rate=1e30, clip_norm=np.inf)).step(weights, kernels, biases)
-        assert not np.all(np.isfinite(weights.kernels["topo1"]))
-        with pytest.raises(NumericError, match="^non-finite activations in layer 'topo1'"):
-            model.forward(weights, stack.topo, stack.psd, stack.autocorr)
+        with pytest.raises(NumericError, match="^update of layer 'topo1' made its weights"):
+            Adam(TrainConfig(learning_rate=1e30, clip_norm=np.inf)).step(weights, kernels,
+                                                                         biases)
+
+
+def test_training_reports_an_overflowing_last_step():
+    # the run ends before a validation would read the overflowed weights
+    stack = builders.random_stack(8, seed=26)
+    config = _tiny_config(learning_rate=1e300, max_batches=1, val_interval=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="^update of layer '\\w+' made its weights"):
+            train(stack, _random_labels(8, seed=26), config, *_val_set(26), seed=26)
 
 
 # --------------------------------------------------------------- sampling
