@@ -23,7 +23,9 @@ positive outputs: one byte per value instead of the float activation,
 and all the backward pass needs to rebuild the slope.  A 2-D layer whose
 matrix is above ``LOWERING_CACHE_LIMIT`` keeps its padded input in place
 of the matrix, which its backward pass lowers again by kernel rows
-(``convops.backward_by_rows``).
+(``convops.backward_by_rows``).  A forward pass that fills no cache walks
+the topography branch ``TOPOGRAPHY_BLOCK`` images at a time, so its
+largest im2col matrix does not grow with the batch.
 """
 
 from __future__ import annotations
@@ -96,6 +98,12 @@ _PADDINGS = {"conv2d": convops.pad_2d, "conv1d": convops.pad_1d}
 #: matrix: it caches the padded input, and the backward pass lowers it again
 #: by kernel rows.  At batch 128 only topo2's 64 MiB matrix is above it.
 LOWERING_CACHE_LIMIT = 32 * 1024 * 1024
+#: Images a forward pass with no cache walks through the topography branch at
+#: a time.  On OpenBLAS, topo1-topo3 give each image's rows the same bits at
+#: any block size, so blocks change no output; psd3 (one output channel) and
+#: the head (seven) round by row count, so the 1-D branches and the head
+#: walk the whole batch.  At 32 images topo2's matrix is 16 MiB.
+TOPOGRAPHY_BLOCK = 32
 #: cached input kind -> the backward pass that reads it
 _BACKWARDS = {convops.Lowered: convops.backward_lowered,
               convops.Padded: convops.backward_by_rows}
@@ -185,41 +193,64 @@ def _as_network_inputs(topo: np.ndarray, psd: np.ndarray, autocorr: np.ndarray, 
     return topo[..., None], psd[..., None], autocorr[..., None]
 
 
-def _walk_forward(weights: NetworkWeights, specs, x: np.ndarray, cache) -> np.ndarray:
+def _walk_forward(weights: NetworkWeights, specs, x: np.ndarray, cache,
+                  block: int | None = None) -> np.ndarray:
     """Run ``x`` through the layers ``specs`` in order; return the last activation.
 
-    Finiteness is checked once, on the last activation: a NaN or infinity
-    in any layer's pre-activation reaches it, because every input position
-    lies under some output's kernel and every output reads all input
-    channels.  When the check fails, ``_first_non_finite`` walks ``x``
-    again to name the layer.  With a cache, each layer stores the triple
-    ``forward`` describes, which holds no activation, so each activation is
-    freed once the next layer has padded it.  A 2-D layer whose im2col
-    matrix is above ``LOWERING_CACHE_LIMIT`` stores its padded input
-    instead, and its matrix is freed right after its GEMM.
+    Without a cache and with ``block``, ``x`` is walked at most ``block``
+    images at a time and each block's output is written into one array
+    for the batch, so no matrix grows beyond a block's.  A training forward
+    keeps whole-batch entries for its backward pass, so with a cache
+    ``block`` is not used.  Finiteness is checked once, on the last
+    activation: a NaN or infinity in any layer's pre-activation reaches
+    it, because every input position lies under some output's kernel and
+    every output reads all input channels.  When the check fails,
+    ``_first_non_finite`` walks the whole ``x`` again to name the layer.
     """
-    out = x
     with np.errstate(invalid="ignore", over="ignore"):  # the check below reports them
-        for spec in specs:
-            padded = _PADDINGS[spec.kind](out, spec.weight_shape, spec.stride, spec.padding)
-            del out  # the padded copy holds what the lowering reads
-            lowered = convops.lower_padded(padded)
-            recompute = (cache is not None and spec.kind == "conv2d"
-                         and padded.cols_nbytes > LOWERING_CACHE_LIMIT)
-            kept = padded if recompute else lowered
-            del padded  # freed now unless kept, or the matrix is a view of it
-            out = convops.forward_lowered(lowered, weights.kernels[spec.name],
-                                          weights.biases[spec.name])
-            del lowered  # the matrix is freed now unless the cache keeps it
-            out = _ACTIVATIONS[spec.activation](out)  # the walk owns the pre-activation
-            if cache is not None:
-                # the leaky ReLU keeps the sign, so its slope is read from out > 0
-                positive = out > 0 if spec.activation == "lrelu" else None
-                cache[spec.name] = (kept.input_shape, positive, kept)
-            del kept
+        if cache is None and block is not None and len(x) > block:
+            out = None
+            for start in range(0, len(x), block):
+                part = _walk_layers(weights, specs, x[start : start + block], None)
+                if out is None:
+                    out = np.empty((len(x), *part.shape[1:]), part.dtype)
+                out[start : start + block] = part
+                del part
+        else:
+            out = _walk_layers(weights, specs, x, cache)
         if not np.all(np.isfinite(out)):
             name = _first_non_finite(weights, specs, x)
             raise NumericError(f"non-finite activations in layer {name!r}")
+    return out
+
+
+def _walk_layers(weights: NetworkWeights, specs, x: np.ndarray, cache) -> np.ndarray:
+    """``_walk_forward``'s walk of one block, unchecked.
+
+    With a cache, each layer stores the triple ``forward`` describes, which
+    holds no activation, so each activation is freed once the next layer
+    has padded it.  A 2-D layer whose im2col matrix is above
+    ``LOWERING_CACHE_LIMIT`` stores its padded input instead, and its
+    matrix is freed right after its GEMM.
+    """
+    out = x
+    for spec in specs:
+        padded = _PADDINGS[spec.kind](out, spec.weight_shape, spec.stride, spec.padding)
+        del out  # the padded copy holds what the lowering reads
+        lowered = convops.lower_padded(padded)
+        recompute = (cache is not None and spec.kind == "conv2d"
+                     and padded.cols_nbytes > LOWERING_CACHE_LIMIT)
+        kept = padded if recompute else lowered
+        del padded  # freed now unless kept, or the matrix is a view of it
+        out = convops.forward_lowered(lowered, weights.kernels[spec.name],
+                                      weights.biases[spec.name])
+        del lowered  # the matrix is freed now unless the cache keeps it
+        out = _ACTIVATIONS[spec.activation](out)  # the walk owns the pre-activation
+        if cache is not None:
+            # the leaky ReLU keeps the sign, so its slope is read from out > 0
+            positive = out > 0 if spec.activation == "lrelu" else None
+            cache[spec.name] = (kept.input_shape, positive, kept)
+        del kept
     return out
 
 
@@ -330,12 +361,16 @@ def forward(
     third of the matrix's size, and its backward pass lowers that again by
     kernel rows.  No activation is kept: a padded input is a copy
     of the previous layer's output, zero-padded, and that output is freed.
-    Without a cache each im2col matrix is freed after its GEMM.
+    Without a cache each im2col matrix is freed after its GEMM, and the
+    topography branch is walked ``TOPOGRAPHY_BLOCK`` images at a time (see
+    ``_walk_forward``), with the bits of one walk over the batch; the 1-D
+    branches and the head walk the whole batch.
     """
-    inputs = _as_network_inputs(topo, psd, autocorr, weights.dtype)
+    topo, *signals = _as_network_inputs(topo, psd, autocorr, weights.dtype)
     # the branch outputs are freed once merged
-    merged = _merge([_walk_forward(weights, branch, x, cache)
-                     for branch, x in zip(BRANCHES, inputs)])
+    merged = _merge([_walk_forward(weights, BRANCHES[0], topo, cache, TOPOGRAPHY_BLOCK),
+                     *(_walk_forward(weights, branch, x, cache)
+                       for branch, x in zip(BRANCHES[1:], signals))])
     return _head(weights, merged, cache)
 
 
@@ -392,8 +427,11 @@ def classify(
     ``batch_size`` rows at a time, and the orbit transforms only the
     topography, so the PSD and autocorrelation branches run once per batch.
     Every row sums its orbit's probabilities in orbit order, as ``forward``
-    over each element would.  The weights are validated, and the inputs
-    cast to the weight dtype and checked, once per call.
+    over each element would.  As in ``forward``, each orbit element's
+    topography walk takes at most ``TOPOGRAPHY_BLOCK`` images at a time,
+    so memory stops growing with the batch past that bound.  The weights
+    are validated, and the inputs cast to the weight dtype and checked,
+    once per call.
     """
     if batch_size < 1:
         raise ConfigError(f"batch size must be at least 1, got {batch_size}")
@@ -407,7 +445,7 @@ def classify(
                           for branch, x in zip(BRANCHES[1:], signals)]
         for mirror, negate in orbit:
             element = orbit_element(topo[rows, ..., 0], mirror, negate)[..., None]
-            topo_output = _walk_forward(weights, BRANCHES[0], element, None)
+            topo_output = _walk_forward(weights, BRANCHES[0], element, None, TOPOGRAPHY_BLOCK)
             total[rows] += _head(weights, _merge([topo_output, *signal_outputs]), None)
     return total / len(orbit)
 

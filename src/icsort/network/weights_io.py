@@ -15,6 +15,7 @@ always usable directly.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -46,61 +47,77 @@ def save_weights(path, weights: NetworkWeights) -> None:
 
 
 class _Reader:
-    """Reads a file's bytes in order; each piece is a view, not a copy."""
+    """Reads an open file in order, each piece checked against the file's size first."""
 
-    def __init__(self, data: bytes, path):
-        self.data = memoryview(data)
+    def __init__(self, fh, path):
+        self.fh = fh
+        self.size = os.fstat(fh.fileno()).st_size
         self.offset = 0
         self.path = path
 
-    def take(self, size: int) -> memoryview:
-        if self.offset + size > len(self.data):
+    def _claim(self, size: int) -> None:
+        if self.offset + size > self.size:
             raise DataError(f"{self.path}: truncated weights file")
-        out = self.data[self.offset : self.offset + size]
         self.offset += size
-        return out
+
+    def take(self, size: int) -> bytes:
+        self._claim(size)
+        data = self.fh.read(size)
+        if len(data) != size:  # the file shrank after its size was read
+            raise DataError(f"{self.path}: truncated weights file")
+        return data
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
+    def floats(self, shape: tuple) -> np.ndarray:
+        """The next ``prod(shape)`` little-endian floats, read straight into a new array."""
+        out = np.empty(shape, dtype="<f4")
+        self._claim(out.nbytes)
+        if self.fh.readinto(out) != out.nbytes:
+            raise DataError(f"{self.path}: truncated weights file")
+        return out
+
 
 def load_weights(path) -> NetworkWeights:
-    """Read a weights file and validate it against the architecture."""
-    with open(path, "rb") as fh:
-        reader = _Reader(fh.read(), path)
-    if reader.take(4) != MAGIC:
-        raise DataError(f"{path}: not a weights file (bad magic)")
-    version = reader.u32()
-    if version != VERSION:
-        raise DataError(f"{path}: unsupported weights version {version}")
-    n_layers = reader.u32()
-    if n_layers != len(ARCHITECTURE):
-        raise DataError(f"{path}: expected {len(ARCHITECTURE)} layers, found {n_layers}")
+    """Read a weights file and validate it against the architecture.
 
-    weights = NetworkWeights()
-    for spec in ARCHITECTURE:
-        name = str(reader.take(reader.u32()), "utf-8", errors="replace")
-        if name != spec.name:
-            raise DataError(f"{path}: expected layer {spec.name!r}, found {name!r}")
-        rank = reader.u32()
-        if rank != len(spec.weight_shape):
-            raise DataError(
-                f"{path}: layer {name!r} kernel must have rank {len(spec.weight_shape)}, "
-                f"found {rank}"
-            )
-        shape = tuple(reader.u32() for _ in range(rank))
-        if shape != spec.weight_shape:
-            raise DataError(
-                f"{path}: layer {name!r} kernel must be {spec.weight_shape}, found {shape}"
-            )
-        count = int(np.prod(shape))
-        kernel = np.frombuffer(reader.take(4 * count), dtype="<f4").reshape(shape)
-        bias = np.frombuffer(reader.take(4 * spec.out_channels), dtype="<f4")
-        if not (np.all(np.isfinite(kernel)) and np.all(np.isfinite(bias))):
-            raise DataError(f"{path}: layer {name!r} contains non-finite weights")
-        # the one copy: it also aligns the values, which start at any byte offset
-        weights.kernels[name] = kernel.astype(np.float32)
-        weights.biases[name] = bias.astype(np.float32)
-    if reader.offset != len(reader.data):
-        raise DataError(f"{path}: trailing bytes after the last layer")
+    Each kernel and bias is read into its own array, the one copy of the
+    values held; on a little-endian host the float32 cast is that array.
+    """
+    with open(path, "rb") as fh:
+        reader = _Reader(fh, path)
+        if reader.take(4) != MAGIC:
+            raise DataError(f"{path}: not a weights file (bad magic)")
+        version = reader.u32()
+        if version != VERSION:
+            raise DataError(f"{path}: unsupported weights version {version}")
+        n_layers = reader.u32()
+        if n_layers != len(ARCHITECTURE):
+            raise DataError(f"{path}: expected {len(ARCHITECTURE)} layers, found {n_layers}")
+
+        weights = NetworkWeights()
+        for spec in ARCHITECTURE:
+            name = str(reader.take(reader.u32()), "utf-8", errors="replace")
+            if name != spec.name:
+                raise DataError(f"{path}: expected layer {spec.name!r}, found {name!r}")
+            rank = reader.u32()
+            if rank != len(spec.weight_shape):
+                raise DataError(
+                    f"{path}: layer {name!r} kernel must have rank {len(spec.weight_shape)}, "
+                    f"found {rank}"
+                )
+            shape = tuple(reader.u32() for _ in range(rank))
+            if shape != spec.weight_shape:
+                raise DataError(
+                    f"{path}: layer {name!r} kernel must be {spec.weight_shape}, found {shape}"
+                )
+            kernel = reader.floats(shape)
+            bias = reader.floats((spec.out_channels,))
+            if not (np.all(np.isfinite(kernel)) and np.all(np.isfinite(bias))):
+                raise DataError(f"{path}: layer {name!r} contains non-finite weights")
+            weights.kernels[name] = kernel.astype(np.float32, copy=False)
+            weights.biases[name] = bias.astype(np.float32, copy=False)
+        if fh.read(1):  # every read so far had its exact size
+            raise DataError(f"{path}: trailing bytes after the last layer")
     return weights

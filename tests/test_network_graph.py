@@ -830,6 +830,89 @@ def test_classify_with_tta_sums_forward_over_the_orbit(batch_size):
     assert np.array_equal(averaged, total / 4)
 
 
+#: A topography block bound above every batch below, which gives one walk per batch.
+_WHOLE_WALK = 10**6
+
+
+def _inference_outputs(weights, stack):
+    return [classify(weights, stack.topo, stack.psd, stack.autocorr),
+            classify(weights, stack.topo, stack.psd, stack.autocorr, tta=False),
+            forward(weights, stack.topo, stack.psd, stack.autocorr)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [33, 70, 130])
+def test_topography_blocks_keep_the_bits_of_the_whole_walk(monkeypatch, n, dtype):
+    # 33 and 130 leave a remainder block of 1 and 2 images (130 in classify's
+    # batches of 128 and 2), 70 one of 6
+    weights = initialize_weights(seed=26).astype(dtype)
+    stack = builders.random_stack(n, seed=26)
+    blocked = _inference_outputs(weights, stack)
+    monkeypatch.setattr(model, "TOPOGRAPHY_BLOCK", _WHOLE_WALK)
+    for got, want in zip(blocked, _inference_outputs(weights, stack)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_a_blocked_validation_loss_equals_the_whole_walk(monkeypatch):
+    from icsort.network.training import _validation_loss
+
+    n = 130  # batches of 128 and 2 rows
+    weights = initialize_weights(seed=27)
+    stack = builders.random_stack(n, seed=27)
+    labels = np.eye(7)[np.arange(n) % 7]
+    class_weights = np.array([2.0, 1, 1, 1, 1, 1, 3])
+    blocked = _validation_loss(weights, stack, labels, class_weights, 128)
+    monkeypatch.setattr(model, "TOPOGRAPHY_BLOCK", _WHOLE_WALK)
+    assert blocked == _validation_loss(weights, stack, labels, class_weights, 128)
+
+
+@pytest.mark.parametrize("layer", ["topo1", "topo2", "topo3"])
+def test_a_non_finite_second_block_names_the_layer_of_the_whole_walk(monkeypatch, layer):
+    # a NaN in row 40 spoils topo1; a row scaled by 1e38 overflows the layer
+    # whose kernel is scaled by 10, in that row alone
+    weights = initialize_weights(seed=26)
+    stack = builders.random_stack(70, seed=26)
+    topo = stack.topo.copy()
+    if layer == "topo1":
+        topo[40, 3, 5] = np.nan
+    else:
+        topo[40] *= np.float32(1e38)
+        weights.kernels[layer] *= np.float32(10)
+
+    def messages():
+        found = []
+        for call in (forward, classify):
+            with pytest.raises(NumericError) as failure:
+                call(weights, topo, stack.psd, stack.autocorr)
+            found.append(str(failure.value))
+        return found
+
+    blocked = messages()
+    assert blocked == [f"non-finite activations in layer {layer!r}"] * 2
+    monkeypatch.setattr(model, "TOPOGRAPHY_BLOCK", _WHOLE_WALK)
+    assert messages() == blocked
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_inference_on_128_rows_peaks_below_the_whole_walk():
+    # the whole walk peaks at about 89 (classify) and 85 MiB (forward), at
+    # topo2's 64 MiB im2col matrix; a 32-image block's is 16 MiB
+    weights = initialize_weights(seed=1)
+    stack = builders.random_stack(128, seed=1)
+    assert _traced_peak(lambda: classify(weights, stack.topo, stack.psd,
+                                         stack.autocorr)) <= 40 * 2**20
+    assert _traced_peak(lambda: forward(weights, stack.topo, stack.psd,
+                                        stack.autocorr)) <= 36 * 2**20
+
+
 # ---------------------------------------------------------------- weights io
 
 

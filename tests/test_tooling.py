@@ -317,3 +317,41 @@ def test_the_pinned_training_step_reaches_both_backward_paths():
 
     assert crossing(128) == ["topo2"]
     assert crossing(64) == []
+
+
+def test_inference_lowers_the_topography_in_blocks_of_32_images(monkeypatch):
+    # classify and the validation forward build no im2col matrix above
+    # 16 MiB (the whole walk builds topo2's 64 MiB at 128 rows), and a batch
+    # of 32 rows, the size of every perfbench recording of 32 components or
+    # fewer, lowers each topography layer once per walk, for all 32 images
+    import builders
+    from icsort.features import TOPOGRAPHY_ORBIT
+    from icsort.network import classify, convops, initialize_weights, model
+    from icsort.network.training import _validation_loss
+
+    lower_padded = convops.lower_padded
+    lowerings = []  # (matrix bytes, kernel, input channels, images) per lowering
+
+    def recording(padded):
+        lowerings.append((padded.cols_nbytes, padded.kernel, padded.xp.shape[3],
+                          padded.xp.shape[0]))
+        return lower_padded(padded)
+
+    monkeypatch.setattr(convops, "lower_padded", recording)
+    weights = initialize_weights(seed=0)
+    calls = {  # name -> (call, topography walks per batch)
+        "classify": (lambda stack: classify(weights, stack.topo, stack.psd, stack.autocorr),
+                     len(TOPOGRAPHY_ORBIT)),
+        "validation": (lambda stack: _validation_loss(
+            weights, stack, np.eye(7)[np.arange(len(stack)) % 7], np.ones(7), 128), 1),
+    }
+    for name, (call, walks) in calls.items():
+        lowerings.clear()
+        call(builders.random_stack(130, seed=0))
+        assert max(entry[0] for entry in lowerings) <= 16 * 2**20, name
+        lowerings.clear()
+        call(builders.random_stack(32, seed=0))
+        images = {spec.name: [entry[3] for entry in lowerings
+                              if entry[1:3] == ((spec.kernel, spec.kernel), spec.in_channels)]
+                  for spec in model.BRANCHES[0]}
+        assert images == {spec.name: [32] * walks for spec in model.BRANCHES[0]}, name
