@@ -25,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import errno
+import functools
 import json
 import os
 import shutil
@@ -202,16 +203,20 @@ class KeyedTable(Mapping):
 
     A table of one row per component or per category stays one array from
     the code that computes it to ``json_text``, which writes it as the
-    object ``{id: row.tolist()}`` under sorted keys.
+    object ``{id: row.tolist()}`` under sorted keys.  A lookup reads an
+    id -> row index built on the first one, so a table that is only
+    written, such as a worker's chain, never builds or pickles it.
     """
 
     ids: tuple  # distinct strings, one per row
     rows: np.ndarray
 
+    @functools.cached_property
+    def _index(self) -> dict:
+        return {key: i for i, key in enumerate(self.ids)}
+
     def __getitem__(self, key):
-        if key not in self.ids:
-            raise KeyError(key)
-        return self.rows[self.ids.index(key)]
+        return self.rows[self._index[key]]
 
     def __iter__(self):
         return iter(self.ids)

@@ -140,6 +140,8 @@ def _load_thresholds(path, n_expected: int) -> np.ndarray:
 def cmd_classify(args) -> int:
     _keep_freed_blocks()
     bundles.check_file_outputs(args.out, args.csv)
+    if args.batch_size < 1:  # before any input is read; classify checks it too
+        raise ConfigError(f"batch size must be at least 1, got {args.batch_size}")
     weights = load_weights(args.weights)
     stack, component_ids = bundles.read_feature_bundle(args.features)
     probs = classify(weights, stack.topo, stack.psd, stack.autocorr,
@@ -298,18 +300,16 @@ def cmd_train(args) -> int:
 def _chain_entry(fit, seed: int) -> tuple:
     """Run one chain; returns its JSON entry and its wall seconds.
 
-    The entry holds the labels and the labeler confusions each as a
-    ``bundles.KeyedTable``: a worker's result is pickled, and one array
-    pickles far faster than one per component.
+    The entry holds the chain's labels and labeler confusions as the
+    sampler returns them, each a ``bundles.KeyedTable``: a worker's result
+    is pickled, and one array pickles far faster than one per component.
     """
     started = time.perf_counter()
     result = fit(seed=seed)
-    labels, confusions = result.labels, result.labeler_confusions
     entry = {
         "seed": result.seed,
-        "labels": bundles.KeyedTable(tuple(labels), np.array(list(labels.values()))),
-        "labeler_confusions": bundles.KeyedTable(tuple(confusions),
-                                                 np.array(list(confusions.values()))),
+        "labels": result.labels,
+        "labeler_confusions": result.labeler_confusions,
         "diagnostics": result.diagnostics,
         "log_joint": result.log_joint,
     }
@@ -531,6 +531,8 @@ def bench_recordings(weights, recordings, repetitions: int = 1) -> dict:
 def cmd_bench(args) -> int:
     _keep_freed_blocks()
     bundles.check_file_outputs(args.out)
+    if args.repetitions < 1:  # before any input is read; bench_recordings checks it too
+        raise ConfigError("repetitions must be at least 1")
     weights = load_weights(args.weights)
     recordings = []
     for path in args.recordings:

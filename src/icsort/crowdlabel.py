@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bundles import read_csv_rows
+from .bundles import KeyedTable, read_csv_rows
 from .categories import (
     N_CATEGORIES,
     N_RESPONSES,
@@ -129,8 +129,8 @@ class ClassPrior:
 class CrowdResult:
     """Aggregated labels and labeler skill estimates."""
 
-    labels: dict  # component_id -> (7,) label vector
-    labeler_confusions: dict  # labeler_id -> (7, 8) row-stochastic matrix
+    labels: KeyedTable  # sorted component ids -> (7,) label vectors, one array
+    labeler_confusions: KeyedTable  # sorted labeler ids -> (7, 8) row-stochastic matrices
     seed: int
     diagnostics: dict = field(default_factory=dict)
     #: collapsed log joint of votes and latent categories, priors included,
@@ -364,11 +364,9 @@ def cllda_fit(
                 + _log_gamma_sum(lab_array) - _log_gamma_sum(rowsum_array)
             ))
 
-    labels = label_sum / sampling_epochs
-    confusions = confusion_sum / sampling_epochs
     return CrowdResult(
-        labels={c: labels[i] for c, i in comp_index.items()},
-        labeler_confusions={l: confusions[i] for l, i in lab_index.items()},
+        labels=KeyedTable(tuple(component_ids), label_sum / sampling_epochs),
+        labeler_confusions=KeyedTable(tuple(labeler_ids), confusion_sum / sampling_epochs),
         seed=seed,
         diagnostics={"n_votes": n_votes, "n_components": n_comp, "n_labelers": n_lab},
         log_joint=log_joint,

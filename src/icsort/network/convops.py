@@ -4,20 +4,17 @@ Convolutions are lowered to matrix multiplication.  ``pad_2d`` and
 ``pad_1d`` zero-pad an input, and ``lower_padded`` copies its patches
 into a column matrix (the im2col matrix); ``lower_2d`` and ``lower_1d``
 do both.  ``forward_lowered`` applies the kernel to the matrix as a single
-GEMM.  ``backward_lowered`` takes the same ``Lowered`` input, so a training
-step can lower each layer's input once: the forward pass keeps the matrix
-for the backward pass instead of the backward padding and copying again.
-The backward pass consumes the matrix: once the kernel gradient has read
-it, the column gradient (``dcols``) is written over it when the matrix is
-writeable, so a layer's backward needs no second matrix of that size.  It
-then scatters the column gradient back by stride phase: the kernel taps
-whose rows and columns share a quotient by the stride land on disjoint
-input positions, so each such group is one strided add, made in the order
-a tap-by-tap loop would add them.
-
-Where a matrix is too large to keep, ``backward_by_rows`` takes the
-``Padded`` input instead and lowers it again one kernel row at a time,
-with ``backward_lowered``'s bits.
+GEMM.  ``backward`` takes the input a training step kept: the ``Lowered``
+matrix the forward GEMM read, so the step lowers each layer's input once,
+or, where that matrix is too large to keep, the ``Padded`` input, which it
+lowers again one kernel row at a time with the same bits.  It reads either
+as strips of the matrix.  Each strip gives its rows' block of the kernel
+gradient and then holds their column gradient, written over the strip when
+it is writeable, so a layer's backward needs no second matrix of that size.
+The column gradient is added back by stride phase: the kernel taps whose
+rows and columns share a quotient by the stride land on disjoint input
+positions, so each such group is one strided add, made in the order a
+tap-by-tap loop would add them.
 
 Layouts are channels-last: 2-D activations are (batch, height, width,
 channels) and 1-D activations are (batch, length, channels).  A 1-D
@@ -154,65 +151,59 @@ def forward_lowered(lowered: Lowered, w: np.ndarray, b: np.ndarray) -> np.ndarra
     return y.reshape(*lowered.output_shape, w.shape[-1])
 
 
-def backward_lowered(
-    lowered: Lowered, w: np.ndarray, dy: np.ndarray, input_grad: bool = True
+def backward(
+    kept: Lowered | Padded, w: np.ndarray, dy: np.ndarray, input_grad: bool = True
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """Gradients (dx, dw, db) of a convolution given its lowered input and upstream dy.
+    """Gradients (dx, dw, db) of a convolution given its kept input and upstream dy.
 
-    With ``input_grad`` off, dx is not computed and is returned as None.
-    With it on, the call consumes ``lowered``: after dw has read the im2col
-    matrix, the column gradient is written into it when it is writeable,
-    C-contiguous and of the result dtype: an owned copy, or the padded
-    input itself when each image is one patch (see ``lower_padded``).
+    Each strip of the input's im2col matrix (see ``_strips``) gives its
+    kernel rows' block of dw.  With ``input_grad`` off, dx is None.  With it
+    on, the strip then holds its column gradient, written over it when it is
+    writeable, C-contiguous and of the result dtype, so a ``Lowered`` input
+    is consumed (see ``lower_padded``), and the gradient is added into dx by
+    stride phase.  A padded input gives its lowering's bits where the row
+    GEMMs run the whole matrix's BLAS kernel, as topo2's do at batch 128.
     """
-    cols = lowered.cols
-    c_out = w.shape[-1]
-    dy_flat = dy.reshape(cols.shape[0], c_out)
-    db = dy_flat.sum(axis=0)
-    dw = (cols.T @ dy_flat).reshape(w.shape)
-    if not input_grad:
-        return None, dw, db
-    w_t = w.reshape(cols.shape[1], c_out).T
-    spent = (cols.flags.writeable and cols.flags.c_contiguous
-             and cols.dtype == np.result_type(dy_flat, w_t))
-    dcols = np.matmul(dy_flat, w_t, out=cols if spent else None)
-    ho, wo = _image_size(lowered.output_shape[1:])
-    dcols = dcols.reshape(lowered.output_shape[0], ho, wo, *lowered.kernel, -1)
-    return _scatter_by_phase(dcols, lowered), dw, db
-
-
-def backward_by_rows(
-    padded: Padded, w: np.ndarray, dy: np.ndarray, input_grad: bool = True
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """``backward_lowered``'s gradients, lowering the padded input again by kernel rows.
-
-    The patches of one kernel row, for every output position, are copied
-    into one strip.  The strip gives the row's block of dw, each element
-    still one sum over every output position, and then holds the row's
-    column gradient, which is added into dx in the order
-    ``_scatter_by_phase`` adds it.  So at most one strip of the im2col
-    matrix exists.  The bits are ``backward_lowered``'s where the row GEMMs
-    run the same BLAS kernel as the whole matrix's, as they do for the
-    layers that take this path (topo2 at batch 128, one 16 MiB strip).
-    """
-    patches = _patches(padded)
-    n, ho, wo, kh, kw, c_in = patches.shape
-    m, c_out = n * ho * wo, w.shape[-1]
-    dy_flat = dy.reshape(m, c_out)
+    kh, kw, c_in, c_out = *kept.kernel, w.shape[-2], w.shape[-1]
+    dy_flat = dy.reshape(-1, c_out)
     db = dy_flat.sum(axis=0)
     w_rows = w.reshape(kh, kw * c_in, c_out)
-    dw = np.empty(w_rows.shape, np.result_type(padded.xp, dy_flat))
-    phased = _phased_zeros(padded, c_in, np.result_type(dy_flat, w)) if input_grad else None
-    strip = np.empty((m, kw * c_in), padded.xp.dtype)
+    dw = np.empty(w_rows.shape, np.result_type(kept[0], dy_flat))  # kept[0]: cols or xp
+    phased = _phased_zeros(kept, c_in, np.result_type(dy_flat, w)) if input_grad else None
+    n, ho, wo = kept.output_shape[0], *_image_size(kept.output_shape[1:])
+    for first, cols in _strips(kept):
+        rows = cols.shape[1] // (kw * c_in)
+        np.matmul(cols.T, dy_flat, out=dw[first : first + rows].reshape(-1, c_out))
+        if not input_grad:
+            continue
+        spent = (cols.flags.writeable and cols.flags.c_contiguous
+                 and cols.dtype == phased.dtype)
+        w_t = w_rows[first : first + rows].reshape(-1, c_out).T
+        dcols = np.matmul(dy_flat, w_t, out=cols if spent else None)
+        dcols = dcols.reshape(n, ho, wo, rows, kw, c_in)
+        for i in range(0, rows, phased.shape[2]):
+            _add_by_phase(phased, dcols[:, :, :, i : i + phased.shape[2]], first + i)
+    dx = _cropped(phased, kept) if input_grad else None
+    return dx, dw.reshape(w.shape), db
+
+
+def _strips(kept: Lowered | Padded):
+    """(first kernel row, im2col columns of the rows from it) strips of a kept input.
+
+    A ``Lowered`` input is one strip, its whole matrix.  A ``Padded`` input
+    is lowered again one kernel row at a time: the row's patches, for every
+    output position, are copied into one strip that every row reuses, so at
+    most one strip of its im2col matrix exists.
+    """
+    if isinstance(kept, Lowered):
+        yield 0, kept.cols
+        return
+    patches = _patches(kept)
+    n, ho, wo, kh, kw, c_in = patches.shape
+    strip = np.empty((n * ho * wo, kw * c_in), kept.xp.dtype)
     for i in range(kh):
         np.copyto(strip.reshape(n, ho, wo, 1, kw, c_in), patches[:, :, :, i : i + 1])
-        np.matmul(strip.T, dy_flat, out=dw[i])
-        if input_grad:
-            dstrip = np.matmul(dy_flat, w_rows[i].T,
-                               out=strip if strip.dtype == phased.dtype else None)
-            _add_by_phase(phased, dstrip.reshape(n, ho, wo, 1, kw, c_in), i)
-    dx = _cropped(phased, padded) if input_grad else None
-    return dx, dw.reshape(w.shape), db
+        yield i, strip
 
 
 def _image_size(spatial: tuple) -> tuple:
@@ -220,28 +211,9 @@ def _image_size(spatial: tuple) -> tuple:
     return (1, *spatial)[-2:]
 
 
-def _scatter_by_phase(dcols: np.ndarray, lowered: Lowered) -> np.ndarray:
-    """The input gradient: each tap's column gradient added at the positions it read.
-
-    Tap (i, j) of output (a, b) read padded position (s*a + i, s*b + j).
-    Writing i = s*qi + pi, that is row (a + qi, pi) of the padded rows
-    viewed as (rows / s, s), and the same for columns.  So the taps of one
-    (qi, qj) group are one strided add of a transposed ``dcols`` slice, and
-    the groups are added in the order a loop over (i, j) would add them,
-    which gives every position its terms in the same order and so the same
-    bits.  An axis with one output step uses stride 1, so a 1-D input does
-    not double its height; the padded axes are rounded up to a multiple of
-    the stride and the extra rows and columns are dropped.
-    """
-    phased = _phased_zeros(lowered, dcols.shape[-1], dcols.dtype)
-    sh = phased.shape[2]
-    for first in range(0, dcols.shape[3], sh):
-        _add_by_phase(phased, dcols[:, :, :, first : first + sh], first)
-    return _cropped(phased, lowered)
-
-
 def _phased_zeros(geometry: Padded | Lowered, c: int, dtype) -> np.ndarray:
-    """Zeros the shape of the padded input viewed as (n, rows / sh, sh, columns / sw, sw, c)."""
+    """Zeros the shape of the padded input viewed as (n, rows / sh, sh, columns / sw, sw, c),
+    each padded axis rounded up to a multiple of its stride (``_cropped`` drops the rest)."""
     n, ho, wo = geometry.output_shape[0], *_image_size(geometry.output_shape[1:])
     s = geometry.stride
     sh, sw = (s if ho > 1 else 1), (s if wo > 1 else 1)
@@ -253,7 +225,17 @@ def _phased_zeros(geometry: Padded | Lowered, c: int, dtype) -> np.ndarray:
 
 def _add_by_phase(phased: np.ndarray, block: np.ndarray, first: int) -> None:
     """Add the column gradient ``block`` (n, out_h, out_w, rows, kw, c) of kernel rows
-    ``first``, ``first + 1``, ... (one row quotient) into ``phased``, a column group at a time."""
+    ``first``, ``first + 1``, ... (one row quotient) into ``phased``, a column group at a time.
+
+    Tap (i, j) of output (a, b) read padded position (s*a + i, s*b + j).
+    Writing i = s*qi + pi, that is row (a + qi, pi) of the padded rows
+    viewed as (rows / s, s), and the same for columns.  So the taps of one
+    (qi, qj) group are one strided add of a transposed ``block`` slice, and
+    adding the groups in the order a loop over (i, j) would add them gives
+    every position its terms in the same order and so the same bits.  An
+    axis with one output step uses stride 1 (see ``_phased_zeros``), so a
+    1-D input does not double its height.
+    """
     _, ho, wo, rows, kw, _ = block.shape
     sh, sw = phased.shape[2], phased.shape[4]
     qi, pi = divmod(first, sh)
@@ -288,8 +270,8 @@ def conv2d_backward(
     x: np.ndarray, w: np.ndarray, stride: int, padding: str, dy: np.ndarray,
     input_grad: bool = True,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """Reference gradients (dx, dw, db) of a 2-D convolution; see ``backward_lowered``."""
-    return backward_lowered(lower_2d(x, w.shape, stride, padding), w, dy, input_grad)
+    """Reference gradients (dx, dw, db) of a 2-D convolution; see ``backward``."""
+    return backward(lower_2d(x, w.shape, stride, padding), w, dy, input_grad)
 
 
 def conv1d_forward(
@@ -303,8 +285,8 @@ def conv1d_backward(
     x: np.ndarray, w: np.ndarray, stride: int, padding: str, dy: np.ndarray,
     input_grad: bool = True,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """Reference gradients (dx, dw, db) of a 1-D convolution; see ``backward_lowered``."""
-    return backward_lowered(lower_1d(x, w.shape, stride, padding), w, dy, input_grad)
+    """Reference gradients (dx, dw, db) of a 1-D convolution; see ``backward``."""
+    return backward(lower_1d(x, w.shape, stride, padding), w, dy, input_grad)
 
 
 def leaky_relu(x: np.ndarray, alpha: float = 0.2, out: np.ndarray | None = None) -> np.ndarray:

@@ -17,15 +17,15 @@ final unpadded 4x4 convolution with 7 filters produces the category
 logits, which a softmax turns into probabilities.
 
 All hidden layers use leaky-ReLU activations with slope 0.2; the head is
-linear.  A training step's forward pass keeps, per layer, the im2col
-matrix its GEMM read and, for a leaky-ReLU layer, the boolean mask of its
+linear.  A training step's forward pass keeps, per layer, the input its
+backward pass reads and, for a leaky-ReLU layer, the boolean mask of its
 positive outputs: one byte per value instead of the float activation,
-and all the backward pass needs to rebuild the slope.  A 2-D layer whose
-matrix is above ``LOWERING_CACHE_LIMIT`` keeps its padded input in place
-of the matrix, which its backward pass lowers again by kernel rows
-(``convops.backward_by_rows``).  A forward pass that fills no cache walks
-the topography branch ``TOPOGRAPHY_BLOCK`` images at a time, so its
-largest im2col matrix does not grow with the batch.
+and all the backward pass needs to rebuild the slope.  The kept input is
+the im2col matrix the layer's GEMM read, or, for a 2-D layer whose matrix
+is above ``LOWERING_CACHE_LIMIT``, its padded input; ``convops.backward``
+takes either, and lowers a padded input again by kernel rows.  A forward
+pass that fills no cache walks the topography branch ``TOPOGRAPHY_BLOCK``
+images at a time, so its largest im2col matrix does not grow with the batch.
 """
 
 from __future__ import annotations
@@ -104,9 +104,6 @@ LOWERING_CACHE_LIMIT = 32 * 1024 * 1024
 #: the head (seven) round by row count, so the 1-D branches and the head
 #: walk the whole batch.  At 32 images topo2's matrix is 16 MiB.
 TOPOGRAPHY_BLOCK = 32
-#: cached input kind -> the backward pass that reads it
-_BACKWARDS = {convops.Lowered: convops.backward_lowered,
-              convops.Padded: convops.backward_by_rows}
 #: activation -> function applied in place to the pre-activation
 _ACTIVATIONS = {
     "lrelu": lambda pre: convops.leaky_relu(pre, LEAKY_SLOPE, out=pre),
@@ -257,18 +254,16 @@ def _walk_layers(weights: NetworkWeights, specs, x: np.ndarray, cache) -> np.nda
 def _first_non_finite(weights: NetworkWeights, specs: tuple, x: np.ndarray) -> str:
     """Name of the first layer of ``specs`` whose pre-activation is not finite for ``x``.
 
-    Called once the walk's last output is not finite.  The activations keep
-    finite values finite, so when no earlier layer's pre-activation is
-    non-finite the last layer's is, and it is not computed again.
+    Called once the walk's last output is not finite; ``_walk_layers`` walks
+    ``x`` one spec at a time.  The activations keep a non-finite value
+    non-finite and a finite one finite, so the first layer whose output is
+    not finite is the first whose pre-activation is not, and when no earlier
+    layer's is, the last layer's is and it is not computed again.
     """
     for spec in specs[:-1]:
-        lowered = convops.lower_padded(
-            _PADDINGS[spec.kind](x, spec.weight_shape, spec.stride, spec.padding))
-        pre = convops.forward_lowered(lowered, weights.kernels[spec.name],
-                                      weights.biases[spec.name])
-        if not np.all(np.isfinite(pre)):
+        x = _walk_layers(weights, (spec,), x, None)
+        if not np.all(np.isfinite(x)):
             return spec.name
-        x = _ACTIVATIONS[spec.activation](pre)
     return specs[-1].name
 
 
@@ -295,7 +290,7 @@ def _walk_backward(weights: NetworkWeights, specs, cache: dict, dy, grads):
                 slope = positive.astype(dy.dtype)
                 np.maximum(slope, LEAKY_SLOPE, out=slope)
                 dy = np.multiply(dy.reshape(positive.shape), slope, out=slope)
-            dy, grads[0][spec.name], grads[1][spec.name] = _BACKWARDS[type(kept)](
+            dy, grads[0][spec.name], grads[1][spec.name] = convops.backward(
                 kept, weights.kernels[spec.name], dy, input_grad=spec not in _INPUT_LAYERS,
             )
     return dy

@@ -870,6 +870,21 @@ def test_usage_and_missing_file_exit_codes(tmp_path, capsys):
     capsys.readouterr()  # drain usage noise
 
 
+@pytest.mark.parametrize("command, message", [
+    (["classify", "--features", "features", "--batch-size", "0"],
+     "error: batch size must be at least 1, got 0"),
+    (["bench", "recording", "--repetitions", "0"], "error: repetitions must be at least 1"),
+], ids=["classify", "bench"])
+def test_a_count_flag_below_1_exits_1_before_any_input_is_read(tmp_path, monkeypatch,
+                                                                 capsys, command, message):
+    # no input exists, so reading the weights first would exit 2
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out.json"
+    assert cli.main([*command, "--weights", "missing.iclw", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("case", ["weights-is-a-directory", "out-is-a-directory",
                                   "out-in-a-missing-directory"])
 def test_classify_names_a_path_it_cannot_use_in_one_error_line(tmp_path, capsys, case):

@@ -135,7 +135,7 @@ def test_phase_scatter_matches_the_tap_by_tap_loop_bitwise(n):
             w = rng.standard_normal(spec.weight_shape).astype(dtype)
             lowered = lower(x, w.shape, spec.stride, spec.padding)
             dy = rng.standard_normal((*lowered.output_shape, spec.out_channels)).astype(dtype)
-            dx, _, _ = convops.backward_lowered(lowered, w, dy)
+            dx, _, _ = convops.backward(lowered, w, dy)
 
             ho, wo = (1, *lowered.output_shape[1:])[-2:]  # a 1-D output is one row
             dy_flat = dy.reshape(-1, spec.out_channels)
@@ -160,10 +160,10 @@ def test_forward_and_backward_read_one_lowering():
     y = convops.forward_lowered(lowered, w, b)
     assert np.array_equal(y, conv2d_forward(x, w, b, 2, "same"))
     dy = rng.standard_normal(y.shape)
-    for got, want in zip(convops.backward_lowered(lowered, w, dy),
+    for got, want in zip(convops.backward(lowered, w, dy),
                          conv2d_backward(x, w, 2, "same", dy)):
         assert np.array_equal(got, want)
-    assert convops.backward_lowered(lowered, w, dy, input_grad=False)[0] is None
+    assert convops.backward(lowered, w, dy, input_grad=False)[0] is None
     with pytest.raises(ConfigError):
         convops.lower_1d(x, (3, 3, 4), 2, "same")
 
@@ -178,8 +178,8 @@ def test_backward_writes_the_column_gradient_into_the_spent_lowering(dtype):
     kept = lowered.cols.copy()
     kept.flags.writeable = False  # a read-only matrix keeps a fresh column gradient
     dy = rng.standard_normal((*lowered.output_shape, 6)).astype(dtype)
-    fresh = convops.backward_lowered(lowered._replace(cols=kept), w, dy)
-    spent = convops.backward_lowered(lowered, w, dy)
+    fresh = convops.backward(lowered._replace(cols=kept), w, dy)
+    spent = convops.backward(lowered, w, dy)
     for got, want in zip(spent, fresh):
         assert got.tobytes() == want.tobytes()
     assert np.array_equal(kept, convops.lower_2d(x, w.shape, 2, "same").cols)
@@ -687,19 +687,20 @@ def test_the_row_wise_backward_keeps_the_training_step_bits(monkeypatch, dtype):
 
 @pytest.mark.parametrize("input_grad", [True, False])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_backward_by_rows_has_the_bits_of_the_lowered_backward(dtype, input_grad):
+def test_a_padded_input_has_the_bits_of_its_lowering(dtype, input_grad):
+    # every layer, the 1-D ones as height-1 images of one kernel row
     inputs = _layer_inputs(_ROW_WISE_N)
     rng = np.random.default_rng(23)
     for spec in ARCHITECTURE:
-        if spec.kind != "conv2d":
-            continue
+        pad, lower = ((convops.pad_2d, convops.lower_2d) if spec.kind == "conv2d"
+                      else (convops.pad_1d, convops.lower_1d))
         x = rng.standard_normal(inputs[spec.name]).astype(dtype)
         w = rng.standard_normal(spec.weight_shape).astype(dtype)
-        padded = convops.pad_2d(x, w.shape, spec.stride, spec.padding)
+        padded = pad(x, w.shape, spec.stride, spec.padding)
         dy = rng.standard_normal((*padded.output_shape, spec.out_channels)).astype(dtype)
-        want = convops.backward_lowered(convops.lower_2d(x, w.shape, spec.stride, spec.padding),
-                                        w, dy, input_grad)
-        got = convops.backward_by_rows(padded, w, dy, input_grad)
+        want = convops.backward(lower(x, w.shape, spec.stride, spec.padding),
+                                w, dy, input_grad)
+        got = convops.backward(padded, w, dy, input_grad)
         assert (got[0] is None) == (not input_grad)
         for a, b in zip(got, want):
             if b is not None:
@@ -758,10 +759,10 @@ def test_the_head_backward_writes_its_column_gradient_into_its_lowering():
     assert lowered.cols.flags.writeable and not lowered.cols.flags.owndata
     kept = lowered.cols.copy()
     kept.flags.writeable = False  # a read-only matrix keeps a fresh column gradient
-    want = convops.backward_lowered(lowered._replace(cols=kept), w, dy)
+    want = convops.backward(lowered._replace(cols=kept), w, dy)
     tracemalloc.start()
     try:
-        got = convops.backward_lowered(lowered, w, dy)
+        got = convops.backward(lowered, w, dy)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

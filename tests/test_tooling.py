@@ -355,3 +355,55 @@ def test_inference_lowers_the_topography_in_blocks_of_32_images(monkeypatch):
                               if entry[1:3] == ((spec.kernel, spec.kernel), spec.in_channels)]
                   for spec in model.BRANCHES[0]}
         assert images == {spec.name: [32] * walks for spec in model.BRANCHES[0]}, name
+
+
+#: Module-level names in ``src/icsort`` that no other part of ``src/`` names,
+#: each kept for the reason given.
+_KEPT_UNNAMED = {
+    **dict.fromkeys(
+        ("conv1d_forward", "conv1d_backward", "conv2d_forward", "conv2d_backward",
+         "leaky_relu_grad"),
+        "the independent reference of tests/oracles.py, and perfbench/cnn_table.py"),
+    "write_recording_bundle": "the writer of the input format, used by the tests and "
+                              "perfbench/inputs.py",
+}
+
+
+def _top_level_names(statement) -> set:
+    """Names a module-level statement defines: a function, a class, or an alias."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {statement.name}
+    if isinstance(statement, ast.Assign) and isinstance(statement.value,
+                                                        (ast.Name, ast.Attribute)):
+        return {target.id for target in statement.targets if isinstance(target, ast.Name)}
+    return set()
+
+
+def _names_read(statement) -> set:
+    """Every name, attribute and imported name a statement reads."""
+    names = set()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_src_defines_nothing_that_src_does_not_name():
+    # a function, class or alias that only tests or perfbench reach is dead
+    # code in the program; the few kept on purpose are listed with a reason
+    package = os.path.join(ROOT, "src", "icsort")
+    statements = []
+    for directory, _, files in os.walk(package):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                with open(os.path.join(directory, name), encoding="utf-8") as fh:
+                    statements += ast.parse(fh.read(), name).body
+    reads = [_names_read(statement) for statement in statements]
+    unnamed = {name for i, statement in enumerate(statements)
+               for name in _top_level_names(statement)
+               if not any(name in names for j, names in enumerate(reads) if j != i)}
+    assert unnamed == set(_KEPT_UNNAMED)
