@@ -65,7 +65,8 @@ def _write_json(path, payload: dict) -> None:
 
 
 #: glibc's ``mallopt`` parameters (malloc.h) and the size both are set to: well
-#: above the largest block a training step frees (64 MiB at batch 128).
+#: above the largest block a training step frees (about 20 MiB at batch 128,
+#: topo2's padded input and its input gradient's phase buffer).
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _KEEP_BLOCKS_BELOW = 1 << 30
 

@@ -4,13 +4,15 @@ Convolutions are lowered to matrix multiplication.  ``pad_2d`` and
 ``pad_1d`` zero-pad an input, and ``lower_padded`` copies its patches
 into a column matrix (the im2col matrix); ``lower_2d`` and ``lower_1d``
 do both.  ``forward_lowered`` applies the kernel to the matrix as a single
-GEMM.  ``backward`` takes the input a training step kept: the ``Lowered``
-matrix the forward GEMM read, so the step lowers each layer's input once,
-or, where that matrix is too large to keep, the ``Padded`` input, which it
-lowers again one kernel row at a time with the same bits.  It reads either
-as strips of the matrix.  Each strip gives its rows' block of the kernel
-gradient and then holds their column gradient, written over the strip when
-it is writeable, so a layer's backward needs no second matrix of that size.
+GEMM; ``forward_padded`` lowers a padded input a block of images at a time
+and runs one GEMM per block.  ``backward`` takes the input a training step
+kept: the ``Lowered`` matrix the forward GEMM read, so the step lowers each
+layer's input once, or, where that matrix is too large to keep, the
+``Padded`` input, which it lowers again one kernel row at a time with the
+same bits.  It reads either as strips of the matrix.  Each strip gives its
+rows' block of the kernel gradient and then holds their column gradient,
+written over the strip when it is writeable, so a layer's backward needs
+no second matrix of that size.
 The column gradient is added back by stride phase: the kernel taps whose
 rows and columns share a quotient by the stride land on disjoint input
 positions, so each such group is one strided add, made in the order a
@@ -149,6 +151,29 @@ def forward_lowered(lowered: Lowered, w: np.ndarray, b: np.ndarray) -> np.ndarra
     y = lowered.cols @ w.reshape(lowered.cols.shape[1], -1)
     y += b
     return y.reshape(*lowered.output_shape, w.shape[-1])
+
+
+def forward_padded(padded: Padded, w: np.ndarray, b: np.ndarray, block: int) -> np.ndarray:
+    """Convolution output for a padded input, lowered at most ``block`` images at a time.
+
+    Each block's im2col matrix is freed after its GEMM, which writes the
+    block's rows of the one output array, so no matrix holds more than
+    ``block`` images.  Where each image's rows get the same bits at any
+    block size, as topo1-topo3's do on OpenBLAS, the output has the bits of
+    ``forward_lowered`` over the whole matrix.
+    """
+    n, c_out = padded.xp.shape[0], w.shape[-1]
+    y = np.empty((*padded.output_shape, c_out), np.result_type(padded.xp, w))
+    for start in range(0, n, block):
+        xp = padded.xp[start : start + block]
+        part = padded._replace(xp=xp, input_shape=(len(xp), *padded.input_shape[1:]),
+                               output_shape=(len(xp), *padded.output_shape[1:]))
+        cols = lower_padded(part).cols
+        np.matmul(cols, w.reshape(cols.shape[1], c_out),
+                  out=y[start : start + block].reshape(len(cols), c_out))
+        del cols  # freed before the next block's is made
+    y += b
+    return y
 
 
 def backward(

@@ -22,10 +22,12 @@ backward pass reads and, for a leaky-ReLU layer, the boolean mask of its
 positive outputs: one byte per value instead of the float activation,
 and all the backward pass needs to rebuild the slope.  The kept input is
 the im2col matrix the layer's GEMM read, or, for a 2-D layer whose matrix
-is above ``LOWERING_CACHE_LIMIT``, its padded input; ``convops.backward``
+is above ``LOWERING_CACHE_LIMIT``, its padded input, which the forward
+GEMM lowers ``TOPOGRAPHY_BLOCK`` images at a time; ``convops.backward``
 takes either, and lowers a padded input again by kernel rows.  A forward
 pass that fills no cache walks the topography branch ``TOPOGRAPHY_BLOCK``
-images at a time, so its largest im2col matrix does not grow with the batch.
+images at a time.  Either way the largest im2col matrix does not grow with
+the batch beyond the limit.
 """
 
 from __future__ import annotations
@@ -95,9 +97,12 @@ LAYER_ORDER: tuple = tuple(spec.name for spec in ARCHITECTURE)
 #: kind -> the zero padding of the layer's input for its convolution
 _PADDINGS = {"conv2d": convops.pad_2d, "conv1d": convops.pad_1d}
 #: Bytes above which a training forward does not cache a 2-D layer's im2col
-#: matrix: it caches the padded input, and the backward pass lowers it again
-#: by kernel rows.  At batch 128 only topo2's 64 MiB matrix is above it.
-LOWERING_CACHE_LIMIT = 32 * 1024 * 1024
+#: matrix: it caches the padded input, lowers it ``TOPOGRAPHY_BLOCK`` images
+#: at a time for its GEMM, and the backward pass lowers it again by kernel
+#: rows.  That bounds the step's matrices by topo2's 16 MiB for one block.
+#: At batch 128 topo2's (64 MiB) and topo3's (32 MiB) matrices are above it,
+#: topo1's (2 MiB) and the head's (a view of its padded input) are not.
+LOWERING_CACHE_LIMIT = 16 * 1024 * 1024
 #: Images a forward pass with no cache walks through the topography branch at
 #: a time.  On OpenBLAS, topo1-topo3 give each image's rows the same bits at
 #: any block size, so blocks change no output; psd3 (one output channel) and
@@ -197,11 +202,13 @@ def _walk_forward(weights: NetworkWeights, specs, x: np.ndarray, cache,
     Without a cache and with ``block``, ``x`` is walked at most ``block``
     images at a time and each block's output is written into one array
     for the batch, so no matrix grows beyond a block's.  A training forward
-    keeps whole-batch entries for its backward pass, so with a cache
-    ``block`` is not used.  Finiteness is checked once, on the last
-    activation: a NaN or infinity in any layer's pre-activation reaches
-    it, because every input position lies under some output's kernel and
-    every output reads all input channels.  When the check fails,
+    keeps whole-batch entries for its backward pass, so with a cache each
+    layer walks the whole batch, and ``block`` bounds only the GEMMs of the
+    layers that keep their padded input (see ``_walk_layers``).
+    Finiteness is checked once, on the last activation: a NaN or infinity
+    in any layer's pre-activation reaches it, because every input position
+    lies under some output's kernel and every output reads all input
+    channels.  When the check fails,
     ``_first_non_finite`` walks the whole ``x`` again to name the layer.
     """
     with np.errstate(invalid="ignore", over="ignore"):  # the check below reports them
@@ -214,34 +221,37 @@ def _walk_forward(weights: NetworkWeights, specs, x: np.ndarray, cache,
                 out[start : start + block] = part
                 del part
         else:
-            out = _walk_layers(weights, specs, x, cache)
+            out = _walk_layers(weights, specs, x, cache, block)
         if not np.all(np.isfinite(out)):
             name = _first_non_finite(weights, specs, x)
             raise NumericError(f"non-finite activations in layer {name!r}")
     return out
 
 
-def _walk_layers(weights: NetworkWeights, specs, x: np.ndarray, cache) -> np.ndarray:
+def _walk_layers(weights: NetworkWeights, specs, x: np.ndarray, cache,
+                 block: int | None = None) -> np.ndarray:
     """``_walk_forward``'s walk of one block, unchecked.
 
     With a cache, each layer stores the triple ``forward`` describes, which
     holds no activation, so each activation is freed once the next layer
     has padded it.  A 2-D layer whose im2col matrix is above
-    ``LOWERING_CACHE_LIMIT`` stores its padded input instead, and its
-    matrix is freed right after its GEMM.
+    ``LOWERING_CACHE_LIMIT`` stores its padded input instead; its GEMM runs
+    over ``block`` images of that input at a time (the whole batch without
+    ``block``), and each block's matrix is freed right after its GEMM.
     """
     out = x
     for spec in specs:
+        kernel, bias = weights.kernels[spec.name], weights.biases[spec.name]
         padded = _PADDINGS[spec.kind](out, spec.weight_shape, spec.stride, spec.padding)
         del out  # the padded copy holds what the lowering reads
-        lowered = convops.lower_padded(padded)
         recompute = (cache is not None and spec.kind == "conv2d"
                      and padded.cols_nbytes > LOWERING_CACHE_LIMIT)
-        kept = padded if recompute else lowered
+        kept = padded if recompute else convops.lower_padded(padded)
         del padded  # freed now unless kept, or the matrix is a view of it
-        out = convops.forward_lowered(lowered, weights.kernels[spec.name],
-                                      weights.biases[spec.name])
-        del lowered  # the matrix is freed now unless the cache keeps it
+        if recompute:
+            out = convops.forward_padded(kept, kernel, bias, block or len(kept.xp))
+        else:
+            out = convops.forward_lowered(kept, kernel, bias)
         out = _ACTIVATIONS[spec.activation](out)  # the walk owns the pre-activation
         if cache is not None:
             # the leaky ReLU keeps the sign, so its slope is read from out > 0
@@ -352,9 +362,11 @@ def forward(
     input (``convops.Lowered``), which holds the im2col matrix the forward
     GEMM read, so the backward pass need not build it again.  A 2-D layer
     whose matrix is above ``LOWERING_CACHE_LIMIT`` bytes (at batch 128,
-    topo2 alone) keeps its padded input (``convops.Padded``) instead, a
-    third of the matrix's size, and its backward pass lowers that again by
-    kernel rows.  No activation is kept: a padded input is a copy
+    topo2 and topo3) keeps its padded input (``convops.Padded``) instead,
+    a third to two fifths of the matrix's size; its forward GEMM runs
+    over ``TOPOGRAPHY_BLOCK`` images of it at a time, with the bits of one
+    GEMM over the batch, and its backward pass lowers it again by kernel
+    rows.  No activation is kept: a padded input is a copy
     of the previous layer's output, zero-padded, and that output is freed.
     Without a cache each im2col matrix is freed after its GEMM, and the
     topography branch is walked ``TOPOGRAPHY_BLOCK`` images at a time (see

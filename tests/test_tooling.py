@@ -293,10 +293,11 @@ def test_commands_hand_the_json_encoder_arrays_for_their_large_tables(monkeypatc
 
 
 def test_the_pinned_training_step_reaches_both_backward_paths():
-    # test_training_step_bits_are_pinned (128 rows) pins the row-wise backward
-    # through topo2 and the cached matrix of every other layer; the tests at
-    # 32 rows or fewer pin the cached path alone.  A limit that stops the
-    # pinned step from reaching either path must fail here.
+    # test_training_step_bits_are_pinned (128 rows) pins the blocked forward
+    # and row-wise backward through topo2 and topo3 and the cached matrix of
+    # every other layer; the tests at 32 rows or fewer pin the cached path
+    # alone.  A limit that stops the pinned step from reaching either path
+    # must fail here.
     from icsort.network import convops, model, shape_trace
 
     def matrix_bytes(trace, spec):  # float32 rows (n * out_h * out_w) by columns (fan_in)
@@ -315,29 +316,40 @@ def test_the_pinned_training_step_reaches_both_backward_paths():
         return [spec.name for spec in layers
                 if matrix_bytes(trace, spec) > model.LOWERING_CACHE_LIMIT]
 
-    assert crossing(128) == ["topo2"]
-    assert crossing(64) == []
+    assert crossing(128) == ["topo2", "topo3"]
+    assert crossing(64) == ["topo2"]
+    assert crossing(32) == []
 
 
 def test_inference_lowers_the_topography_in_blocks_of_32_images(monkeypatch):
     # classify and the validation forward build no im2col matrix above
     # 16 MiB (the whole walk builds topo2's 64 MiB at 128 rows), and a batch
     # of 32 rows, the size of every perfbench recording of 32 components or
-    # fewer, lowers each topography layer once per walk, for all 32 images
+    # fewer, lowers each topography layer once per walk, for all 32 images.
+    # A b128 training step builds none above 16 MiB either, in its forward
+    # GEMMs or its backward strips (one walk builds topo2's 64 MiB)
     import builders
     from icsort.features import TOPOGRAPHY_ORBIT
-    from icsort.network import classify, convops, initialize_weights, model
+    from icsort.network import classify, convops, forward_backward, initialize_weights, model
     from icsort.network.training import _validation_loss
 
-    lower_padded = convops.lower_padded
+    lower_padded, strips_of = convops.lower_padded, convops._strips
     lowerings = []  # (matrix bytes, kernel, input channels, images) per lowering
+    strips = []  # bytes of each strip a backward pass reads
 
     def recording(padded):
-        lowerings.append((padded.cols_nbytes, padded.kernel, padded.xp.shape[3],
+        lowered = lower_padded(padded)
+        lowerings.append((lowered.cols.nbytes, padded.kernel, padded.xp.shape[3],
                           padded.xp.shape[0]))
-        return lower_padded(padded)
+        return lowered
+
+    def recording_strips(kept):
+        for first, cols in strips_of(kept):
+            strips.append(cols.nbytes)
+            yield first, cols
 
     monkeypatch.setattr(convops, "lower_padded", recording)
+    monkeypatch.setattr(convops, "_strips", recording_strips)
     weights = initialize_weights(seed=0)
     calls = {  # name -> (call, topography walks per batch)
         "classify": (lambda stack: classify(weights, stack.topo, stack.psd, stack.autocorr),
@@ -355,6 +367,13 @@ def test_inference_lowers_the_topography_in_blocks_of_32_images(monkeypatch):
                               if entry[1:3] == ((spec.kernel, spec.kernel), spec.in_channels)]
                   for spec in model.BRANCHES[0]}
         assert images == {spec.name: [32] * walks for spec in model.BRANCHES[0]}, name
+    lowerings.clear()
+    stack = builders.random_stack(128, seed=0)
+    forward_backward(weights, stack.topo, stack.psd, stack.autocorr,
+                     np.eye(7)[np.arange(128) % 7], np.ones(7))
+    assert len(strips) > len(model.ARCHITECTURE)  # topo2 and topo3 read one strip per row
+    assert max(entry[0] for entry in lowerings) <= 16 * 2**20
+    assert max(strips) <= 16 * 2**20
 
 
 #: Module-level names in ``src/icsort`` that no other part of ``src/`` names,
